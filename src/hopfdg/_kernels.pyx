@@ -2,23 +2,15 @@
 """Compiled twins of the pure enumeration kernels.
 
 Same signatures and bit-identical results as _kernels_py; that module
-documents the contracts.  Inputs outside comfortable C ranges (edge
-masks past 62 bits, more than 600 edges) delegate to the pure code so
-the two backends never disagree.
+documents the contracts.  Inputs outside comfortable C ranges (more than
+600 edges, or more than 16 vertices for the counting walks) delegate to
+the pure code so the two backends never disagree.  The composition sums
+have no compiled twin.
 """
 
 from libc.string cimport memset
-from libc.stdlib cimport calloc, free
 
 from . import _kernels_py as _py
-
-MAX_KERNEL_VERTICES = 16
-
-
-cdef inline int _check_size(int nv) except -1:
-    if nv > 16:
-        raise ValueError(f"kernel limited to 16 vertices, got {nv}")
-    return 0
 
 
 def lower_half_masks(int nv, tails, heads):
@@ -46,190 +38,6 @@ def lower_half_masks(int nv, tails, heads):
         if ok:
             out.append(mask)
     return out
-
-
-def chain_stats(int nv, tails, heads, long universe=-1):
-    """Histogram over admissible block sequences; see the pure twin."""
-    _check_size(nv)
-    if universe < 0:
-        universe = (1 << nv) - 1
-    cdef int m = len(tails)
-    if m > 600:
-        return _py.chain_stats(nv, tails, heads, universe)
-    cdef long tb[600]
-    cdef long hb[600]
-    cdef int e
-    for e in range(m):
-        tb[e] = 1 << <int> tails[e]
-        hb[e] = 1 << <int> heads[e]
-
-    table = {0: {(0, 0): 1}}
-    cdef long r = 0, t, rest
-    cdef int kept
-    cdef bint ok
-    while True:
-        if r != 0:
-            acc = {}
-            t = r
-            while t:
-                rest = r & ~t
-                ok = True
-                kept = 0
-                for e in range(m):
-                    if hb[e] & t:
-                        if tb[e] & rest:
-                            ok = False
-                            break
-                        if tb[e] & t:
-                            kept += 1
-                if ok:
-                    for key, cnt in (<dict> table[rest]).items():
-                        nk = (key[0] + 1, key[1] + kept)
-                        acc[nk] = acc.get(nk, 0) + cnt
-                t = (t - 1) & r
-            table[r] = acc
-        if r == universe:
-            break
-        r = (r - universe) & universe
-    return table[universe]
-
-
-def takeuchi_terms(int nv, tails, heads, long universe=-1):
-    """Signed counts of kept-edge masks; see the pure twin."""
-    _check_size(nv)
-    if universe < 0:
-        universe = (1 << nv) - 1
-    cdef int m = len(tails)
-    if m > 62:
-        return _py.takeuchi_terms(nv, tails, heads, universe)
-    cdef long tb[62]
-    cdef long hb[62]
-    cdef int e
-    for e in range(m):
-        tb[e] = 1 << <int> tails[e]
-        hb[e] = 1 << <int> heads[e]
-
-    table = {0: {0: 1}}
-    cdef long r = 0, t, rest
-    cdef unsigned long long kept
-    cdef bint ok
-    while True:
-        if r != 0:
-            acc = {}
-            t = r
-            while t:
-                rest = r & ~t
-                ok = True
-                kept = 0
-                for e in range(m):
-                    if hb[e] & t:
-                        if tb[e] & rest:
-                            ok = False
-                            break
-                        if tb[e] & t:
-                            kept |= (<unsigned long long> 1) << e
-                if ok:
-                    for mask, coeff in (<dict> table[rest]).items():
-                        key = kept | <unsigned long long> mask
-                        acc[key] = acc.get(key, 0) - coeff
-                t = (t - 1) & r
-            table[r] = {k: v for k, v in acc.items() if v}
-        if r == universe:
-            break
-        r = (r - universe) & universe
-    return table[universe]
-
-
-cdef void _surj_walk(int i, int used, int asc, int desc, int k, int nv, int m,
-                     int* color, bint* hit, int* back_start, int* back_j,
-                     bint* back_f, long long* stats) noexcept:
-    cdef int c, idx, cj, a, d
-    cdef bint fresh
-    if k - used > nv - i:
-        return
-    if i == nv:
-        stats[asc * (m + 1) + desc] += 1
-        return
-    for c in range(k):
-        a = asc
-        d = desc
-        for idx in range(back_start[i], back_start[i + 1]):
-            cj = color[back_j[idx]]
-            if cj == c:
-                continue
-            if back_f[idx] == (cj < c):
-                a += 1
-            else:
-                d += 1
-        color[i] = c
-        fresh = not hit[c]
-        hit[c] = True
-        _surj_walk(i + 1, used + (1 if fresh else 0), a, d, k, nv, m,
-                   color, hit, back_start, back_j, back_f, stats)
-        if fresh:
-            hit[c] = False
-
-
-def surjection_stats(int nv, tails, heads):
-    """Counts of surjections onto {1..k} by edge statistics; see the pure twin."""
-    _check_size(nv)
-    cdef int m = len(tails)
-    if m > 600:
-        return _py.surjection_stats(nv, tails, heads)
-    cdef int back_start[17]
-    cdef int back_j[600]
-    cdef bint back_f[600]
-    cdef int color[16]
-    cdef bint hit[16]
-    cdef int e, i, k, t, h, pos, asc, desc
-
-    # bucket edges by their later endpoint, preserving input order
-    cdef int deg[16]
-    memset(deg, 0, sizeof(deg))
-    for e in range(m):
-        t = <int> tails[e]
-        h = <int> heads[e]
-        deg[h if t < h else t] += 1
-    back_start[0] = 0
-    for i in range(nv):
-        back_start[i + 1] = back_start[i] + deg[i]
-    cdef int fill[16]
-    for i in range(nv):
-        fill[i] = back_start[i]
-    for e in range(m):
-        t = <int> tails[e]
-        h = <int> heads[e]
-        if t < h:
-            pos = fill[h]
-            fill[h] += 1
-            back_j[pos] = t
-            back_f[pos] = True
-        else:
-            pos = fill[t]
-            fill[t] += 1
-            back_j[pos] = h
-            back_f[pos] = False
-
-    cdef long long* grid = <long long*> calloc((m + 1) * (m + 1), sizeof(long long))
-    if grid == NULL:
-        raise MemoryError()
-    stats = {}
-    cdef long long cnt
-    try:
-        for k in range(1, nv + 1):
-            memset(grid, 0, (m + 1) * (m + 1) * sizeof(long long))
-            for i in range(k):
-                hit[i] = False
-            _surj_walk(0, 0, 0, 0, k, nv, m, color, hit,
-                       back_start, back_j, back_f, grid)
-            for asc in range(m + 1):
-                for desc in range(m + 1):
-                    cnt = grid[asc * (m + 1) + desc]
-                    if cnt:
-                        stats[(k, asc, desc)] = cnt
-    finally:
-        free(grid)
-    return stats
 
 
 cdef long long _color_walk(int i, int nv, long long n, bint strict, long long* color,

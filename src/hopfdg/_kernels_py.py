@@ -4,23 +4,10 @@ Every function here has a compiled twin in _kernels.pyx with the same
 signature and bit-identical results; hopfdg.kernels picks one at import.
 Graphs arrive as parallel index arrays: edge e runs tails[e] -> heads[e]
 with vertex indices 0..nv-1.  Subsets travel as bitmasks over those
-indices.
-
-The composition-shaped kernels share one idea: a sequence of blocks
-(T_1, ..., T_k) has every prefix closed under incoming edges exactly when
-each T_j, within the still-unprocessed vertex set R, receives no edge
-from R minus T_j.  That check is local to (R, T_j), so the sum over all
-such sequences is a dynamic program over remaining-set masks.
+indices.  The composition sums live in _engine and have no twin.
 """
 
 from __future__ import annotations
-
-MAX_KERNEL_VERTICES = 16
-
-
-def _check_size(nv: int) -> None:
-    if nv > MAX_KERNEL_VERTICES:
-        raise ValueError(f"kernel limited to {MAX_KERNEL_VERTICES} vertices, got {nv}")
 
 
 def lower_half_masks(nv: int, tails: list[int], heads: list[int]) -> list[int]:
@@ -38,152 +25,6 @@ def lower_half_masks(nv: int, tails: list[int], heads: list[int]) -> list[int]:
         else:
             out.append(mask)
     return out
-
-
-def _submasks_ascending(universe: int) -> list[int]:
-    """All submasks of universe in increasing numeric order, 0 first."""
-    out = [0]
-    s = 0
-    while s != universe:
-        s = (s - universe) & universe
-        out.append(s)
-    return out
-
-
-def chain_stats(nv: int, tails: list[int], heads: list[int],
-                universe: int = -1) -> dict[tuple[int, int], int]:
-    """Histogram over admissible block sequences decomposing `universe`.
-
-    Key (k, kept) counts sequences of k blocks whose prefixes are all
-    closed under incoming edges, where kept is the number of edges lying
-    inside a single block.  universe = -1 means all nv vertices.
-    """
-    _check_size(nv)
-    if universe < 0:
-        universe = (1 << nv) - 1
-    tbits = [1 << t for t in tails]
-    hbits = [1 << h for h in heads]
-    ibits = [tb | hb for tb, hb in zip(tbits, hbits)]
-    m = len(tbits)
-
-    table: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
-    for r in _submasks_ascending(universe):
-        if r == 0:
-            continue
-        acc: dict[tuple[int, int], int] = {}
-        t = r
-        while t:
-            rest = r & ~t
-            ok = True
-            kept = 0
-            for e in range(m):
-                if hbits[e] & t:
-                    if tbits[e] & rest:
-                        ok = False
-                        break
-                    if tbits[e] & t:
-                        kept += 1
-            if ok:
-                for (k, c), cnt in table[rest].items():
-                    key = (k + 1, c + kept)
-                    acc[key] = acc.get(key, 0) + cnt
-            t = (t - 1) & r
-        table[r] = acc
-    return table[universe]
-
-
-def takeuchi_terms(nv: int, tails: list[int], heads: list[int],
-                   universe: int = -1) -> dict[int, int]:
-    """Signed counts of kept-edge masks over the same block sequences.
-
-    Each sequence of k blocks contributes (-1)^k to the mask of edges
-    lying inside a single block.  Zero coefficients are dropped.
-    """
-    _check_size(nv)
-    if universe < 0:
-        universe = (1 << nv) - 1
-    tbits = [1 << t for t in tails]
-    hbits = [1 << h for h in heads]
-    m = len(tbits)
-
-    table: dict[int, dict[int, int]] = {0: {0: 1}}
-    for r in _submasks_ascending(universe):
-        if r == 0:
-            continue
-        acc: dict[int, int] = {}
-        t = r
-        while t:
-            rest = r & ~t
-            ok = True
-            kept = 0
-            for e in range(m):
-                if hbits[e] & t:
-                    if tbits[e] & rest:
-                        ok = False
-                        break
-                    if tbits[e] & t:
-                        kept |= 1 << e
-            if ok:
-                for mask, coeff in table[rest].items():
-                    key = kept | mask
-                    acc[key] = acc.get(key, 0) - coeff
-            t = (t - 1) & r
-        table[r] = {k: v for k, v in acc.items() if v}
-    return table[universe]
-
-
-def surjection_stats(nv: int, tails: list[int],
-                     heads: list[int]) -> dict[tuple[int, int, int], int]:
-    """Counts of surjections onto {1..k} by edge statistics.
-
-    Key (k, asc, desc) counts maps from the nv vertices onto k values
-    with asc edges increasing strictly, desc decreasing strictly; the
-    remaining edges are level.  k ranges over 1..nv (empty for nv = 0).
-    """
-    _check_size(nv)
-    m = len(tails)
-    # edges between vertex i and earlier vertices, resolved when i is colored:
-    # (earlier vertex, True if the edge points from the earlier vertex to i)
-    back: list[list[tuple[int, bool]]] = [[] for _ in range(nv)]
-    for e in range(m):
-        t, h = tails[e], heads[e]
-        if t < h:
-            back[h].append((t, True))
-        else:
-            back[t].append((h, False))
-
-    stats: dict[tuple[int, int, int], int] = {}
-    color = [0] * nv
-
-    for k in range(1, nv + 1):
-        hit = [False] * k
-
-        def walk(i: int, used: int, asc: int, desc: int) -> None:
-            if k - used > nv - i:
-                return  # too few vertices left to reach every value
-            if i == nv:
-                key = (k, asc, desc)
-                stats[key] = stats.get(key, 0) + 1
-                return
-            for c in range(k):
-                a, d = asc, desc
-                for j, forward in back[i]:
-                    cj = color[j]
-                    if cj == c:
-                        continue
-                    if forward == (cj < c):
-                        a += 1
-                    else:
-                        d += 1
-                color[i] = c
-                fresh = not hit[c]
-                hit[c] = True
-                walk(i + 1, used + fresh, a, d)
-                if fresh:
-                    hit[c] = False
-
-        walk(0, 0, 0, 0)
-    return stats
 
 
 def count_strict_colorings(nv: int, tails: list[int], heads: list[int], n: int) -> int:

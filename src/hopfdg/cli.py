@@ -22,7 +22,7 @@ from .cones import (audit_flow, base_member, build_flow_network,
 from .digraph import Digraph, disjoint_union, parse_graph
 from .errors import (GraphParseError, ResourceLimitError, SizeLimitError,
                      UnboundedFlowError, WorkLimitError)
-from .hopf import BASIC, EDGE, FormalSum, antipode, character_polynomial
+from .hopf import FormalSum, antipode
 from .invariants import (b_polynomial, check_edge_reciprocity,
                          check_reciprocity, edge_invariant, strict_chromatic,
                          weak_chromatic)
@@ -288,20 +288,14 @@ _SUITES = {
 
 def _cmd_invariant(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    which = args.which
-    if args.parallel > 1 and which in ("strict", "psi"):
-        char = BASIC if which == "strict" else EDGE
-        poly = character_polynomial(g, char, max_vertices=args.max_vertices,
-                                    workers=args.parallel)
-    else:
-        poly = _INVARIANTS[which](g, max_vertices=args.max_vertices)
-    _print_invariant(g, which, poly, args.format)
+    poly = _INVARIANTS[args.which](g, max_vertices=args.max_vertices)
+    _print_invariant(g, args.which, poly, args.format)
     return 0
 
 
 def _cmd_antipode(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    s = antipode(g, max_vertices=args.max_vertices, workers=args.parallel)
+    s = antipode(g, max_vertices=args.max_vertices)
     _print_antipode(g, s, args.format)
     return 0
 
@@ -374,23 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants, antipodes and cone membership for directed graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, parallel: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
                        help="refuse composition enumerations beyond this size")
-        if parallel:
-            p.add_argument("--parallel", type=int, default=1, metavar="N",
-                           help="worker processes for the composition engine")
 
     p_inv = sub.add_parser("invariant", help="print one polynomial invariant")
     p_inv.add_argument("which", choices=tuple(_INVARIANTS))
     p_inv.add_argument("graph", help="graph file")
-    common(p_inv, parallel=True)
+    common(p_inv)
     p_inv.set_defaults(fn=_cmd_invariant)
 
     p_anti = sub.add_parser("antipode", help="print the antipode as a formal sum")
     p_anti.add_argument("graph")
-    common(p_anti, parallel=True)
+    common(p_anti)
     p_anti.set_defaults(fn=_cmd_antipode)
 
     p_ver = sub.add_parser("verify", help="run a verification suite on the graph")

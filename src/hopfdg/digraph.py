@@ -55,6 +55,18 @@ class Digraph:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", frozenset(eset))
 
+    def _subgraph(self, vertices: tuple[str, ...],
+                  edges: Iterable[tuple[str, str]]) -> "Digraph":
+        """A subgraph built from parts of this already validated graph.
+
+        vertices must be a sorted sub-tuple of self.vertices and edges
+        edges of self between them.  Skips the checks of __init__.
+        """
+        sub = object.__new__(Digraph)
+        object.__setattr__(sub, "vertices", vertices)
+        object.__setattr__(sub, "edges", frozenset(edges))
+        return sub
+
     @property
     def edge_list(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.edges))
@@ -88,7 +100,8 @@ class Digraph:
         extra = sub - set(self.vertices)
         if extra:
             raise ValueError(f"restriction set contains non-vertices {sorted(extra)}")
-        return Digraph(sub, ((u, v) for u, v in self.edges if u in sub and v in sub))
+        return self._subgraph(tuple(sorted(sub)),
+                              ((u, v) for u, v in self.edges if u in sub and v in sub))
 
     def is_lower_half(self, subset: Iterable[str]) -> bool:
         """True when no edge enters the subset from outside it."""
@@ -146,7 +159,7 @@ class Digraph:
                         return None  # edge enters the prefix from outside
                     if u in b:
                         kept.append((u, v))
-        return Digraph(self.vertices, kept)
+        return self._subgraph(self.vertices, kept)
 
     def is_acyclic(self) -> bool:
         """True when the graph has no directed cycle (iterative DFS)."""

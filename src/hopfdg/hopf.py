@@ -6,14 +6,14 @@ prefixes are all lower halves; a composition contributes its kept edges
 the product of character values of its blocks to the coefficient of
 C(n, k) in the character polynomial.
 
-For the built-in characters the sum only depends on how many edges each
-composition keeps, so it runs through the kernels; arbitrary characters
-take a generic memoized path in Python.  Both paths are exact.
+Every such sum runs through the one dynamic program of the kernels.  For
+the built-in characters it only depends on how many edges each
+composition keeps; any other character is evaluated on the blocks
+themselves.  Both paths are exact.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -29,7 +29,8 @@ class Character:
     """A named multiplicative graph invariant with values in a ring.
 
     of_edge_count, when set, must satisfy of_graph(g) == of_edge_count(|edges of g|)
-    for every g; it unlocks the compiled fast path.
+    for every g; it lets the composition sum count kept edges instead of
+    evaluating the character on every block.
     """
 
     name: str
@@ -105,29 +106,7 @@ def _size_gate(g: Digraph, max_vertices: int | None) -> int:
     return nv
 
 
-def _edges_inside(tails: list[int], heads: list[int], mask: int) -> tuple[int, int]:
-    """(bitmask, count) of the edges with both endpoints in mask."""
-    em = 0
-    for e, (t, h) in enumerate(zip(tails, heads)):
-        if mask >> t & 1 and mask >> h & 1:
-            em |= 1 << e
-    return em, em.bit_count()
-
-
-def _first_blocks(nv: int, tails: list[int], heads: list[int]) -> list[int]:
-    return [m for m in kernels.lower_half_masks(nv, tails, heads) if m]
-
-
-def _chain_stats_job(args: tuple[int, list[int], list[int], int]) -> dict:
-    return kernels.chain_stats(*args)
-
-
-def _takeuchi_job(args: tuple[int, list[int], list[int], int]) -> dict:
-    return kernels.takeuchi_terms(*args)
-
-
-def antipode(g: Digraph, *, max_vertices: int | None = None,
-             workers: int = 1) -> FormalSum:
+def antipode(g: Digraph, *, max_vertices: int | None = None) -> FormalSum:
     """Alternating sum over admissible compositions, as one formal sum.
 
     The empty graph maps to itself with coefficient +1.  Each term keeps
@@ -138,115 +117,48 @@ def antipode(g: Digraph, *, max_vertices: int | None = None,
     if nv == 0:
         return FormalSum.of((), [(g, 1)])
     _, tails, heads = g.edge_arrays()
-
-    if workers > 1:
-        full = (1 << nv) - 1
-        coeffs: dict[int, int] = {}
-        blocks = _first_blocks(nv, tails, heads)
-        jobs = [(nv, tails, heads, full & ~t) for t in blocks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_takeuchi_job, jobs))
-        for t, part in zip(blocks, parts):
-            em, _ = _edges_inside(tails, heads, t)
-            for mask, c in part.items():
-                key = em | mask
-                coeffs[key] = coeffs.get(key, 0) - c
-        coeffs = {k: v for k, v in coeffs.items() if v}
-    else:
-        coeffs = kernels.takeuchi_terms(nv, tails, heads)
-
     edge_list = g.edge_list
-    pairs = []
-    for mask, c in coeffs.items():
-        kept = [edge_list[e] for e in range(len(edge_list)) if mask >> e & 1]
-        pairs.append((Digraph(g.vertices, kept), c))
-    return FormalSum.of(g.vertices, pairs)
+    terms = {}
+    # the kernel returns distinct edge masks with non-zero coefficients
+    for mask, c in kernels.takeuchi_terms(nv, tails, heads).items():
+        kept = []
+        while mask:
+            low = mask & -mask
+            kept.append(edge_list[low.bit_length() - 1])
+            mask ^= low
+        terms[g._subgraph(g.vertices, kept)] = c
+    return FormalSum(g.vertices, terms)
 
 
 def character_polynomial(g: Digraph, character: Character | Callable[[Digraph], Any],
-                         *, max_vertices: int | None = None,
-                         workers: int = 1) -> BinPoly:
+                         *, max_vertices: int | None = None) -> BinPoly:
     """The polynomial invariant of g attached to a character.
 
     Coefficient of C(n, k) is the sum, over admissible compositions into
     k blocks, of the product of character values on the blocks.  Degree
     is at most the number of vertices; the empty graph gives the constant 1.
-    Parallel workers only apply to characters with an of_edge_count rule.
     """
     nv = _size_gate(g, max_vertices)
     if nv == 0:
         return BinPoly((1,))
 
-    fast = isinstance(character, Character) and character.of_edge_count is not None
+    _, tails, heads = g.edge_arrays()
     coeffs: list[Any] = [0] * (nv + 1)
-    if fast:
-        _, tails, heads = g.edge_arrays()
-        if workers > 1:
-            stats: dict[tuple[int, int], int] = {}
-            full = (1 << nv) - 1
-            blocks = _first_blocks(nv, tails, heads)
-            jobs = [(nv, tails, heads, full & ~t) for t in blocks]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_chain_stats_job, jobs))
-            for t, part in zip(blocks, parts):
-                _, kept = _edges_inside(tails, heads, t)
-                for (k, c), cnt in part.items():
-                    key = (k + 1, c + kept)
-                    stats[key] = stats.get(key, 0) + cnt
-        else:
-            stats = kernels.chain_stats(nv, tails, heads)
+    if isinstance(character, Character) and character.of_edge_count is not None:
         values: dict[int, Any] = {}
-        for (k, kept), cnt in stats.items():
+        for (k, kept), cnt in kernels.chain_stats(nv, tails, heads).items():
             if kept not in values:
                 values[kept] = character.of_edge_count(kept)
             coeffs[k] = coeffs[k] + cnt * values[kept]
     else:
-        for k, val in _generic_chain_sum(g, character).items():
+        verts = g.vertices
+
+        def block_value(mask: int) -> Any:
+            return character(g.restrict(verts[i] for i in range(nv) if mask >> i & 1))
+
+        for k, val in kernels.character_sum(nv, tails, heads, block_value).items():
             coeffs[k] = val
     return BinPoly(tuple(coeffs))
-
-
-def _generic_chain_sum(g: Digraph, character: Callable[[Digraph], Any]) -> dict[int, Any]:
-    """Sum character products over admissible compositions, by block count.
-
-    Same dynamic program as the kernels, but accumulating ring elements:
-    W(R)[k] sums the product of character values over admissible ways to
-    split the remaining set R into k blocks.
-    """
-    nv, tails, heads = g.edge_arrays()
-    verts = g.vertices
-    full = (1 << nv) - 1
-    tbits = [1 << t for t in tails]
-    hbits = [1 << h for h in heads]
-    m = len(tbits)
-
-    zeta: dict[int, Any] = {}
-
-    def block_value(mask: int) -> Any:
-        if mask not in zeta:
-            sub = frozenset(verts[i] for i in range(nv) if mask >> i & 1)
-            zeta[mask] = character(g.restrict(sub))
-        return zeta[mask]
-
-    table: dict[int, dict[int, Any]] = {0: {0: 1}}
-    for r in range(1, full + 1):
-        acc: dict[int, Any] = {}
-        t = r
-        while t:
-            rest = r & ~t
-            ok = True
-            for e in range(m):
-                if hbits[e] & t and tbits[e] & rest:
-                    ok = False
-                    break
-            if ok:
-                zt = block_value(t)
-                for k, val in table[rest].items():
-                    cur = acc.get(k + 1, 0)
-                    acc[k + 1] = cur + zt * val
-            t = (t - 1) & r
-        table[r] = acc
-    return table[full]
 
 
 def character_of_sum(s: FormalSum, character: Callable[[Digraph], Any]) -> Any:

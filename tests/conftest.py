@@ -117,3 +117,102 @@ def oracle_count_colorings(g: Digraph, n: int, strict: bool) -> int:
         else:
             total += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# Earlier algorithms for the composition sums, kept as oracles for the DP
+# engine in hopfdg._engine.  Graphs are in kernel form (nv, tails, heads).
+# The three submask DPs run over remaining-set masks R: a block T of R is
+# admissible when no edge enters T from R minus T.
+
+def _submasks_ascending(universe: int) -> list[int]:
+    """All submasks of universe in increasing numeric order, 0 first."""
+    out = [0]
+    s = 0
+    while s != universe:
+        s = (s - universe) & universe
+        out.append(s)
+    return out
+
+
+def _submask_dp(nv, tails, heads, unit, fold):
+    """table[full] of the submask DP; fold(acc, table[rest], t, kept_mask)."""
+    full = (1 << nv) - 1
+    tbits = [1 << t for t in tails]
+    hbits = [1 << h for h in heads]
+    table = {0: unit}
+    for r in _submasks_ascending(full)[1:]:
+        acc: dict = {}
+        t = r
+        while t:
+            rest = r & ~t
+            if not any(hb & t and tb & rest for tb, hb in zip(tbits, hbits)):
+                kept = sum(1 << e for e, (tb, hb) in enumerate(zip(tbits, hbits))
+                           if tb & t and hb & t)
+                fold(acc, table[rest], t, kept)
+            t = (t - 1) & r
+        table[r] = acc
+    return table[full]
+
+
+def oracle_chain_stats(nv, tails, heads) -> dict[tuple[int, int], int]:
+    def fold(acc, rest, t, kept):
+        for (k, c), cnt in rest.items():
+            key = (k + 1, c + kept.bit_count())
+            acc[key] = acc.get(key, 0) + cnt
+    return _submask_dp(nv, tails, heads, {(0, 0): 1}, fold)
+
+
+def oracle_takeuchi_terms(nv, tails, heads) -> dict[int, int]:
+    def fold(acc, rest, t, kept):
+        for mask, coeff in rest.items():
+            acc[kept | mask] = acc.get(kept | mask, 0) - coeff
+    terms = _submask_dp(nv, tails, heads, {0: 1}, fold)
+    return {mask: coeff for mask, coeff in terms.items() if coeff}
+
+
+def oracle_character_sum(nv, tails, heads, block_value) -> dict[int, object]:
+    def fold(acc, rest, t, kept):
+        z = block_value(t)
+        for k, val in rest.items():
+            acc[k + 1] = acc.get(k + 1, 0) + z * val
+    return _submask_dp(nv, tails, heads, {0: 1}, fold)
+
+
+def oracle_surjection_walk(nv, tails, heads) -> dict[tuple[int, int, int], int]:
+    """The k^n walk over colorings, pruned when too few vertices remain."""
+    back: list[list[tuple[int, bool]]] = [[] for _ in range(nv)]
+    for t, h in zip(tails, heads):
+        if t < h:
+            back[h].append((t, True))
+        else:
+            back[t].append((h, False))
+    stats: dict[tuple[int, int, int], int] = {}
+    color = [0] * nv
+    for k in range(1, nv + 1):
+        hit = [False] * k
+
+        def walk(i: int, used: int, asc: int, desc: int) -> None:
+            if k - used > nv - i:
+                return
+            if i == nv:
+                stats[(k, asc, desc)] = stats.get((k, asc, desc), 0) + 1
+                return
+            for c in range(k):
+                a, d = asc, desc
+                for j, forward in back[i]:
+                    cj = color[j]
+                    if cj != c:
+                        if forward == (cj < c):
+                            a += 1
+                        else:
+                            d += 1
+                color[i] = c
+                fresh = not hit[c]
+                hit[c] = True
+                walk(i + 1, used + fresh, a, d)
+                if fresh:
+                    hit[c] = False
+
+        walk(0, 0, 0, 0)
+    return stats

@@ -104,12 +104,6 @@ def test_antipode_json(capsys, g3_file):
     assert payload["terms"][-1] == {"coefficient": -1, "edges": []}
 
 
-def test_antipode_parallel_same_output(capsys, g3_file):
-    seq = run(capsys, "antipode", g3_file)
-    par = run(capsys, "antipode", g3_file, "--parallel", "2")
-    assert seq == par
-
-
 def test_cone_member_yes(capsys, g3_file):
     code, out, _ = run(capsys, "cone-member", g3_file, "--", "-2,1,1")
     assert code == 0
@@ -213,7 +207,12 @@ def test_resource_limit_exit_code(capsys, tmp_path):
     assert "1 terms" in out
 
 
-def test_invariant_parallel_matches(capsys, g3_file):
-    seq = run(capsys, "invariant", "strict", g3_file)
-    par = run(capsys, "invariant", "strict", g3_file, "--parallel", "2")
-    assert seq == par
+@pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
+def test_kernel_size_limit_exits_with_resource_limit(capsys, tmp_path, argv):
+    # past the 16-vertex kernel bound even when --max-vertices allows it
+    path = tmp_path / "big.txt"
+    verts = " ".join(f"v{i:02d}" for i in range(17))
+    path.write_text(f"vertices: {verts}\nv00 -> v16\n")
+    code, out, err = run(capsys, *argv, str(path), "--max-vertices", "20")
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1

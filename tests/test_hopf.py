@@ -59,13 +59,6 @@ def test_antipode_matches_oracle_random():
             assert as_term_dict(antipode(g)) == oracle_antipode_terms(g)
 
 
-def test_antipode_parallel_matches_sequential():
-    rng = random.Random(7)
-    for _ in range(3):
-        g = random_digraph(rng, "abcdef")
-        assert as_term_dict(antipode(g, workers=2)) == as_term_dict(antipode(g))
-
-
 def test_antipode_is_an_involution_on_sums():
     # applying the antipode twice returns the original graph as a sum
     rng = random.Random(9)
@@ -120,15 +113,6 @@ def test_generic_engine_matches_fast_engine():
         g = random_digraph(rng, "abcd")
         assert character_polynomial(g, basic_char) == character_polynomial(g, BASIC)
         assert character_polynomial(g, edge_char) == character_polynomial(g, EDGE)
-
-
-def test_character_polynomial_parallel_matches_sequential():
-    rng = random.Random(29)
-    for _ in range(3):
-        g = random_digraph(rng, "abcdef")
-        seq = character_polynomial(g, EDGE)
-        par = character_polynomial(g, EDGE, workers=3)
-        assert seq == par
 
 
 def test_character_polynomial_is_multiplicative():
