@@ -24,7 +24,6 @@ from .invariants import (ReciprocityCheck, b_polynomial, brute_strict,
                          brute_weak, check_edge_reciprocity,
                          check_reciprocity, edge_invariant, strict_chromatic,
                          weak_chromatic)
-from .kernels import BACKEND
 from .rings import BinPoly, Poly, binomial
 from .submodular import (ExtBool, INF, Infinity, MorphismCheck,
                          check_low_morphism, direct_sum, is_finite,
@@ -33,7 +32,7 @@ from .submodular import (ExtBool, INF, Infinity, MorphismCheck,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "BACKEND", "BASIC", "BinPoly", "Character", "Digraph", "EDGE",
+    "Arc", "BASIC", "BinPoly", "Character", "Digraph", "EDGE",
     "EMPTY", "EquivalenceReport", "ExtBool", "FlowNetwork", "FlowResult",
     "FormalSum", "GraphParseError", "INF", "Infinity", "MorphismCheck",
     "Poly", "ReciprocityCheck", "ResourceLimitError", "SINK", "SOURCE",

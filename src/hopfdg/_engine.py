@@ -11,10 +11,13 @@ folds a value along such chains:
       the states are all subsets, 3^n steps, and the lower halves play no
       part: this route stays independent of the three above.
 
-Each call first builds per-mask tables in O(2^n) with a lowest-bit
-recurrence: inpred[S], the tails of the edges into S, and inside[S], the
-mask of edges with both ends in S.  A set S is a lower half exactly when
-inpred[S] lies inside S, and the edges a block T keeps are inside[T].
+The lower halves come from one table, inpred[S], the tails of the edges
+into S, built in O(2^n) by a lowest-bit recurrence: S is a lower half
+exactly when inpred[S] lies inside S.  _lower_halves is the only scan for
+them in the package; hopfdg.kernels.lower_half_masks exposes it.  The
+sums over blocks read a second pair of tables built the same way:
+inside[S], the mask of edges with both ends in S, and into[S], the edges
+with their head in S.  The edges a block T keeps are inside[T].
 
 The fold visits the states in order of size.  A state's accumulator is
 complete once every state below it has been visited; it is then pushed
@@ -24,7 +27,7 @@ it.  Only the accumulators of states not yet visited are alive.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import SizeLimitError
 
@@ -36,19 +39,29 @@ def _check_size(nv: int) -> None:
         raise SizeLimitError(f"kernel limited to {MAX_KERNEL_VERTICES} vertices, got {nv}")
 
 
-def _tables(nv: int, tails: list[int], heads: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """inpred, inside and into (edges with their head in S), indexed by mask."""
+def _lower_halves(nv: int, tails: list[int], heads: list[int]) -> list[int]:
+    """Masks S with no edge entering S from outside, in increasing order."""
     pred = [0] * nv      # tails of the edges into each vertex
+    for t, h in zip(tails, heads):
+        pred[h] |= 1 << t
+    size = 1 << nv
+    inpred = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        inpred[s] = inpred[s ^ low] | pred[low.bit_length() - 1]
+    return [s for s in range(size) if not inpred[s] & ~s]
+
+
+def _edge_tables(nv: int, tails: list[int], heads: list[int]) -> tuple[list[int], list[int]]:
+    """inside (edges with both ends in S) and into (edges with their head in S)."""
     at = [0] * nv        # edges touching each vertex
     ending = [0] * nv    # edges whose head is the vertex
     for e, (t, h) in enumerate(zip(tails, heads)):
         bit = 1 << e
-        pred[h] |= 1 << t
         at[t] |= bit
         at[h] |= bit
         ending[h] |= bit
     size = 1 << nv
-    inpred = [0] * size
     inside = [0] * size
     touching = [0] * size
     into = [0] * size
@@ -56,27 +69,23 @@ def _tables(nv: int, tails: list[int], heads: list[int]) -> tuple[list[int], lis
         low = s & -s
         v = low.bit_length() - 1
         r = s ^ low
-        inpred[s] = inpred[r] | pred[v]
         # an edge at v that also touches r has its other end in r
         inside[s] = inside[r] | (at[v] & touching[r])
         touching[s] = touching[r] | at[v]
         into[s] = into[r] | ending[v]
-    return inpred, inside, into
+    return inside, into
 
 
-def _lower_halves(nv: int, inpred: list[int]) -> list[int]:
-    """Lower halves in order of size, masks increasing within one size."""
-    return sorted((s for s in range(1 << nv) if not inpred[s] & ~s), key=int.bit_count)
-
-
-def _fold(nv: int, states: list[int], step: Callable[[dict, dict, int, int], None]) -> dict:
+def _fold(nv: int, states: Iterable[int],
+          step: Callable[[dict, dict, int, int], None]) -> dict:
     """Accumulator of the full set, from the unit {0: 1} at the empty set.
 
-    states lists every state in order of size, the empty and the full set
-    included.  step(target, source, low, block) adds to target the
-    contribution of source, the accumulator of state low, extended by the
-    block that leads to the state low | block.
+    states lists every state in increasing order, the empty and the full
+    set included; the fold visits them by size.  step(target, source,
+    low, block) adds to target the contribution of source, the accumulator
+    of state low, extended by the block that leads to the state low | block.
     """
+    states = sorted(states, key=int.bit_count)
     full = (1 << nv) - 1
     member = bytearray(1 << nv)
     for s in states:
@@ -112,7 +121,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     edges inside single blocks.  The empty graph gives {(0, 0): 1}.
     """
     _check_size(nv)
-    inpred, inside, _ = _tables(nv, tails, heads)
+    inside, _ = _edge_tables(nv, tails, heads)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
@@ -122,7 +131,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
             key += delta
             target[key] = get(key, 0) + cnt
 
-    packed = _fold(nv, _lower_halves(nv, inpred), step)
+    packed = _fold(nv, _lower_halves(nv, tails, heads), step)
     mask = (1 << shift) - 1
     return {(key & mask, key >> shift): cnt for key, cnt in packed.items()}
 
@@ -134,7 +143,7 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     its blocks.  Zero coefficients are dropped; the empty graph gives {0: 1}.
     """
     _check_size(nv)
-    inpred, inside, _ = _tables(nv, tails, heads)
+    inside, _ = _edge_tables(nv, tails, heads)
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
         kept = inside[block]
@@ -144,7 +153,7 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
                 mask |= kept
                 target[mask] = get(mask, 0) - coeff
 
-    terms = _fold(nv, _lower_halves(nv, inpred), step)
+    terms = _fold(nv, _lower_halves(nv, tails, heads), step)
     return {mask: coeff for mask, coeff in terms.items() if coeff}
 
 
@@ -158,7 +167,6 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
     block_value is called once per block.  The empty graph gives {0: 1}.
     """
     _check_size(nv)
-    inpred, _, _ = _tables(nv, tails, heads)
     values: dict[int, Any] = {}
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
@@ -168,7 +176,7 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
         for k, val in source.items():
             target[k + 1] = target.get(k + 1, 0) + val * z
 
-    return _fold(nv, _lower_halves(nv, inpred), step)
+    return _fold(nv, _lower_halves(nv, tails, heads), step)
 
 
 def surjection_stats(nv: int, tails: list[int],
@@ -184,7 +192,7 @@ def surjection_stats(nv: int, tails: list[int],
     _check_size(nv)
     if nv == 0:
         return {}
-    _, inside, into = _tables(nv, tails, heads)
+    inside, into = _edge_tables(nv, tails, heads)
     width = max(nv, len(tails)).bit_length()   # keys pack k, asc, desc
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
@@ -197,7 +205,7 @@ def surjection_stats(nv: int, tails: list[int],
             key += delta
             target[key] = get(key, 0) + cnt
 
-    packed = _fold(nv, sorted(range(1 << nv), key=int.bit_count), step)
+    packed = _fold(nv, range(1 << nv), step)
     mask = (1 << width) - 1
     return {(key & mask, key >> width & mask, key >> 2 * width): cnt
             for key, cnt in packed.items()}

@@ -217,9 +217,10 @@ def _axiom_instance(g: Digraph, rng: random.Random) -> list[str]:
     return problems
 
 
-def _suite_hopf_axioms(g: Digraph, seed: int, samples: int) -> _Suite:
+def _suite_hopf_axioms(g: Digraph, args: argparse.Namespace) -> _Suite:
     suite = _Suite()
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
+    samples = args.samples
     bad: list[str] = []
     for i in range(samples):
         for note in _axiom_instance(g, rng):
@@ -229,7 +230,7 @@ def _suite_hopf_axioms(g: Digraph, seed: int, samples: int) -> _Suite:
     return suite
 
 
-def _suite_morphism(g: Digraph, seed: int, samples: int) -> _Suite:
+def _suite_morphism(g: Digraph, args: argparse.Namespace) -> _Suite:
     suite = _Suite()
     nv = len(g.vertices)
     failures = []
@@ -245,9 +246,9 @@ def _suite_morphism(g: Digraph, seed: int, samples: int) -> _Suite:
     return suite
 
 
-def _suite_theorem1(g: Digraph, seed: int, samples: int) -> _Suite:
+def _suite_theorem1(g: Digraph, args: argparse.Namespace) -> _Suite:
     suite = _Suite()
-    report = check_cone_polytope_agreement(g, samples=samples, seed=seed)
+    report = check_cone_polytope_agreement(g, samples=args.samples, seed=args.seed)
     detail = ""
     if report.mismatches:
         vec, in_base, in_cone = report.mismatches[0]
@@ -259,18 +260,18 @@ def _suite_theorem1(g: Digraph, seed: int, samples: int) -> _Suite:
     return suite
 
 
-def _suite_reciprocity(g: Digraph, seed: int, samples: int) -> _Suite:
+def _suite_reciprocity(g: Digraph, args: argparse.Namespace) -> _Suite:
     suite = _Suite()
     if g.is_acyclic():
         for n in range(1, 6):
-            check = check_reciprocity(g, n)
+            check = check_reciprocity(g, n, max_vertices=args.max_vertices)
             suite.record(f"strict/weak reciprocity at n={n}", check.equal is True,
                          f"lhs={check.lhs} rhs={check.rhs}")
     else:
         suite.skip_note("strict/weak reciprocity",
                         "hypothesis violated: graph has a directed cycle")
     for n in range(5):
-        check = check_edge_reciprocity(g, n)
+        check = check_edge_reciprocity(g, n, max_vertices=args.max_vertices)
         suite.record(f"edge reciprocity at n={n}", check.equal is True,
                      f"lhs={check.lhs} rhs={check.rhs}")
     return suite
@@ -305,7 +306,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     suite = _Suite()
     for name in names:
-        part = _SUITES[name](g, args.seed, args.samples)
+        part = _SUITES[name](g, args)
         suite.checks.extend(part.checks)
     if args.format == "json":
         payload = {
@@ -399,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cone.add_argument("graph")
     p_cone.add_argument("vector",
                         help="comma-separated rationals, one per vertex in sorted order")
-    common(p_cone)
+    # max flow is polynomial in the graph size, so there is no vertex bound
+    p_cone.add_argument("--format", choices=("text", "json"), default="text")
     p_cone.set_defaults(fn=_cmd_cone_member)
 
     return parser

@@ -14,11 +14,24 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import kernels
-from .compositions import canonical_labels
 from .errors import GraphParseError, SizeLimitError
 from .limits import SUBSET_BOUND
 
 _FORBIDDEN = re.compile(r"[\s#]|->")
+
+
+def canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    """Sorted, duplicate-free label tuple; rejects non-string labels."""
+    seen = set()
+    out = []
+    for lab in labels:
+        if not isinstance(lab, str) or not lab:
+            raise ValueError(f"labels must be non-empty strings, got {lab!r}")
+        if lab in seen:
+            raise ValueError(f"duplicate label {lab!r}")
+        seen.add(lab)
+        out.append(lab)
+    return tuple(sorted(out))
 
 
 def _check_label(lab: object) -> str:

@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import kernels
-from .compositions import canonical_labels
-from .digraph import Digraph, disjoint_union
+from .digraph import Digraph, canonical_labels, disjoint_union
 from .errors import SizeLimitError, WorkLimitError
 from .limits import SUBSET_BOUND, max_work
 

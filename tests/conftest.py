@@ -14,7 +14,7 @@ import random
 import pytest
 
 from hopfdg import BinPoly, Digraph
-from hopfdg.compositions import compositions
+from hopfdg.digraph import canonical_labels
 
 LABELS = "abcdefghij"
 
@@ -37,6 +37,46 @@ def random_digraph(rng: random.Random, labels, p: float = 0.4) -> Digraph:
     labels = tuple(labels)
     edges = [(u, v) for u in labels for v in labels if u != v and rng.random() < p]
     return Digraph(labels, edges)
+
+
+def compositions(labels, k: int):
+    """All ordered sequences of k non-empty disjoint blocks covering the labels.
+
+    Enumeration order is lexicographic in the block-assignment vector over
+    the sorted labels, so ({'a'}, {'b'}) precedes ({'b'}, {'a'}).  For k
+    outside 1..|labels| the stream is empty, except that the empty label
+    set with k = 0 yields the one empty composition.
+    """
+    verts = canonical_labels(labels)
+    n = len(verts)
+    if n == 0:
+        if k == 0:
+            yield ()
+        return
+    if k < 1 or k > n:
+        return
+
+    assignment = [0] * n
+    hit = [False] * k  # which blocks already received a label
+
+    def walk(i: int, used: int):
+        if k - used > n - i:
+            return  # too few labels left to fill every block
+        if i == n:
+            blocks: list[list[str]] = [[] for _ in range(k)]
+            for j, lab in enumerate(verts):
+                blocks[assignment[j]].append(lab)
+            yield tuple(frozenset(b) for b in blocks)
+            return
+        for color in range(k):
+            assignment[i] = color
+            fresh = not hit[color]
+            hit[color] = True
+            yield from walk(i + 1, used + fresh)
+            if fresh:
+                hit[color] = False
+
+    yield from walk(0, 0)
 
 
 def oracle_is_lower_half(g: Digraph, sub) -> bool:

@@ -151,6 +151,22 @@ def test_cone_member_bad_vector(capsys, g3_file):
     assert code == 2
 
 
+def test_cone_member_takes_no_vertex_bound(capsys, g3_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["cone-member", g3_file, "1,-1,0", "--max-vertices", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-vertices 5" in capsys.readouterr().err
+
+
+def test_verify_reciprocity_honours_max_vertices(capsys, tmp_path):
+    path = tmp_path / "path.txt"
+    path.write_text("vertices: a b c\na -> b\nb -> c\n")
+    assert run(capsys, "verify", "reciprocity", str(path))[0] == 0
+    code, out, err = run(capsys, "verify", "reciprocity", str(path), "--max-vertices", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
 def test_verify_all_passes(capsys, g3_file):
     code, out, _ = run(capsys, "verify", "all", g3_file, "--samples", "20")
     assert code == 0

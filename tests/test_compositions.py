@@ -1,9 +1,11 @@
+"""The composition stream of the test oracles, and label canonicalisation."""
+
 import math
 
 import pytest
 
-from hopfdg.compositions import canonical_labels, compositions, subsets
-from hopfdg.errors import SizeLimitError
+from conftest import compositions
+from hopfdg.digraph import canonical_labels
 
 
 def _fubini(n: int) -> int:
@@ -22,19 +24,6 @@ def test_canonical_labels_sort_and_reject_duplicates():
         canonical_labels(["b", "a", "b"])
     with pytest.raises(ValueError):
         canonical_labels([1, 2])
-
-
-def test_subsets_counts_and_order():
-    subs = list(subsets(("a", "b", "c")))
-    assert len(subs) == 8
-    assert subs[0] == frozenset()
-    assert subs[-1] == {"a", "b", "c"}
-    assert len(set(subs)) == 8
-
-
-def test_subsets_bound():
-    with pytest.raises(SizeLimitError):
-        list(subsets([f"v{i}" for i in range(21)]))
 
 
 def _surjections(n: int, k: int) -> int:

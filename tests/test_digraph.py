@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import all_digraphs, oracle_is_lower_half, random_digraph
+from conftest import (all_digraphs, compositions, oracle_is_lower_half,
+                      random_digraph)
 from hopfdg import (Digraph, EMPTY, GraphParseError, disjoint_union,
                     format_graph, parse_graph)
 
@@ -189,8 +190,6 @@ def test_composition_minor_matches_iterated_splits():
     # peeling blocks off the front with binary splits succeeds exactly when
     # the composition minor exists, and yields the same graph
     rng = random.Random(101)
-    from hopfdg.compositions import compositions
-
     for _ in range(40):
         g = random_digraph(rng, "abcd")
         k = rng.randint(1, len(g.vertices))

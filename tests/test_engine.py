@@ -9,11 +9,11 @@ import random
 import pytest
 
 from conftest import (all_digraphs, oracle_character_sum, oracle_chain_stats,
-                      oracle_surjection_walk, oracle_takeuchi_terms,
-                      random_digraph)
+                      oracle_is_lower_half, oracle_surjection_walk,
+                      oracle_takeuchi_terms, random_digraph)
 from hopfdg import (Character, Digraph, SizeLimitError, character_polynomial,
                     kernels)
-from hopfdg._engine import _fold, _lower_halves, _tables
+from hopfdg._engine import _fold, _lower_halves
 from hopfdg.rings import Q, Y, Z
 
 
@@ -79,13 +79,32 @@ def test_ring_valued_character_without_edge_count_rule():
             == [want.get(k, 0) for k in range(nv + 1)]
 
 
-def test_fold_steps_once_per_nested_pair_of_lower_halves():
+def seeded_six_vertex_digraphs():
     rng = random.Random(3)
-    for _ in range(30):
-        g = random_digraph(rng, "abcdef", p=rng.choice([0.1, 0.3, 0.6]))
+    return [random_digraph(rng, "abcdef", p=rng.choice([0.1, 0.3, 0.6])) for _ in range(30)]
+
+
+def test_lower_half_scan_matches_definition():
+    graphs = [g for labels in ("", "a", "ab", "abc", "abcd") for g in all_digraphs(labels)]
+    for g in graphs + seeded_six_vertex_digraphs():
         nv, tails, heads = g.edge_arrays()
-        halves = _lower_halves(nv, _tables(nv, tails, heads)[0])
-        assert sorted(halves) == kernels.lower_half_masks(nv, tails, heads)
+        want = [mask for mask in range(1 << nv) if oracle_is_lower_half(
+            g, (g.vertices[i] for i in range(nv) if mask >> i & 1))]
+        assert _lower_halves(nv, tails, heads) == want
+        assert kernels.lower_half_masks(nv, tails, heads) == want
+
+
+def test_lower_half_scan_has_no_kernel_bound():
+    # a path on 17 vertices, past the sums' bound: its lower halves are the prefixes
+    nv = 17
+    halves = kernels.lower_half_masks(nv, list(range(nv - 1)), list(range(1, nv)))
+    assert halves == [(1 << j) - 1 for j in range(nv + 1)]
+
+
+def test_fold_steps_once_per_nested_pair_of_lower_halves():
+    for g in seeded_six_vertex_digraphs():
+        nv, tails, heads = g.edge_arrays()
+        halves = _lower_halves(nv, tails, heads)
         seen = []
         _fold(nv, halves, lambda target, source, low, block: seen.append((low, block)))
         want = sorted((low, high ^ low) for low in halves for high in halves

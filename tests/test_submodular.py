@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_digraphs, oracle_is_lower_half, random_digraph
-from hopfdg import (Digraph, ExtBool, INF, check_low_morphism, direct_sum,
-                    disjoint_union, is_finite, lower_half_function)
+from hopfdg import (Digraph, ExtBool, INF, SizeLimitError, check_low_morphism,
+                    direct_sum, disjoint_union, is_finite, kernels,
+                    lower_half_function)
 
 
 def test_infinity_arithmetic():
@@ -107,6 +108,21 @@ def test_lower_half_function_matches_definition_and_is_submodular():
             expect = 0 if oracle_is_lower_half(g, sub) else INF
             assert z.value(sub) == expect or z.value(sub) is expect
         assert z.is_submodular(), g
+
+
+def test_subset_tables_refuse_past_twenty_labels_before_scanning(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan started past the subset bound")
+
+    monkeypatch.setattr(kernels, "lower_half_masks", no_scan)
+    labels = [f"v{i:02d}" for i in range(21)]
+    g = Digraph(labels, [("v00", "v20")])
+    with pytest.raises(SizeLimitError):
+        g.lower_halves()
+    with pytest.raises(SizeLimitError):
+        lower_half_function(g)
+    with pytest.raises(SizeLimitError):
+        ExtBool.tabulate(labels, no_scan)
 
 
 def test_morphism_checks_exhaustive_small():
