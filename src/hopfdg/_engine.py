@@ -19,6 +19,11 @@ sums over blocks read a second pair of tables built the same way:
 inside[S], the mask of edges with both ends in S, and into[S], the edges
 with their head in S.  The edges a block T keeps are inside[T].
 
+Each sum first asks hopfdg.limits for tables of at most SUBSET_BOUND
+vertices and for its steps within the work budget: 3^n over all subsets,
+and L(L+1)/2 over L lower halves, a bound on the nested pairs taken
+right after the 2^n scan.
+
 The fold visits the states in order of size.  A state's accumulator is
 complete once every state below it has been visited; it is then pushed
 into every state nested above it and dropped, since no later state reads
@@ -29,14 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from .errors import SizeLimitError
-
-MAX_KERNEL_VERTICES = 16
-
-
-def _check_size(nv: int) -> None:
-    if nv > MAX_KERNEL_VERTICES:
-        raise SizeLimitError(f"kernel limited to {MAX_KERNEL_VERTICES} vertices, got {nv}")
+from . import limits
 
 
 def _lower_halves(nv: int, tails: list[int], heads: list[int]) -> list[int]:
@@ -50,6 +48,16 @@ def _lower_halves(nv: int, tails: list[int], heads: list[int]) -> list[int]:
         low = s & -s
         inpred[s] = inpred[s ^ low] | pred[low.bit_length() - 1]
     return [s for s in range(size) if not inpred[s] & ~s]
+
+
+def _lattice(nv: int, tails: list[int], heads: list[int]) -> list[int]:
+    """The lower halves, once the tables and the fold over them fit the limits."""
+    limits.check_size("composition sum", nv, limits.SUBSET_BOUND)
+    halves = _lower_halves(nv, tails, heads)
+    count = len(halves)
+    limits.check_work(f"composition sum over {count} lower halves",
+                      count * (count + 1) // 2)
+    return halves
 
 
 def _edge_tables(nv: int, tails: list[int], heads: list[int]) -> tuple[list[int], list[int]]:
@@ -120,7 +128,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     Key (k, kept) counts such compositions into k blocks that keep `kept`
     edges inside single blocks.  The empty graph gives {(0, 0): 1}.
     """
-    _check_size(nv)
+    halves = _lattice(nv, tails, heads)
     inside, _ = _edge_tables(nv, tails, heads)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
@@ -131,7 +139,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
             key += delta
             target[key] = get(key, 0) + cnt
 
-    packed = _fold(nv, _lower_halves(nv, tails, heads), step)
+    packed = _fold(nv, halves, step)
     mask = (1 << shift) - 1
     return {(key & mask, key >> shift): cnt for key, cnt in packed.items()}
 
@@ -142,7 +150,7 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     A composition into k blocks adds (-1)^k at the mask of the edges inside
     its blocks.  Zero coefficients are dropped; the empty graph gives {0: 1}.
     """
-    _check_size(nv)
+    halves = _lattice(nv, tails, heads)
     inside, _ = _edge_tables(nv, tails, heads)
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
@@ -153,7 +161,7 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
                 mask |= kept
                 target[mask] = get(mask, 0) - coeff
 
-    terms = _fold(nv, _lower_halves(nv, tails, heads), step)
+    terms = _fold(nv, halves, step)
     return {mask: coeff for mask, coeff in terms.items() if coeff}
 
 
@@ -166,7 +174,7 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
     order.
     block_value is called once per block.  The empty graph gives {0: 1}.
     """
-    _check_size(nv)
+    halves = _lattice(nv, tails, heads)
     values: dict[int, Any] = {}
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
@@ -176,7 +184,7 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
         for k, val in source.items():
             target[k + 1] = target.get(k + 1, 0) + val * z
 
-    return _fold(nv, _lower_halves(nv, tails, heads), step)
+    return _fold(nv, halves, step)
 
 
 def surjection_stats(nv: int, tails: list[int],
@@ -189,7 +197,8 @@ def surjection_stats(nv: int, tails: list[int],
     classes, in increasing order, are the blocks of an ordered composition
     into arbitrary subsets.
     """
-    _check_size(nv)
+    limits.check_size("composition sum", nv, limits.SUBSET_BOUND)
+    limits.check_work(f"surjection scan over {nv} vertices", 3 ** nv)
     if nv == 0:
         return {}
     inside, into = _edge_tables(nv, tails, heads)

@@ -17,16 +17,14 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
-from .cones import (audit_flow, base_member, build_flow_network,
-                    check_cone_polytope_agreement, cone_member, max_flow)
+from . import limits
+from .cones import check_cone_polytope_agreement, membership_flow
 from .digraph import Digraph, disjoint_union, parse_graph
-from .errors import (GraphParseError, ResourceLimitError, SizeLimitError,
-                     UnboundedFlowError, WorkLimitError)
+from .errors import GraphParseError, ResourceLimitError, UnboundedFlowError
 from .hopf import FormalSum, antipode
 from .invariants import (b_polynomial, check_edge_reciprocity,
                          check_reciprocity, edge_invariant, strict_chromatic,
                          weak_chromatic)
-from .limits import DEFAULT_MAX_VERTICES
 from .rings import BinPoly
 from .submodular import check_low_morphism
 
@@ -233,6 +231,8 @@ def _suite_hopf_axioms(g: Digraph, args: argparse.Namespace) -> _Suite:
 def _suite_morphism(g: Digraph, args: argparse.Namespace) -> _Suite:
     suite = _Suite()
     nv = len(g.vertices)
+    # 2^n splits, each comparing tables over 2^n subsets
+    limits.check_work(f"morphism suite over {nv} vertices", 4 ** nv)
     failures = []
     count = 0
     for mask in range(1 << nv):
@@ -332,10 +332,9 @@ def _cmd_cone_member(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     vec = _parse_vector(g, args.vector)
     total = sum(vec.values(), start=Fraction(0))
-    witness = cone_member(g, vec)
-    flow_value = None
+    witness = flow_value = None
     if total == 0:
-        result = max_flow(build_flow_network(g, vec))
+        _, result, witness = membership_flow(g, vec)
         flow_value = result.value
 
     if args.format == "json":
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+        p.add_argument("--max-vertices", type=int, default=limits.DEFAULT_MAX_VERTICES,
                        help="refuse composition enumerations beyond this size")
 
     p_inv = sub.add_parser("invariant", help="print one polynomial invariant")

@@ -16,13 +16,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .digraph import Digraph
-from .errors import UnboundedFlowError, WorkLimitError
-from .limits import max_work
+from .errors import UnboundedFlowError
 from .submodular import INF, ExtBool, Infinity, is_finite, lower_half_function
-from . import kernels
+from . import kernels, limits
 
 
 class _Terminal:
@@ -272,20 +271,18 @@ def build_flow_network(g: Digraph, x: Mapping[str, object]) -> FlowNetwork:
     return FlowNetwork((SOURCE, *g.vertices, SINK), tuple(arcs))
 
 
-def cone_member(g: Digraph, x: Mapping[str, object]) -> dict[tuple[str, str], Fraction] | None:
-    """Non-negative edge weights writing x as a combination of generators.
+def membership_flow(g: Digraph, x: Mapping[str, object]
+                    ) -> tuple[FlowNetwork, FlowResult, dict[tuple[str, str], Fraction] | None]:
+    """The network, maximum flow and cone_member witness of a sum-zero x.
 
-    Returns {edge: weight} with x = sum of weight * (head - tail), or None
-    when x is outside the cone.  The witness is re-checked before return.
+    One max flow decides membership; callers audit or report that flow.
     """
     vec = _normalize_vector(g, x)
-    if sum(vec.values(), start=Fraction(0)) != 0:
-        return None
-    demand = sum((c for c in vec.values() if c > 0), start=Fraction(0))
     net = build_flow_network(g, vec)
     result = max_flow(net)
+    demand = sum((c for c in vec.values() if c > 0), start=Fraction(0))
     if result.value != demand:
-        return None
+        return net, result, None
 
     edge_list = g.edge_list
     witness = {edge_list[e]: result.flows[e] for e in range(len(edge_list))}
@@ -297,7 +294,19 @@ def cone_member(g: Digraph, x: Mapping[str, object]) -> dict[tuple[str, str], Fr
         rebuilt[u] -= w
     if rebuilt != vec:
         raise RuntimeError("flow certificate does not rebuild the vector")
-    return witness
+    return net, result, witness
+
+
+def cone_member(g: Digraph, x: Mapping[str, object]) -> dict[tuple[str, str], Fraction] | None:
+    """Non-negative edge weights writing x as a combination of generators.
+
+    Returns {edge: weight} with x = sum of weight * (head - tail), or None
+    when x is outside the cone.  The witness is re-checked before return.
+    """
+    vec = _normalize_vector(g, x)
+    if sum(vec.values(), start=Fraction(0)) != 0:
+        return None
+    return membership_flow(g, vec)[2]
 
 
 @dataclass(frozen=True)
@@ -346,7 +355,10 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
 
     Every sampled vector must land the same way under both tests, and
     every max-flow run must pass its audit.  Deterministic in the seed.
+    The work estimate is samples * 2^n, one subset scan per base check.
     """
+    nv = len(g.vertices)
+    limits.check_work(f"base check of {samples} vectors over {nv} vertices", samples << nv)
     rng = random.Random(seed)
     z = lower_half_function(g)
     vectors = _sample_vectors(g, samples, rng)
@@ -355,10 +367,9 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
     agreements = 0
     for vec in vectors:
         in_base = base_member(z, vec)
-        witness = cone_member(g, vec)
+        witness = None
         if sum(vec.values(), start=Fraction(0)) == 0:
-            net = build_flow_network(g, vec)
-            result = max_flow(net)
+            net, result, witness = membership_flow(g, vec)
             problems = audit_flow(net, result)
             if problems:
                 audit_problems.append((vec, tuple(problems)))
@@ -370,13 +381,7 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
                              tuple(mismatches), tuple(audit_problems))
 
 
-def _count_gate(g: Digraph, points: int, override: int | None) -> None:
-    budget = max_work(override)
-    if points > budget:
-        raise WorkLimitError(f"{points} points exceed work bound {budget}")
-
-
-def generic_direction_count(g: Digraph, n: int, *, max_work: int | None = None) -> int:
+def generic_direction_count(g: Digraph, n: int) -> int:
     """Directions y into {1..n} whose maximum over the edge cone is the apex alone.
 
     These are exactly the maps strictly decreasing along every edge, so
@@ -385,12 +390,12 @@ def generic_direction_count(g: Digraph, n: int, *, max_work: int | None = None) 
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     nv, tails, heads = g.edge_arrays()
-    _count_gate(g, n ** nv, max_work)
+    limits.check_work(f"scan of the directions into {{1..{n}}}", n ** nv)
     # decreasing along (u, v) means increasing along (v, u)
     return kernels.count_strict_colorings(nv, heads, tails, n)
 
 
-def vertex_sum_count(g: Digraph, n: int, *, max_work: int | None = None) -> int:
+def vertex_sum_count(g: Digraph, n: int) -> int:
     """Sum over directions y into {1..n} of the vertices of the y-maximal face.
 
     The cone of an acyclic graph is pointed, so each direction contributes
@@ -403,12 +408,11 @@ def vertex_sum_count(g: Digraph, n: int, *, max_work: int | None = None) -> int:
     if not g.is_acyclic():
         raise ValueError("the edge cone of a cyclic graph has no vertex")
     nv, tails, heads = g.edge_arrays()
-    _count_gate(g, n ** nv, max_work)
+    limits.check_work(f"scan of the directions into {{1..{n}}}", n ** nv)
     return kernels.count_weak_colorings(nv, heads, tails, n)
 
 
-def ascent_polytope_points(g: Digraph, n: int, *, interior: bool,
-                           max_work: int | None = None) -> int:
+def ascent_polytope_points(g: Digraph, n: int, *, interior: bool) -> int:
     """Lattice points of the dilated edge-order polytope in the unit cube.
 
     interior=True counts interior points of the (n+1)-fold dilation,
@@ -419,5 +423,6 @@ def ascent_polytope_points(g: Digraph, n: int, *, interior: bool,
         raise ValueError(f"need n >= 0, got {n}")
     dilation = n + 1 if interior else n - 1
     nv, tails, heads = g.edge_arrays()
-    _count_gate(g, max(dilation + 1, 0) ** nv, max_work)
+    limits.check_work(f"scan of the {dilation}-fold dilation's lattice points",
+                      max(dilation + 1, 0) ** nv)
     return kernels.count_dilation_points(nv, tails, heads, dilation, interior)

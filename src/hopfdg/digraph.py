@@ -13,9 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from . import kernels
-from .errors import GraphParseError, SizeLimitError
-from .limits import SUBSET_BOUND
+from . import kernels, limits
+from .errors import GraphParseError
 
 _FORBIDDEN = re.compile(r"[\s#]|->")
 
@@ -124,11 +123,10 @@ class Digraph:
             raise ValueError(f"subset contains non-vertices {sorted(extra)}")
         return not any(u not in sub and v in sub for u, v in self.edges)
 
-    def lower_halves(self, *, bound: int = SUBSET_BOUND) -> list[frozenset[str]]:
+    def lower_halves(self) -> list[frozenset[str]]:
         """All lower halves, from the empty set up to the full vertex set."""
         nv, tails, heads = self.edge_arrays()
-        if nv > bound:
-            raise SizeLimitError(f"subset scan over {nv} vertices exceeds bound {bound}")
+        limits.check_size("subset scan", nv, limits.SUBSET_BOUND)
         verts = self.vertices
         out = []
         for mask in kernels.lower_half_masks(nv, tails, heads):

@@ -17,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
-from . import kernels
+from . import kernels, limits
 from .digraph import Digraph
-from .errors import SizeLimitError
-from .limits import DEFAULT_MAX_VERTICES
 from .rings import BinPoly, Poly, Q
 
 
@@ -97,15 +95,6 @@ class FormalSum:
         return FormalSum.of(self.vertices, ((g, c * k) for g, k in self.terms.items()))
 
 
-def _size_gate(g: Digraph, max_vertices: int | None) -> int:
-    limit = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
-    nv = len(g.vertices)
-    if nv > limit:
-        raise SizeLimitError(
-            f"composition enumeration over {nv} vertices exceeds bound {limit}")
-    return nv
-
-
 def antipode(g: Digraph, *, max_vertices: int | None = None) -> FormalSum:
     """Alternating sum over admissible compositions, as one formal sum.
 
@@ -113,7 +102,8 @@ def antipode(g: Digraph, *, max_vertices: int | None = None) -> FormalSum:
     the edges lying inside a single block of its composition, so the
     result is supported on spanning subgraphs of g.
     """
-    nv = _size_gate(g, max_vertices)
+    nv = len(g.vertices)
+    limits.check_size("composition enumeration", nv, max_vertices)
     if nv == 0:
         return FormalSum.of((), [(g, 1)])
     _, tails, heads = g.edge_arrays()
@@ -138,7 +128,8 @@ def character_polynomial(g: Digraph, character: Character | Callable[[Digraph], 
     k blocks, of the product of character values on the blocks.  Degree
     is at most the number of vertices; the empty graph gives the constant 1.
     """
-    nv = _size_gate(g, max_vertices)
+    nv = len(g.vertices)
+    limits.check_size("composition enumeration", nv, max_vertices)
     if nv == 0:
         return BinPoly((1,))
 

@@ -20,19 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from . import kernels
+from . import kernels, limits
 from .digraph import Digraph
-from .errors import SizeLimitError, WorkLimitError
 from .hopf import EDGE, antipode, character_polynomial_of_sum
-from .limits import DEFAULT_MAX_VERTICES, max_work
 from .rings import BinPoly, Poly, Y, Z, Q
 
 
 def _stats(g: Digraph, max_vertices: int | None) -> dict[tuple[int, int, int], int]:
-    limit = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
     nv, tails, heads = g.edge_arrays()
-    if nv > limit:
-        raise SizeLimitError(f"surjection scan over {nv} vertices exceeds bound {limit}")
+    limits.check_size("surjection scan", nv, max_vertices)
     return kernels.surjection_stats(nv, tails, heads)
 
 
@@ -85,25 +81,22 @@ def edge_invariant(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:
     return BinPoly(tuple(coeffs))
 
 
-def _work_gate(g: Digraph, n: int, max_work_override: int | None) -> None:
+def _work_gate(g: Digraph, n: int) -> None:
     if n < 0:
         raise ValueError(f"map count needs n >= 0, got {n}")
-    budget = max_work(max_work_override)
-    cost = n ** len(g.vertices)
-    if cost > budget:
-        raise WorkLimitError(f"{cost} maps exceed work bound {budget}")
+    limits.check_work(f"scan of the maps into {{1..{n}}}", n ** len(g.vertices))
 
 
-def brute_strict(g: Digraph, n: int, *, max_work: int | None = None) -> int:
+def brute_strict(g: Digraph, n: int) -> int:
     """Directly counts maps into {1..n} strictly increasing along edges."""
-    _work_gate(g, n, max_work)
+    _work_gate(g, n)
     nv, tails, heads = g.edge_arrays()
     return kernels.count_strict_colorings(nv, tails, heads, n)
 
 
-def brute_weak(g: Digraph, n: int, *, max_work: int | None = None) -> int:
+def brute_weak(g: Digraph, n: int) -> int:
     """Directly counts maps into {1..n} weakly increasing along edges."""
-    _work_gate(g, n, max_work)
+    _work_gate(g, n)
     nv, tails, heads = g.edge_arrays()
     return kernels.count_weak_colorings(nv, tails, heads, n)
 
@@ -124,8 +117,8 @@ class ReciprocityCheck:
         return self.lhs == self.rhs
 
 
-def check_reciprocity(g: Digraph, n: int, *, max_vertices: int | None = None,
-                      max_work: int | None = None) -> ReciprocityCheck:
+def check_reciprocity(g: Digraph, n: int, *,
+                      max_vertices: int | None = None) -> ReciprocityCheck:
     """Strict invariant at -n against the weak count at n, for acyclic g.
 
     Compares (-1)^|vertices| * strict_chromatic(g)(-n) with brute_weak(g, n).
@@ -135,7 +128,7 @@ def check_reciprocity(g: Digraph, n: int, *, max_vertices: int | None = None,
         return ReciprocityCheck(False, n)
     sign = -1 if len(g.vertices) % 2 else 1
     lhs = sign * strict_chromatic(g, max_vertices=max_vertices).eval(-n)
-    rhs = brute_weak(g, n, max_work=max_work)
+    rhs = brute_weak(g, n)
     return ReciprocityCheck(True, n, lhs, rhs)
 
 

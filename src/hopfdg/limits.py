@@ -1,35 +1,42 @@
-"""Enumeration and work bounds.
+"""The one resource gate: every refusal to start oversized work comes from here.
 
-Composition-shaped enumerations grow like the ordered Bell numbers, subset
-tables like 2^n, and brute-force scans like n^|I|; every entry point that
-triggers one of them checks a bound first and raises instead of hanging.
+Every entry point that starts exponential work calls one of two checks
+first and raises instead of hanging; the command line reports either
+refusal as "resource limit" with exit code 3.
+
+  check_size  a vertex count against the user's cap on composition sums
+              (max_vertices=, --max-vertices) or SUBSET_BOUND, the ground
+              set of the largest dense 2^n table;
+  check_work  an estimate of the steps against the one work budget,
+              DEFAULT_MAX_WORK or the HOPFDG_MAX_WORK environment variable.
 """
 
 from __future__ import annotations
 
 import os
 
-# Largest vertex set for composition-shaped enumerations (antipode,
-# character polynomials, surjection scans).  Overridable per call.
-DEFAULT_MAX_VERTICES = 9
+from .errors import SizeLimitError, WorkLimitError
 
-# Largest ground set for subset tables (lower halves, Boolean functions).
+DEFAULT_MAX_VERTICES = 9   # default of the user's cap on composition sums
 SUBSET_BOUND = 20
-
-# Point budget for brute-force scans (colorings, lattice points).
 DEFAULT_MAX_WORK = 10_000_000
-
 ENV_MAX_WORK = "HOPFDG_MAX_WORK"
 
 
-def max_work(override: int | None = None) -> int:
-    """Effective work bound: explicit override, else env var, else default."""
-    if override is not None:
-        return override
-    raw = os.environ.get(ENV_MAX_WORK)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_MAX_WORK} must be an integer, got {raw!r}")
-    return DEFAULT_MAX_WORK
+def check_size(what: str, nv: int, limit: int | None) -> None:
+    """Refuse `what` over nv vertices past limit (None: DEFAULT_MAX_VERTICES)."""
+    limit = DEFAULT_MAX_VERTICES if limit is None else limit
+    if nv > limit:
+        raise SizeLimitError(f"{what} over {nv} vertices exceeds bound {limit}")
+
+
+def check_work(what: str, estimate: int) -> None:
+    """Refuse `what` when its estimated steps exceed the work budget."""
+    raw = os.environ.get(ENV_MAX_WORK, DEFAULT_MAX_WORK)
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_MAX_WORK} must be an integer, got {raw!r}")
+    if estimate > budget:
+        raise WorkLimitError(f"{what} needs about {estimate} steps, over the work "
+                             f"budget {budget}; set {ENV_MAX_WORK} to raise it")

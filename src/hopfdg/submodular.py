@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from . import kernels
+from . import kernels, limits
 from .digraph import Digraph, canonical_labels, disjoint_union
-from .errors import SizeLimitError, WorkLimitError
-from .limits import SUBSET_BOUND, max_work
 
 
 class Infinity:
@@ -91,11 +89,9 @@ class ExtBool:
 
     @classmethod
     def tabulate(cls, ground: Iterable[str],
-                 fn: Callable[[frozenset[str]], object],
-                 *, bound: int = SUBSET_BOUND) -> "ExtBool":
+                 fn: Callable[[frozenset[str]], object]) -> "ExtBool":
         g = canonical_labels(ground)
-        if len(g) > bound:
-            raise SizeLimitError(f"table over {len(g)} labels exceeds bound {bound}")
+        limits.check_size("table", len(g), limits.SUBSET_BOUND)
         vals = []
         for mask in range(1 << len(g)):
             vals.append(fn(frozenset(g[i] for i in range(len(g)) if mask >> i & 1)))
@@ -146,16 +142,14 @@ class ExtBool:
             vals.append(v - base if is_finite(v) else INF)
         return ExtBool(rest, vals)
 
-    def is_submodular(self, *, max_work_override: int | None = None) -> bool:
+    def is_submodular(self) -> bool:
         """Exhaustive pair check of v(A|B) + v(A&B) <= v(A) + v(B).
 
         The inequality is only required where v(A) and v(B) are finite;
         an infinite value on the union or intersection then fails it.
         """
         n = len(self.ground)
-        budget = max_work(max_work_override)
-        if 4 ** n > budget:
-            raise WorkLimitError(f"{4 ** n} subset pairs exceed work bound {budget}")
+        limits.check_work(f"submodularity check over {n} labels", 4 ** n)
         vals = self.values
         finite = [m for m in range(1 << n) if is_finite(vals[m])]
         for a in finite:
@@ -178,6 +172,7 @@ def direct_sum(u: ExtBool, v: ExtBool) -> ExtBool:
     if overlap:
         raise ValueError(f"ground sets overlap on {sorted(overlap)}")
     ground = canonical_labels(u.ground + v.ground)
+    limits.check_size("table", len(ground), limits.SUBSET_BOUND)
     upos = {lab: i for i, lab in enumerate(u.ground)}
     vpos = {lab: i for i, lab in enumerate(v.ground)}
     vals = []
@@ -195,11 +190,10 @@ def direct_sum(u: ExtBool, v: ExtBool) -> ExtBool:
     return ExtBool(ground, vals)
 
 
-def lower_half_function(g: Digraph, *, bound: int = SUBSET_BOUND) -> ExtBool:
+def lower_half_function(g: Digraph) -> ExtBool:
     """0 on lower halves of g, INF elsewhere."""
     nv, tails, heads = g.edge_arrays()
-    if nv > bound:
-        raise SizeLimitError(f"table over {nv} vertices exceeds bound {bound}")
+    limits.check_size("table", nv, limits.SUBSET_BOUND)
     vals = [INF] * (1 << nv)
     for mask in kernels.lower_half_masks(nv, tails, heads):
         vals[mask] = 0

@@ -225,10 +225,31 @@ def test_resource_limit_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
 def test_kernel_size_limit_exits_with_resource_limit(capsys, tmp_path, argv):
-    # past the 16-vertex kernel bound even when --max-vertices allows it
+    # over the work budget even when --max-vertices allows it
     path = tmp_path / "big.txt"
     verts = " ".join(f"v{i:02d}" for i in range(17))
     path.write_text(f"vertices: {verts}\nv00 -> v16\n")
     code, out, err = run(capsys, *argv, str(path), "--max-vertices", "20")
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ("morphism", "theorem1"))
+def test_verify_refuses_past_the_work_budget(capsys, tmp_path, monkeypatch, suite):
+    # 4^6 morphism steps and 200 * 2^6 base-check steps, both over 1000
+    path = tmp_path / "path6.txt"
+    path.write_text("vertices: a b c d e f\na -> b\nb -> c\nd -> e\n")
+    monkeypatch.setenv("HOPFDG_MAX_WORK", "1000")
+    code, out, err = run(capsys, "verify", suite, str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert "HOPFDG_MAX_WORK" in err and "1000" in err
+
+
+def test_verify_all_refuses_seventeen_vertices(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    verts = " ".join(f"v{i:02d}" for i in range(17))
+    path.write_text(f"vertices: {verts}\nv00 -> v16\n")
+    code, out, err = run(capsys, "verify", "all", str(path))
     assert code == 3 and out == ""
     assert err.startswith("resource limit: ") and err.count("\n") == 1

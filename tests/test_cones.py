@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_digraphs, random_digraph
+from hopfdg import cones
 from hopfdg import (Arc, Digraph, FlowNetwork, SINK, SOURCE,
                     UnboundedFlowError, WorkLimitError,
                     ascent_polytope_points, audit_flow, base_member,
@@ -139,6 +140,27 @@ def test_agreement_report(g3):
     assert report.samples == 120
     assert not report.mismatches
     assert not report.audit_problems
+
+
+def test_agreement_audits_the_one_flow_that_decided(g3, monkeypatch):
+    flows, audited = [], []
+
+    def counting_max_flow(net):
+        flows.append(max_flow(net))
+        return flows[-1]
+
+    def recording_audit(net, result):
+        audited.append(result)
+        return audit_flow(net, result)
+
+    monkeypatch.setattr(cones, "max_flow", counting_max_flow)
+    monkeypatch.setattr(cones, "audit_flow", recording_audit)
+    vectors = cones._sample_vectors(g3, 90, random.Random(4))
+    report = check_cone_polytope_agreement(g3, samples=90, seed=4)
+    assert report.passed
+    assert len(flows) == sum(1 for vec in vectors if sum(vec.values()) == 0)
+    assert len(audited) == len(flows)
+    assert all(a is f for a, f in zip(audited, flows))
 
 
 def test_agreement_on_random_graphs():

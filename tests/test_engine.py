@@ -11,8 +11,8 @@ import pytest
 from conftest import (all_digraphs, oracle_character_sum, oracle_chain_stats,
                       oracle_is_lower_half, oracle_surjection_walk,
                       oracle_takeuchi_terms, random_digraph)
-from hopfdg import (Character, Digraph, SizeLimitError, character_polynomial,
-                    kernels)
+from hopfdg import (EDGE, Character, Digraph, SizeLimitError, WorkLimitError,
+                    antipode, character_polynomial, kernels)
 from hopfdg._engine import _fold, _lower_halves
 from hopfdg.rings import Q, Y, Z
 
@@ -112,10 +112,32 @@ def test_fold_steps_once_per_nested_pair_of_lower_halves():
         assert sorted(seen) == want
 
 
-def test_engine_refuses_more_than_sixteen_vertices():
+def test_engine_refuses_work_past_the_budget(monkeypatch):
+    # 2^16 + 1 lower halves for the lattice sums, 3^17 steps for the surjections
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
     tails, heads = list(range(16)), [16] * 16
-    for fn in (kernels.chain_stats, kernels.takeuchi_terms, kernels.surjection_stats):
-        with pytest.raises(SizeLimitError):
+    estimates = {kernels.chain_stats: 65537 * 65538 // 2,
+                 kernels.takeuchi_terms: 65537 * 65538 // 2,
+                 kernels.surjection_stats: 3 ** 17}
+    for fn, estimate in estimates.items():
+        with pytest.raises(WorkLimitError) as exc:
             fn(17, tails, heads)
-    with pytest.raises(SizeLimitError):
+        message = str(exc.value)
+        assert str(estimate) in message
+        assert "10000000" in message and "HOPFDG_MAX_WORK" in message
+    with pytest.raises(WorkLimitError):
         kernels.character_sum(17, tails, heads, lambda mask: 1)
+
+
+def test_seventeen_vertex_cycle_has_two_lower_halves_and_an_answer():
+    verts = [f"v{i:02d}" for i in range(17)]
+    g = Digraph(verts, zip(verts, verts[1:] + verts[:1]))
+    assert antipode(g, max_vertices=17).terms == {g: -1}
+    assert character_polynomial(g, EDGE, max_vertices=17).coeffs == (0, Q ** 17)
+
+
+def test_dense_tables_stay_within_the_subset_bound(monkeypatch):
+    monkeypatch.setenv("HOPFDG_MAX_WORK", str(10 ** 30))
+    for fn in (kernels.chain_stats, kernels.surjection_stats):
+        with pytest.raises(SizeLimitError):
+            fn(21, [], [])

@@ -163,11 +163,12 @@ def test_edge_reciprocity_details(g3):
     assert lhs == rhs == -Q ** 3 + 2 * Q - 1
 
 
-def test_work_gate():
+def test_work_gate(monkeypatch):
     g = Digraph("abcdefgh")
     with pytest.raises(WorkLimitError):
         brute_strict(g, 1000)
-    assert brute_strict(g, 2, max_work=10 ** 9) == 2 ** 8
+    monkeypatch.setenv("HOPFDG_MAX_WORK", str(10 ** 9))
+    assert brute_strict(g, 2) == 2 ** 8
 
 
 def test_work_gate_env(monkeypatch):

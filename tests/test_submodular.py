@@ -123,6 +123,9 @@ def test_subset_tables_refuse_past_twenty_labels_before_scanning(monkeypatch):
         lower_half_function(g)
     with pytest.raises(SizeLimitError):
         ExtBool.tabulate(labels, no_scan)
+    left, right = (ExtBool([f"{side}{i}" for i in range(11)], [0] * 2048) for side in "ab")
+    with pytest.raises(SizeLimitError):
+        direct_sum(left, right)
 
 
 def test_morphism_checks_exhaustive_small():
