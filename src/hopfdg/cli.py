@@ -15,16 +15,17 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import limits
-from .cones import check_cone_polytope_agreement, membership_flow
+from .cones import (check_agreement_work, check_cone_polytope_agreement,
+                    membership_flow)
 from .digraph import Digraph, disjoint_union, parse_graph
 from .errors import GraphParseError, ResourceLimitError, UnboundedFlowError
 from .hopf import FormalSum, antipode
 from .invariants import (b_polynomial, check_edge_reciprocity,
-                         check_reciprocity, edge_invariant, strict_chromatic,
-                         weak_chromatic)
+                         check_reciprocity, check_reciprocity_work,
+                         edge_invariant, strict_chromatic, weak_chromatic)
 from .rings import BinPoly
 from .submodular import check_low_morphism
 
@@ -50,17 +51,13 @@ def _graph_json(g: Digraph) -> dict:
             "edges": [[u, v] for u, v in g.edge_list]}
 
 
-def _coeff_str(c: Any) -> str:
-    return str(c)
-
-
 def _print_invariant(g: Digraph, which: str, poly: BinPoly, fmt: str) -> None:
     if fmt == "json":
         payload = {
             "graph": _graph_json(g),
             "invariant": which,
             "basis": "binomial",
-            "coeffs": [{"k": k, "value": _coeff_str(c)}
+            "coeffs": [{"k": k, "value": str(c)}
                        for k, c in enumerate(poly.coeffs) if c != 0],
         }
         print(json.dumps(payload))
@@ -96,6 +93,9 @@ def _parse_vector(g: Digraph, text: str) -> dict[str, Fraction]:
     coords = {}
     for v, part in zip(g.vertices, parts):
         try:
+            if "e" in part.lower():
+                # 1e10000000 would build a ten-million-digit integer
+                raise ValueError("exponent notation is not accepted")
             coords[v] = Fraction(part)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational {part!r}: {exc}") from exc
@@ -231,8 +231,6 @@ def _suite_hopf_axioms(g: Digraph, args: argparse.Namespace) -> _Suite:
 def _suite_morphism(g: Digraph, args: argparse.Namespace) -> _Suite:
     suite = _Suite()
     nv = len(g.vertices)
-    # 2^n splits, each comparing tables over 2^n subsets
-    limits.check_work(f"morphism suite over {nv} vertices", 4 ** nv)
     failures = []
     count = 0
     for mask in range(1 << nv):
@@ -260,28 +258,46 @@ def _suite_theorem1(g: Digraph, args: argparse.Namespace) -> _Suite:
     return suite
 
 
+_STRICT_POINTS = range(1, 6)
+
+
 def _suite_reciprocity(g: Digraph, args: argparse.Namespace) -> _Suite:
     suite = _Suite()
     if g.is_acyclic():
-        for n in range(1, 6):
-            check = check_reciprocity(g, n, max_vertices=args.max_vertices)
-            suite.record(f"strict/weak reciprocity at n={n}", check.equal is True,
+        for check in check_reciprocity(g, _STRICT_POINTS, max_vertices=args.max_vertices):
+            suite.record(f"strict/weak reciprocity at n={check.n}", check.equal is True,
                          f"lhs={check.lhs} rhs={check.rhs}")
     else:
         suite.skip_note("strict/weak reciprocity",
                         "hypothesis violated: graph has a directed cycle")
-    for n in range(5):
-        check = check_edge_reciprocity(g, n, max_vertices=args.max_vertices)
-        suite.record(f"edge reciprocity at n={n}", check.equal is True,
+    for check in check_edge_reciprocity(g, range(5), max_vertices=args.max_vertices):
+        suite.record(f"edge reciprocity at n={check.n}", check.equal is True,
                      f"lhs={check.lhs} rhs={check.rhs}")
     return suite
 
 
-_SUITES = {
-    "hopf-axioms": _suite_hopf_axioms,
-    "morphism": _suite_morphism,
-    "theorem1": _suite_theorem1,
-    "reciprocity": _suite_reciprocity,
+def _gate_hopf_axioms(g: Digraph, args: argparse.Namespace) -> None:
+    # a round splits, merges and relabels g a bounded number of times
+    limits.check_work(f"hopf-axioms suite of {args.samples} rounds over "
+                      f"{len(g.vertices)} vertices",
+                      args.samples * (len(g.vertices) + len(g.edges) + 1))
+
+
+def _gate_morphism(g: Digraph, args: argparse.Namespace) -> None:
+    # 2^n splits, each comparing tables over 2^n subsets
+    nv = len(g.vertices)
+    limits.check_work(f"morphism suite over {nv} vertices", 4 ** nv)
+
+
+# name -> (gate, suite); the gate raises before the suite would start
+# oversized work, and verify calls every selected gate before any suite
+_SUITES: dict[str, tuple[Callable[[Digraph, argparse.Namespace], None],
+                         Callable[[Digraph, argparse.Namespace], _Suite]]] = {
+    "hopf-axioms": (_gate_hopf_axioms, _suite_hopf_axioms),
+    "morphism": (_gate_morphism, _suite_morphism),
+    "theorem1": (lambda g, args: check_agreement_work(g, args.samples), _suite_theorem1),
+    "reciprocity": (lambda g, args: check_reciprocity_work(
+        g, _STRICT_POINTS, max_vertices=args.max_vertices), _suite_reciprocity),
 }
 
 
@@ -303,11 +319,12 @@ def _cmd_antipode(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    selected = list(_SUITES.values()) if args.suite == "all" else [_SUITES[args.suite]]
+    for gate, _ in selected:
+        gate(g, args)
     suite = _Suite()
-    for name in names:
-        part = _SUITES[name](g, args)
-        suite.checks.extend(part.checks)
+    for _, run in selected:
+        suite.checks.extend(run(g, args).checks)
     if args.format == "json":
         payload = {
             "suite": args.suite,

@@ -349,6 +349,12 @@ def _sample_vectors(g: Digraph, samples: int, rng: random.Random) -> list[dict[s
     return out
 
 
+def check_agreement_work(g: Digraph, samples: int) -> None:
+    """Refuse check_cone_polytope_agreement past the work budget."""
+    nv = len(g.vertices)
+    limits.check_work(f"base check of {samples} vectors over {nv} vertices", samples << nv)
+
+
 def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
                                   seed: int = 0) -> EquivalenceReport:
     """Sampled agreement of base polytope and edge cone membership.
@@ -357,8 +363,7 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
     every max-flow run must pass its audit.  Deterministic in the seed.
     The work estimate is samples * 2^n, one subset scan per base check.
     """
-    nv = len(g.vertices)
-    limits.check_work(f"base check of {samples} vectors over {nv} vertices", samples << nv)
+    check_agreement_work(g, samples)
     rng = random.Random(seed)
     z = lower_half_function(g)
     vectors = _sample_vectors(g, samples, rng)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 VARS = ("q", "y", "z")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -48,7 +48,8 @@ class Poly:
         e[_VAR_INDEX[name]] = 1
         return cls({tuple(e): 1})
 
-    def _coerce(self, other: Any) -> "Poly | None":
+    @staticmethod
+    def _coerce(other: Any) -> "Poly | None":
         if isinstance(other, Poly):
             return other
         if isinstance(other, int):
@@ -156,36 +157,8 @@ class Poly:
         """Gcd of the integer coefficients; 0 for the zero polynomial."""
         return math.gcd(*self.terms.values()) if self.terms else 0
 
-    def _sorted_terms(self) -> Iterator[tuple[Expt, int]]:
-        # highest total degree first, then exponent vectors descending,
-        # so q-heavy monomials precede y- and z-heavy ones of equal degree
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            yield e, self.terms[e]
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e, c in self._sorted_terms():
-            factors = []
-            for name, exp in zip(VARS, e):
-                if exp == 1:
-                    factors.append(name)
-                elif exp > 1:
-                    factors.append(f"{name}^{exp}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _poly_str(self.terms)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -217,32 +190,43 @@ def falling_coeffs(k: int) -> list[int]:
     return coeffs
 
 
-def _is_zero(c: Any) -> bool:
-    return c == 0
-
-
-def _signed_body(c: Any, base: str) -> tuple[str, str]:
-    """Split a coefficient*base term into a sign and a magnitude string."""
-    if isinstance(c, Poly) and len(c.terms) == 1:
-        # single monomial: pull its sign out like an integer's
-        ((e, cc),) = c.terms.items()
-        if cc < 0:
-            sign, mag = "-", str(Poly({e: -cc}))
-        else:
-            sign, mag = "+", str(c)
-        if mag == "1":
-            return sign, base if base else "1"
-        return sign, f"{mag}*{base}" if base else mag
-    if isinstance(c, Poly):
-        text = f"({c})"
-        return "+", f"{text}*{base}" if base else text
-    sign = "-" if c < 0 else "+"
+def _monomial(e: Expt, c: int) -> tuple[str, str]:
+    """Sign and magnitude text of c * q^e[0] * y^e[1] * z^e[2]."""
+    factors = [name if x == 1 else f"{name}^{x}" for name, x in zip(VARS, e) if x]
     mag = abs(c)
-    if not base:
-        return sign, str(mag)
-    if mag == 1:
-        return sign, base
-    return sign, f"{mag}*{base}"
+    body = "*".join(factors if mag == 1 and factors else [str(mag)] + factors)
+    return ("-" if c < 0 else "+"), body
+
+
+def _join(pieces: list[tuple[str, str]]) -> str:
+    """Sign-joined (sign, body) pieces: "-a + b - c"; "0" for none."""
+    if not pieces:
+        return "0"
+    (sign, body), rest = pieces[0], pieces[1:]
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
+
+
+def _poly_str(terms: Mapping[Expt, int]) -> str:
+    # highest total degree first, then exponent vectors descending,
+    # so q-heavy monomials precede y- and z-heavy ones of equal degree
+    order = sorted(terms, key=lambda e: (sum(e), e), reverse=True)
+    return _join([_monomial(e, terms[e]) for e in order])
+
+
+def _signed_body(terms: Mapping[Expt, int], base: str) -> tuple[str, str]:
+    """Split a (non-zero coefficient)*base term into a sign and a magnitude.
+
+    A single monomial gives up its sign like an integer; a longer sum is
+    parenthesised and counted positive.
+    """
+    if len(terms) == 1:
+        ((e, c),) = terms.items()
+        sign, mag = _monomial(e, c)
+        if mag == "1":
+            return sign, base or "1"
+        return sign, f"{mag}*{base}" if base else mag
+    text = f"({_poly_str(terms)})"
+    return "+", f"{text}*{base}" if base else text
 
 
 @dataclass(frozen=True)
@@ -261,7 +245,7 @@ class BinPoly:
             if isinstance(c, Poly) and c.is_constant():
                 c = c.constant_value()
             cleaned.append(c)
-        while cleaned and _is_zero(cleaned[-1]):
+        while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
 
@@ -275,7 +259,7 @@ class BinPoly:
         """Exact value at an integer, of the coefficient ring's type."""
         total: Any = 0
         for k, c in enumerate(self.coeffs):
-            if not _is_zero(c):
+            if c != 0:
                 total = total + c * binomial(n, k)
         return total
 
@@ -294,56 +278,36 @@ class BinPoly:
         return BinPoly(tuple(factor * c for c in self.coeffs))
 
     def binomial_str(self, var: str = "n") -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for k, c in enumerate(self.coeffs):
-            if _is_zero(c):
-                continue
-            base = f"C({var},{k})" if k else ""
-            pieces.append(_signed_body(c, base))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _join([_signed_body(Poly._coerce(c).terms, f"C({var},{k})" if k else "")
+                      for k, c in enumerate(self.coeffs) if c != 0])
 
     def monomial_str(self, var: str = "n") -> str:
-        """Render in powers of the argument over one integer denominator."""
-        if not self.coeffs:
-            return "0"
+        """Render in powers of the argument over one integer denominator.
+
+        Every coefficient, an int c read as {(0, 0, 0): c}, is summed into
+        one integer exponent dict per power of the argument.
+        """
         d = self.degree()
+        if d < 0:
+            return "0"
         denom = math.factorial(d)
-        numer: list[Any] = [0] * (d + 1)
+        numer: list[dict[Expt, int]] = [{} for _ in range(d + 1)]
         for k, c in enumerate(self.coeffs):
-            if _is_zero(c):
-                continue
+            terms = Poly._coerce(c).terms
             scale = denom // math.factorial(k)
             for j, fc in enumerate(falling_coeffs(k)):
-                if fc:
-                    numer[j] = numer[j] + c * (scale * fc)
-        ints = []
-        for c in numer:
-            ints.append(c.content() if isinstance(c, Poly) else abs(c))
-        g = math.gcd(denom, *ints) if ints else denom
-        if g > 1:
-            denom //= g
-            numer = [c // g if isinstance(c, int) else
-                     Poly({e: cc // g for e, cc in c.terms.items()}) for c in numer]
-
+                row = numer[j]
+                for e, cc in terms.items():
+                    row[e] = row.get(e, 0) + cc * scale * fc
+        g = math.gcd(denom, *(c for row in numer for c in row.values()))
+        denom //= g
         pieces = []
         for j in range(d, -1, -1):
-            c = numer[j]
-            if _is_zero(c):
-                continue
-            base = "" if j == 0 else (var if j == 1 else f"{var}^{j}")
-            pieces.append(_signed_body(c, base))
-        if not pieces:
-            return "0"
-        first_sign, first_body = pieces[0]
-        body = ("-" if first_sign == "-" else "") + first_body
-        for sign, piece in pieces[1:]:
-            body += f" {sign} {piece}"
+            terms = {e: c // g for e, c in numer[j].items() if c}
+            if terms:
+                pieces.append(_signed_body(terms, "" if j == 0 else
+                                           (var if j == 1 else f"{var}^{j}")))
+        body = _join(pieces)
         return f"({body})/{denom}" if denom > 1 else body
 
     def __str__(self) -> str:

@@ -8,6 +8,7 @@ against something that shares no code path with them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -256,3 +257,108 @@ def oracle_surjection_walk(nv, tails, heads) -> dict[tuple[int, int, int], int]:
 
         walk(0, 0, 0, 0)
     return stats
+
+
+# ---------------------------------------------------------------------------
+# Earlier ring assembly and rendering, kept as oracles for the single
+# histogram projection in hopfdg.invariants and the dict-based renderer in
+# hopfdg.rings.  Both work by validated Poly arithmetic, term by term.
+
+@functools.cache
+def _oracle_monomial(q: int, y: int, z: int):
+    from hopfdg.rings import Q, Y, Z
+    return Q ** q * Y ** y * Z ** z
+
+
+def oracle_invariants(g: Digraph) -> dict[str, BinPoly]:
+    """strict, weak, bpoly and psi, assembled as cnt * Y**asc * Z**desc."""
+    from hopfdg.rings import Poly
+    n = len(g.vertices)
+    if n == 0:
+        return dict.fromkeys(("strict", "weak", "bpoly", "psi"), BinPoly((1,)))
+    m = len(g.edges)
+    strict = [0] * (n + 1)
+    weak = [0] * (n + 1)
+    bpoly = [Poly() for _ in range(n + 1)]
+    psi = [Poly() for _ in range(n + 1)]
+    for (k, asc, desc), cnt in oracle_surjection_stats(g).items():
+        bpoly[k] = bpoly[k] + cnt * _oracle_monomial(0, asc, desc)
+        if desc == 0:
+            weak[k] += cnt
+            psi[k] = psi[k] + cnt * _oracle_monomial(m - asc, 0, 0)
+            if asc == m:
+                strict[k] += cnt
+    return {name: BinPoly(tuple(coeffs)) for name, coeffs in
+            (("strict", strict), ("weak", weak), ("bpoly", bpoly), ("psi", psi))}
+
+
+def _oracle_signed_body(c, base: str) -> tuple[str, str]:
+    from hopfdg.rings import Poly
+    if isinstance(c, Poly) and len(c.terms) == 1:
+        ((e, cc),) = c.terms.items()
+        if cc < 0:
+            sign, mag = "-", str(Poly({e: -cc}))
+        else:
+            sign, mag = "+", str(c)
+        if mag == "1":
+            return sign, base if base else "1"
+        return sign, f"{mag}*{base}" if base else mag
+    if isinstance(c, Poly):
+        text = f"({c})"
+        return "+", f"{text}*{base}" if base else text
+    sign = "-" if c < 0 else "+"
+    mag = abs(c)
+    if not base:
+        return sign, str(mag)
+    if mag == 1:
+        return sign, base
+    return sign, f"{mag}*{base}"
+
+
+def _oracle_join(pieces) -> str:
+    first_sign, first_body = pieces[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def oracle_binomial_str(p: BinPoly, var: str = "n") -> str:
+    if not p.coeffs:
+        return "0"
+    return _oracle_join([_oracle_signed_body(c, f"C({var},{k})" if k else "")
+                         for k, c in enumerate(p.coeffs) if c != 0])
+
+
+def oracle_monomial_str(p: BinPoly, var: str = "n") -> str:
+    """Powers of the argument over one denominator, by Poly arithmetic."""
+    import math
+
+    from hopfdg.rings import Poly, falling_coeffs
+    if not p.coeffs:
+        return "0"
+    d = p.degree()
+    denom = math.factorial(d)
+    numer: list = [0] * (d + 1)
+    for k, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        scale = denom // math.factorial(k)
+        for j, fc in enumerate(falling_coeffs(k)):
+            if fc:
+                numer[j] = numer[j] + c * (scale * fc)
+    ints = [c.content() if isinstance(c, Poly) else abs(c) for c in numer]
+    g = math.gcd(denom, *ints)
+    if g > 1:
+        denom //= g
+        numer = [c // g if isinstance(c, int) else
+                 Poly({e: cc // g for e, cc in c.terms.items()}) for c in numer]
+    pieces = []
+    for j in range(d, -1, -1):
+        if numer[j] != 0:
+            base = "" if j == 0 else (var if j == 1 else f"{var}^{j}")
+            pieces.append(_oracle_signed_body(numer[j], base))
+    if not pieces:
+        return "0"
+    body = _oracle_join(pieces)
+    return f"({body})/{denom}" if denom > 1 else body

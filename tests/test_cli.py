@@ -253,3 +253,66 @@ def test_verify_all_refuses_seventeen_vertices(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "all", str(path))
     assert code == 3 and out == ""
     assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget, refused", (
+    ("1000", "hopf-axioms suite of 200 rounds"),
+    # every suite but reciprocity fits; its weak count into {1..5} does not
+    ("13000", "scan of the maps into {1..5}")))
+def test_verify_all_refuses_before_any_suite_runs(capsys, tmp_path, monkeypatch,
+                                                  budget, refused):
+    import hopfdg.cli as cli
+    rounds = []
+    real_instance = cli._axiom_instance
+    monkeypatch.setattr(cli, "_axiom_instance",
+                        lambda g, rng: rounds.append(1) or real_instance(g, rng))
+    path = tmp_path / "path6.txt"
+    path.write_text("vertices: a b c d e f\na -> b\nb -> c\nd -> e\n")
+    monkeypatch.setenv("HOPFDG_MAX_WORK", budget)
+    code, out, err = run(capsys, "verify", "all", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith(f"resource limit: {refused}") and err.count("\n") == 1
+    assert rounds == []
+
+
+def test_verify_hopf_axioms_refuses_a_huge_sample_count(capsys, g3_file):
+    code, out, err = run(capsys, "verify", "hopf-axioms", g3_file,
+                         "--samples", "1000000000")
+    assert code == 3 and out == ""
+    assert "hopf-axioms suite of 1000000000 rounds" in err and "HOPFDG_MAX_WORK" in err
+
+
+def test_cone_member_refuses_exponent_notation(capsys, g3_file):
+    # 1e10000000 would build a ten-million-digit integer before any check
+    code, out, err = run(capsys, "cone-member", g3_file, "--", "1e3,-1e3,0")
+    assert code == 2 and out == ""
+    assert "exponent notation" in err
+    code, out, _ = run(capsys, "cone-member", g3_file, "--", "1.5,-3/2,0")
+    assert code == 0 and "vector: 0=3/2 1=-3/2 2=0\n" in out
+
+
+def test_verify_reciprocity_builds_each_polynomial_once(capsys, g3_file, monkeypatch):
+    import hopfdg.invariants as inv
+    calls: dict[str, int] = {}
+
+    def counted(name):
+        real = getattr(inv, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(inv, name, wrapper)
+
+    for name in ("strict_chromatic", "edge_invariant", "antipode",
+                 "character_polynomial_of_sum"):
+        counted(name)
+    code, out, _ = run(capsys, "verify", "reciprocity", g3_file, "--format", "json")
+    assert code == 0
+    assert calls == dict.fromkeys(("strict_chromatic", "edge_invariant", "antipode",
+                                   "character_polynomial_of_sum"), 1)
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == (
+        [f"strict/weak reciprocity at n={n}" for n in range(1, 6)]
+        + [f"edge reciprocity at n={n}" for n in range(5)])
+    assert checks[2]["detail"] == "lhs=10 rhs=10"
+    assert checks[6]["detail"] == "lhs=-q^3 + 2*q - 1 rhs=-q^3 + 2*q - 1"

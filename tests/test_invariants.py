@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import (all_digraphs, oracle_count_colorings,
+from conftest import (all_digraphs, oracle_count_colorings, oracle_invariants,
                       oracle_surjection_stats, random_digraph)
 from hopfdg import (BASIC, BinPoly, Digraph, EDGE, EMPTY, WorkLimitError,
                     antipode, b_polynomial, brute_strict, brute_weak,
@@ -85,6 +85,33 @@ def test_edge_invariant_from_b_polynomial():
             assert expect == psi.coefficient(k)
 
 
+_INVARIANTS = {"strict": strict_chromatic, "weak": weak_chromatic,
+               "bpoly": b_polynomial, "psi": edge_invariant}
+
+
+def _assert_matches_old_assembly(g):
+    want = oracle_invariants(g)
+    for name, fn in _INVARIANTS.items():
+        got = fn(g)
+        assert got == want[name], (name, g)
+        # equal tuples, and constant coefficients stay plain ints
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want[name].coeffs]
+
+
+def test_projection_matches_old_assembly_on_all_small_digraphs():
+    _assert_matches_old_assembly(EMPTY)
+    for labels in ("a", "ab", "abc", "abcd"):
+        for g in all_digraphs(labels):
+            _assert_matches_old_assembly(g)
+
+
+def test_projection_matches_old_assembly_on_seeded_graphs():
+    rng = random.Random(61)
+    for labels, count in (("abcde", 8), ("abcdef", 4), ("abcdefg", 2)):
+        for _ in range(count):
+            _assert_matches_old_assembly(random_digraph(rng, labels))
+
+
 def test_surjection_statistics_behind_invariants():
     from hopfdg import kernels
     rng = random.Random(29)
@@ -112,8 +139,8 @@ def test_edge_invariant_equals_edge_character_polynomial():
 
 def test_reciprocity_golden(g3):
     assert strict_chromatic(g3).eval(-3) == -10
-    check = check_reciprocity(g3, 3)
-    assert check.hypothesis_ok
+    (check,) = check_reciprocity(g3, [3])
+    assert check.hypothesis_ok and check.n == 3
     assert check.lhs == check.rhs == 10  # (-1)^3 * (-10)
     assert check.equal
 
@@ -126,21 +153,26 @@ def test_reciprocity_on_acyclic_family():
         if not g.is_acyclic():
             continue
         count += 1
-        for n in range(1, 5):
-            check = check_reciprocity(g, n)
-            assert check.equal, (g, n, check)
+        checks = check_reciprocity(g, range(1, 5))
+        assert [check.n for check in checks] == [1, 2, 3, 4]
+        for check in checks:
+            assert check.equal, (g, check)
     assert count >= 30
 
 
 def test_reciprocity_hypothesis_gate():
     cyc = Digraph("ab", (("a", "b"), ("b", "a")))
-    check = check_reciprocity(cyc, 2)
-    assert not check.hypothesis_ok
-    assert check.equal is None
+    checks = check_reciprocity(cyc, range(2, 4))
+    assert [check.n for check in checks] == [2, 3]
+    for check in checks:
+        assert not check.hypothesis_ok
+        assert check.equal is None
 
 
 def test_edge_reciprocity_golden(g3):
-    check = check_edge_reciprocity(g3, 1)
+    checks = check_edge_reciprocity(g3, range(3))
+    assert [check.n for check in checks] == [0, 1, 2]
+    check = checks[1]
     assert check.equal
     assert check.lhs == -Q ** 3 + 2 * Q - 1
     assert check.rhs == check.lhs
@@ -152,9 +184,10 @@ def test_edge_reciprocity_everywhere():
     graphs = [random_digraph(rng, "abcd") for _ in range(25)]
     graphs.append(Digraph("abc", (("a", "b"), ("b", "c"), ("c", "a"))))
     for g in graphs:
-        for n in range(4):
-            check = check_edge_reciprocity(g, n)
-            assert check.equal, (g, n, check)
+        checks = check_edge_reciprocity(g, range(4))
+        assert [check.n for check in checks] == [0, 1, 2, 3]
+        for check in checks:
+            assert check.equal, (g, check)
 
 
 def test_edge_reciprocity_details(g3):

@@ -1,8 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import (all_digraphs, oracle_binomial_str, oracle_monomial_str,
+                      random_digraph)
 
+from hopfdg import b_polynomial, edge_invariant, strict_chromatic, weak_chromatic
 from hopfdg.rings import BinPoly, Poly, Q, Y, Z, binomial, falling_coeffs
 
 
@@ -106,6 +110,36 @@ def test_monomial_str():
     assert BinPoly(()).monomial_str() == "0"
     # C(n,1) + C(n,2) = (n^2 + n)/2
     assert BinPoly((0, 1, 1)).monomial_str() == "(n^2 + n)/2"
+
+
+def _random_coefficient(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-12, 12)
+    e = tuple(rng.randint(0, 3) for _ in range(3))
+    if kind == 1:
+        # a single monomial, often negative
+        return Poly({e: rng.choice((-6, -2, -1, 1, 3))})
+    terms = {tuple(rng.randint(0, 3) for _ in range(3)): rng.randint(-4, 4)
+             for _ in range(rng.randint(1, 4))}
+    # kind 3: a common content > 1, so the denominator can shrink
+    factor = rng.choice((2, 6, 12, -24)) if kind == 3 else 1
+    return Poly({e: factor * c for e, c in terms.items()})
+
+
+def test_renderers_match_old_poly_arithmetic():
+    rng = random.Random(71)
+    polys = [BinPoly(()), BinPoly((0, 6 * Y - 12 * Z, -6 * Q)), BinPoly((0, -Q, 0, -2 * Y))]
+    polys += [BinPoly(tuple(_random_coefficient(rng) for _ in range(rng.randint(1, 6))))
+              for _ in range(400)]
+    graphs = list(all_digraphs("abc"))
+    graphs += [random_digraph(rng, "abcde") for _ in range(10)]
+    for g in graphs:
+        polys += [b_polynomial(g), edge_invariant(g), strict_chromatic(g), weak_chromatic(g)]
+    for p in polys:
+        for var in ("n", "x"):
+            assert p.binomial_str(var) == oracle_binomial_str(p, var), p
+            assert p.monomial_str(var) == oracle_monomial_str(p, var), p
 
 
 def test_binpoly_matches_eval_on_samples():
