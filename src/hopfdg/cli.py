@@ -230,16 +230,12 @@ def _suite_hopf_axioms(g: Digraph, args: argparse.Namespace) -> _Suite:
 
 def _suite_morphism(g: Digraph, args: argparse.Namespace) -> _Suite:
     suite = _Suite()
-    nv = len(g.vertices)
-    failures = []
-    count = 0
-    for mask in range(1 << nv):
-        sub = frozenset(g.vertices[i] for i in range(nv) if mask >> i & 1)
-        check = check_low_morphism(g, sub)
-        count += 1
-        if not check.passed:
-            failures.append(f"S={sorted(sub)}")
-    suite.record(f"cut-function morphism ({count} splits)", not failures,
+    verts = g.vertices
+    subs = [frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+            for mask in range(1 << len(verts))]
+    failures = [f"S={sorted(sub)}"
+                for sub, check in zip(subs, check_low_morphism(g, subs)) if not check.passed]
+    suite.record(f"cut-function morphism ({len(subs)} splits)", not failures,
                  "; ".join(failures[:3]))
     return suite
 
@@ -379,6 +375,16 @@ def _cmd_cone_member(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfdg",
@@ -405,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", choices=(*_SUITES, "all"))
     p_ver.add_argument("graph")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--samples", type=int, default=200)
+    p_ver.add_argument("--samples", type=_positive_int, default=200)
     common(p_ver)
     p_ver.set_defaults(fn=_cmd_verify)
 
@@ -423,9 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except GraphParseError as exc:

@@ -6,8 +6,11 @@ the function value for every A.  The cone side is generated by one vector
 per edge, head minus tail.  Membership in the cone is decided by max-flow
 on a small network and, when the answer is yes, the flow values on the
 original edges are the certificate combination; when it is no, the
-minimum cut exhibits a violated lower half.  All arithmetic is Fraction
-exact, and every max-flow result carries its own min-cut certificate.
+minimum cut exhibits a violated lower half (Gale's feasibility theorem).
+Arithmetic is exact in the numbers given (ints stay ints, anything else
+becomes a Fraction), every max-flow result carries its own min-cut
+certificate, and the sampled agreement check clears its denominators
+once and runs in ints.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping
 
 from .digraph import Digraph
@@ -42,7 +44,7 @@ SINK = _Terminal("sink")
 class Arc:
     tail: object
     head: object
-    capacity: object  # non-negative Fraction/int, or INF
+    capacity: object  # non-negative int/Fraction, or INF
 
     def __post_init__(self):
         if self.tail == self.head:
@@ -78,33 +80,27 @@ class FlowNetwork:
 class FlowResult:
     """A maximum flow together with its certifying minimum cut.
 
+    Each number is an exact number, an int when every capacity is one.
     flows[i] is the value pushed through arcs[i]; cut is the set of nodes
     reachable from the source in the residual graph, and cut_capacity
     (the total capacity leaving the cut) equals value by construction.
     """
 
-    value: Fraction
-    flows: tuple[Fraction, ...]
+    value: int | Fraction
+    flows: tuple[int | Fraction, ...]
     cut: frozenset
-    cut_capacity: Fraction
+    cut_capacity: int | Fraction
 
 
 def max_flow(net: FlowNetwork) -> FlowResult:
-    """Shortest-augmenting-path max flow over exact rationals.
+    """Shortest-augmenting-path max flow in the capacities' own exact numbers.
 
     INF capacities are replaced by one more than the finite total, which
     caps any finite cut; if the computed value still reaches that stand-in
     no finite cut exists and UnboundedFlowError is raised.
     """
     arcs = net.arcs
-    finite_total = sum((a.capacity for a in arcs if is_finite(a.capacity)),
-                      start=Fraction(0))
-    stand_in = finite_total + 1
-    caps = [Fraction(a.capacity) if is_finite(a.capacity) else Fraction(stand_in)
-            for a in arcs]
-
-    scale = lcm(*(c.denominator for c in caps)) if caps else 1
-    icaps = [int(c * scale) for c in caps]
+    stand_in = sum(a.capacity for a in arcs if is_finite(a.capacity)) + 1
 
     index = {node: i for i, node in enumerate(net.nodes)}
     s, t = index[net.source], index[net.sink]
@@ -116,7 +112,7 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     adj: list[list[int]] = [[] for _ in range(nn)]
     for e, arc in enumerate(arcs):
         u, v = index[arc.tail], index[arc.head]
-        res.extend((icaps[e], 0))
+        res.extend((arc.capacity if is_finite(arc.capacity) else stand_in, 0))
         ends.extend(((u, v), (v, u)))
         adj[u].append(2 * e)
         adj[v].append(2 * e + 1)
@@ -137,51 +133,38 @@ def max_flow(net: FlowNetwork) -> FlowResult:
                         queue.append(nxt)
         if parent[t] == -1:
             break
-        bottleneck = None
+        path = []
         node = t
         while node != s:
-            ridx = parent[node]
-            if bottleneck is None or res[ridx] < bottleneck:
-                bottleneck = res[ridx]
-            node = ends[ridx][0]
-        node = t
-        while node != s:
-            ridx = parent[node]
+            path.append(parent[node])
+            node = ends[parent[node]][0]
+        bottleneck = min(res[ridx] for ridx in path)
+        for ridx in path:
             res[ridx] -= bottleneck
             res[ridx ^ 1] += bottleneck
-            node = ends[ridx][0]
         total += bottleneck
 
-    value = Fraction(total, scale)
-    if value >= stand_in:
+    if total >= stand_in:
         raise UnboundedFlowError("no finite cut separates source from sink")
 
-    reach = [False] * nn
-    reach[s] = True
-    queue = [s]
-    for node in queue:
-        for ridx in adj[node]:
-            nxt = ends[ridx][1]
-            if res[ridx] > 0 and not reach[nxt]:
-                reach[nxt] = True
-                queue.append(nxt)
-
+    # the last search found no path, so it ran until it had reached every
+    # node the residual graph reaches from the source
+    reach = [p != -1 for p in parent]
     cut = frozenset(net.nodes[i] for i in range(nn) if reach[i])
-    cut_capacity = Fraction(0)
-    for e, arc in enumerate(arcs):
-        u, v = index[arc.tail], index[arc.head]
-        if reach[u] and not reach[v]:
-            # a crossing INF arc would have forced value >= stand_in
-            cut_capacity += Fraction(arc.capacity)
+    cut_capacity = 0
+    for arc in arcs:
+        if reach[index[arc.tail]] and not reach[index[arc.head]]:
+            # a crossing INF arc would have forced total >= stand_in
+            cut_capacity += arc.capacity
 
-    flows = tuple(Fraction(res[2 * e + 1], scale) for e in range(len(arcs)))
-    return FlowResult(value, flows, cut, cut_capacity)
+    flows = tuple(res[2 * e + 1] for e in range(len(arcs)))
+    return FlowResult(total, flows, cut, cut_capacity)
 
 
 def audit_flow(net: FlowNetwork, result: FlowResult) -> list[str]:
     """All the ways a flow result could be wrong; empty means certified."""
     problems = []
-    excess: dict[object, Fraction] = {node: Fraction(0) for node in net.nodes}
+    excess = dict.fromkeys(net.nodes, 0)
     for arc, f in zip(net.arcs, result.flows):
         if f < 0:
             problems.append(f"negative flow {f} on {arc!r}")
@@ -190,9 +173,7 @@ def audit_flow(net: FlowNetwork, result: FlowResult) -> list[str]:
         excess[arc.head] += f
         excess[arc.tail] -= f
     for node in net.nodes:
-        if node is net.source or node is net.sink:
-            continue
-        if excess[node] != 0:
+        if excess[node] != 0 and node is not net.source and node is not net.sink:
             problems.append(f"conservation fails at {node!r} by {excess[node]}")
     if -excess[net.source] != result.value:
         problems.append(f"source sends {-excess[net.source]}, claimed {result.value}")
@@ -200,7 +181,7 @@ def audit_flow(net: FlowNetwork, result: FlowResult) -> list[str]:
         problems.append(f"sink receives {excess[net.sink]}, claimed {result.value}")
     if net.source not in result.cut or net.sink in result.cut:
         problems.append("cut does not separate source from sink")
-    cap = Fraction(0)
+    cap = 0
     for arc in net.arcs:
         if arc.tail in result.cut and arc.head not in result.cut:
             if not is_finite(arc.capacity):
@@ -214,10 +195,14 @@ def audit_flow(net: FlowNetwork, result: FlowResult) -> list[str]:
     return problems
 
 
-def _normalize_vector(g: Digraph, x: Mapping[str, object]) -> dict[str, Fraction]:
+def _exact(c) -> int | Fraction:
+    return c if type(c) is int else Fraction(c)
+
+
+def _normalize_vector(g: Digraph, x: Mapping[str, object]) -> dict[str, int | Fraction]:
     if set(x) != set(g.vertices):
         raise ValueError("vector must assign exactly the vertices of the graph")
-    return {v: Fraction(x[v]) for v in g.vertices}
+    return {v: _exact(x[v]) for v in g.vertices}
 
 
 def base_member(z: ExtBool, x: Mapping[str, object]) -> bool:
@@ -225,32 +210,27 @@ def base_member(z: ExtBool, x: Mapping[str, object]) -> bool:
 
     Requires the coordinate sum to hit the full-set value and x(A) to stay
     at or below z(A) for every subset A; INF constraints are vacuous.
+    Subset sums come from the lowest-bit recurrence, one add per mask.
     """
     if set(x) != set(z.ground):
         raise ValueError("vector must assign exactly the ground labels")
-    coords = [Fraction(x[lab]) for lab in z.ground]
-    if sum(coords) != z.values[-1]:
+    coords = [_exact(x[lab]) for lab in z.ground]
+    values = z.values
+    if sum(coords) != values[-1]:
         return False
-    n = len(z.ground)
-    for mask in range(1 << n):
-        v = z.values[mask]
-        if not is_finite(v):
-            continue
-        total = sum(coords[i] for i in range(n) if mask >> i & 1)
-        if total > v:
+    sums = [0] * len(values)
+    for mask in range(1, len(values)):
+        low = mask & -mask
+        sums[mask] = total = sums[mask ^ low] + coords[low.bit_length() - 1]
+        v = values[mask]
+        if is_finite(v) and total > v:
             return False
     return True
 
 
 def cone_generators(g: Digraph) -> list[dict[str, int]]:
     """One vector per edge: +1 on the head, -1 on the tail, 0 elsewhere."""
-    gens = []
-    for u, v in g.edge_list:
-        vec = {w: 0 for w in g.vertices}
-        vec[u] = -1
-        vec[v] = 1
-        gens.append(vec)
-    return gens
+    return [dict.fromkeys(g.vertices, 0) | {u: -1, v: 1} for u, v in g.edge_list]
 
 
 def build_flow_network(g: Digraph, x: Mapping[str, object]) -> FlowNetwork:
@@ -259,8 +239,11 @@ def build_flow_network(g: Digraph, x: Mapping[str, object]) -> FlowNetwork:
     Vertices with positive x feed the sink with capacity x(v); negative
     ones are fed from the source with capacity -x(v).  x must sum to zero.
     """
-    vec = _normalize_vector(g, x)
-    if sum(vec.values(), start=Fraction(0)) != 0:
+    return _network(g, _normalize_vector(g, x))
+
+
+def _network(g: Digraph, vec: dict[str, int | Fraction]) -> FlowNetwork:
+    if sum(vec.values()) != 0:
         raise ValueError("membership network needs a vector summing to zero")
     arcs = [Arc(u, v, INF) for u, v in g.edge_list]
     for v in g.vertices:
@@ -271,22 +254,29 @@ def build_flow_network(g: Digraph, x: Mapping[str, object]) -> FlowNetwork:
     return FlowNetwork((SOURCE, *g.vertices, SINK), tuple(arcs))
 
 
+Witness = dict[tuple[str, str], int | Fraction]
+
+
 def membership_flow(g: Digraph, x: Mapping[str, object]
-                    ) -> tuple[FlowNetwork, FlowResult, dict[tuple[str, str], Fraction] | None]:
+                    ) -> tuple[FlowNetwork, FlowResult, Witness | None]:
     """The network, maximum flow and cone_member witness of a sum-zero x.
 
     One max flow decides membership; callers audit or report that flow.
     """
-    vec = _normalize_vector(g, x)
-    net = build_flow_network(g, vec)
+    return _membership_flow(g, _normalize_vector(g, x))
+
+
+def _membership_flow(g: Digraph, vec: dict[str, int | Fraction]
+                     ) -> tuple[FlowNetwork, FlowResult, Witness | None]:
+    net = _network(g, vec)
     result = max_flow(net)
-    demand = sum((c for c in vec.values() if c > 0), start=Fraction(0))
+    demand = sum(c for c in vec.values() if c > 0)
     if result.value != demand:
         return net, result, None
 
     edge_list = g.edge_list
     witness = {edge_list[e]: result.flows[e] for e in range(len(edge_list))}
-    rebuilt = {v: Fraction(0) for v in g.vertices}
+    rebuilt = dict.fromkeys(g.vertices, 0)
     for (u, v), w in witness.items():
         if w < 0:
             raise RuntimeError(f"negative witness weight {w} on {(u, v)}")
@@ -297,16 +287,14 @@ def membership_flow(g: Digraph, x: Mapping[str, object]
     return net, result, witness
 
 
-def cone_member(g: Digraph, x: Mapping[str, object]) -> dict[tuple[str, str], Fraction] | None:
+def cone_member(g: Digraph, x: Mapping[str, object]) -> Witness | None:
     """Non-negative edge weights writing x as a combination of generators.
 
     Returns {edge: weight} with x = sum of weight * (head - tail), or None
     when x is outside the cone.  The witness is re-checked before return.
     """
     vec = _normalize_vector(g, x)
-    if sum(vec.values(), start=Fraction(0)) != 0:
-        return None
-    return membership_flow(g, vec)[2]
+    return _membership_flow(g, vec)[2] if sum(vec.values()) == 0 else None
 
 
 @dataclass(frozen=True)
@@ -323,28 +311,32 @@ class EquivalenceReport:
         return not self.mismatches and not self.audit_problems
 
 
-def _sample_vectors(g: Digraph, samples: int, rng: random.Random) -> list[dict[str, Fraction]]:
-    """A deterministic mix: conic combinations, perturbed ones, raw sum-zero."""
-    gens = cone_generators(g)
-    verts = g.vertices
+def _sample_vectors(g: Digraph, samples: int, rng: random.Random) -> list[dict[str, int]]:
+    """A deterministic mix: conic combinations, perturbed ones, raw sum-zero.
+
+    Each draw a/b (b in 1..4) is scaled by 12 to an integer.  The cut
+    function's base polytope is a cone, so both membership tests keep
+    their verdicts; a mismatch names the scaled integer vector.
+    """
+    verts, edges = g.vertices, g.edge_list
     out = []
     for i in range(samples):
         kind = i % 3
-        vec = {v: Fraction(0) for v in verts}
-        if kind in (0, 1) and gens:
-            for gen in gens:
-                lam = Fraction(rng.randint(0, 6), rng.randint(1, 4))
-                for v in verts:
-                    vec[v] += lam * gen[v]
+        vec = dict.fromkeys(verts, 0)
+        if kind in (0, 1):
+            for u, v in edges:
+                lam = 12 * rng.randint(0, 6) // rng.randint(1, 4)
+                vec[u] -= lam
+                vec[v] += lam
         if kind == 1 and len(verts) >= 2:
             u, w = rng.sample(verts, 2)
-            delta = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            delta = 12 * rng.randint(-4, 4) // rng.randint(1, 3)
             vec[u] += delta
             vec[w] -= delta
         if kind == 2 and verts:
             for v in verts[:-1]:
-                vec[v] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            vec[verts[-1]] = -sum((vec[v] for v in verts[:-1]), start=Fraction(0))
+                vec[v] = 12 * rng.randint(-5, 5) // rng.randint(1, 4)
+            vec[verts[-1]] = -sum(vec[v] for v in verts[:-1])
         out.append(vec)
     return out
 
@@ -363,6 +355,8 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
     every max-flow run must pass its audit.  Deterministic in the seed.
     The work estimate is samples * 2^n, one subset scan per base check.
     """
+    if samples < 0:
+        raise ValueError(f"need samples >= 0, got {samples}")
     check_agreement_work(g, samples)
     rng = random.Random(seed)
     z = lower_half_function(g)
@@ -373,8 +367,8 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
     for vec in vectors:
         in_base = base_member(z, vec)
         witness = None
-        if sum(vec.values(), start=Fraction(0)) == 0:
-            net, result, witness = membership_flow(g, vec)
+        if sum(vec.values()) == 0:
+            net, result, witness = _membership_flow(g, vec)
             problems = audit_flow(net, result)
             if problems:
                 audit_problems.append((vec, tuple(problems)))

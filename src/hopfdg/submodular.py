@@ -217,39 +217,34 @@ class MorphismCheck:
                 and self.contraction_ok is not False)
 
 
-def check_low_morphism(g: Digraph, subset: Iterable[str]) -> MorphismCheck:
-    """Compare splitting then mapping with mapping then splitting.
+def check_low_morphism(g: Digraph, subsets: Iterable[Iterable[str]]) -> list[MorphismCheck]:
+    """Compare splitting then mapping with mapping then splitting, per subset.
 
-    Splitting g at the subset and applying lower_half_function to both
-    parts must agree with restrict/contract of lower_half_function(g);
-    when the graph split is zero (subset not a lower half) the function
-    split must be zero too.  The merge direction is checked on the same
-    subset: the function of the disjoint union of the two induced parts
-    must be the direct sum of their functions.
+    Splitting g at a subset must give its two induced parts, and applying
+    lower_half_function to them must agree with restrict/contract of
+    lower_half_function(g); when the graph split is zero (subset not a
+    lower half) the function split must be zero too.  The merge direction
+    is checked on the same subset: the function of the disjoint union of
+    the two parts must be the direct sum of their functions.
     """
-    sub = frozenset(subset)
     zg = lower_half_function(g)
-    cop = g.coproduct(sub)
-    zc = zg.contract(sub)
-
-    rest = frozenset(g.vertices) - sub
-    g_in, g_out = g.restrict(sub), g.restrict(rest)
-    merged_ok = direct_sum(lower_half_function(g_in), lower_half_function(g_out)) \
-        == lower_half_function(disjoint_union(g_in, g_out))
-
-    if cop is None:
-        return MorphismCheck(
-            split_is_lower_half=False,
-            zero_sides_agree=zc is None,
-            restriction_ok=None,
-            contraction_ok=None,
+    checks = []
+    for subset in subsets:
+        sub = frozenset(subset)
+        g_in, g_out = g.restrict(sub), g.restrict(frozenset(g.vertices) - sub)
+        z_in, z_out = lower_half_function(g_in), lower_half_function(g_out)
+        merged_ok = direct_sum(z_in, z_out) == lower_half_function(disjoint_union(g_in, g_out))
+        zc = zg.contract(sub)
+        cop = g.coproduct(sub)
+        if cop is None:
+            checks.append(MorphismCheck(False, zc is None, None, None, merged_ok))
+            continue
+        parts_ok = cop == (g_in, g_out)
+        checks.append(MorphismCheck(
+            split_is_lower_half=True,
+            zero_sides_agree=zc is not None,
+            restriction_ok=parts_ok and zg.restrict(sub) == z_in,
+            contraction_ok=parts_ok and zc is not None and zc == z_out,
             product_ok=merged_ok,
-        )
-    gs, gt = cop
-    return MorphismCheck(
-        split_is_lower_half=True,
-        zero_sides_agree=zc is not None,
-        restriction_ok=zg.restrict(sub) == lower_half_function(gs),
-        contraction_ok=zc == lower_half_function(gt) if zc is not None else False,
-        product_ok=merged_ok,
-    )
+        ))
+    return checks

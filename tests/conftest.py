@@ -11,10 +11,13 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from hopfdg import BinPoly, Digraph
+from hopfdg import BinPoly, Digraph, UnboundedFlowError, cone_generators, is_finite
+from hopfdg.cones import FlowResult
 from hopfdg.digraph import canonical_labels
 
 LABELS = "abcdefghij"
@@ -362,3 +365,122 @@ def oracle_monomial_str(p: BinPoly, var: str = "n") -> str:
         return "0"
     body = _oracle_join(pieces)
     return f"({body})/{denom}" if denom > 1 else body
+
+
+# ------------------------------------------------ cone routes in Fractions
+#
+# The cone routes as they were before they ran in the numbers they are
+# given: a max flow that scales every capacity to a common denominator,
+# vectors sampled as Fractions through the generator vectors, and a base
+# check that sums each finite subset term by term.
+
+
+def oracle_max_flow(net):
+    arcs = net.arcs
+    finite_total = sum((a.capacity for a in arcs if is_finite(a.capacity)),
+                       start=Fraction(0))
+    stand_in = finite_total + 1
+    caps = [Fraction(a.capacity) if is_finite(a.capacity) else Fraction(stand_in)
+            for a in arcs]
+    scale = lcm(*(c.denominator for c in caps)) if caps else 1
+    icaps = [int(c * scale) for c in caps]
+
+    index = {node: i for i, node in enumerate(net.nodes)}
+    s, t = index[net.source], index[net.sink]
+    nn = len(net.nodes)
+    res, ends = [], []
+    adj: list[list[int]] = [[] for _ in range(nn)]
+    for e, arc in enumerate(arcs):
+        u, v = index[arc.tail], index[arc.head]
+        res.extend((icaps[e], 0))
+        ends.extend(((u, v), (v, u)))
+        adj[u].append(2 * e)
+        adj[v].append(2 * e + 1)
+
+    total = 0
+    while True:
+        parent = [-1] * nn
+        parent[s] = -2
+        queue = [s]
+        for node in queue:
+            if node == t:
+                break
+            for ridx in adj[node]:
+                if res[ridx] > 0:
+                    nxt = ends[ridx][1]
+                    if parent[nxt] == -1:
+                        parent[nxt] = ridx
+                        queue.append(nxt)
+        if parent[t] == -1:
+            break
+        bottleneck = None
+        node = t
+        while node != s:
+            ridx = parent[node]
+            if bottleneck is None or res[ridx] < bottleneck:
+                bottleneck = res[ridx]
+            node = ends[ridx][0]
+        node = t
+        while node != s:
+            ridx = parent[node]
+            res[ridx] -= bottleneck
+            res[ridx ^ 1] += bottleneck
+            node = ends[ridx][0]
+        total += bottleneck
+
+    value = Fraction(total, scale)
+    if value >= stand_in:
+        raise UnboundedFlowError("no finite cut separates source from sink")
+    reach = [False] * nn
+    reach[s] = True
+    queue = [s]
+    for node in queue:
+        for ridx in adj[node]:
+            nxt = ends[ridx][1]
+            if res[ridx] > 0 and not reach[nxt]:
+                reach[nxt] = True
+                queue.append(nxt)
+    cut = frozenset(net.nodes[i] for i in range(nn) if reach[i])
+    cut_capacity = Fraction(0)
+    for arc in arcs:
+        if reach[index[arc.tail]] and not reach[index[arc.head]]:
+            cut_capacity += Fraction(arc.capacity)
+    flows = tuple(Fraction(res[2 * e + 1], scale) for e in range(len(arcs)))
+    return FlowResult(value, flows, cut, cut_capacity)
+
+
+def oracle_sample_vectors(g: Digraph, samples: int, rng: random.Random):
+    gens = cone_generators(g)
+    verts = g.vertices
+    out = []
+    for i in range(samples):
+        kind = i % 3
+        vec = {v: Fraction(0) for v in verts}
+        if kind in (0, 1) and gens:
+            for gen in gens:
+                lam = Fraction(rng.randint(0, 6), rng.randint(1, 4))
+                for v in verts:
+                    vec[v] += lam * gen[v]
+        if kind == 1 and len(verts) >= 2:
+            u, w = rng.sample(verts, 2)
+            delta = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            vec[u] += delta
+            vec[w] -= delta
+        if kind == 2 and verts:
+            for v in verts[:-1]:
+                vec[v] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            vec[verts[-1]] = -sum((vec[v] for v in verts[:-1]), start=Fraction(0))
+        out.append(vec)
+    return out
+
+
+def oracle_base_member(z, x) -> bool:
+    coords = [Fraction(x[lab]) for lab in z.ground]
+    if sum(coords) != z.values[-1]:
+        return False
+    n = len(z.ground)
+    for mask in range(1 << n):
+        v = z.values[mask]
+        if is_finite(v) and sum(coords[i] for i in range(n) if mask >> i & 1) > v:
+            return False
+    return True

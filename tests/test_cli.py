@@ -316,3 +316,32 @@ def test_verify_reciprocity_builds_each_polynomial_once(capsys, g3_file, monkeyp
         + [f"edge reciprocity at n={n}" for n in range(5)])
     assert checks[2]["detail"] == "lhs=10 rhs=10"
     assert checks[6]["detail"] == "lhs=-q^3 + 2*q - 1 rhs=-q^3 + 2*q - 1"
+
+
+def test_main_parses_with_the_parser_built_at_import(capsys, g3_file, monkeypatch):
+    import hopfdg.cli as cli
+
+    def no_rebuild():
+        raise AssertionError("main rebuilt the argument parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    first = run(capsys, "cone-member", g3_file, "--", "-1/2,0,1/2")
+    second = run(capsys, "cone-member", g3_file, "--", "-1/2,0,1/2")
+    assert first == second
+    assert first[0] == 0 and "member: yes" in first[1]
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_samples_below_one_is_a_usage_error(capsys, g3_file, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", g3_file, "--samples", samples])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "argument --samples" in out.err and "need at least 1" in out.err
+
+
+def test_verify_samples_keeps_the_int_message(capsys, g3_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", g3_file, "--samples", "ten"])
+    assert exc.value.code == 2
+    assert "argument --samples: invalid int value: 'ten'" in capsys.readouterr().err

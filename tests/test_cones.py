@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_digraphs, random_digraph
+from conftest import (LABELS, all_digraphs, oracle_base_member, oracle_max_flow,
+                      oracle_sample_vectors, random_digraph)
 from hopfdg import cones
 from hopfdg import (Arc, Digraph, FlowNetwork, SINK, SOURCE,
                     UnboundedFlowError, WorkLimitError,
                     ascent_polytope_points, audit_flow, base_member,
                     brute_strict, brute_weak, build_flow_network,
                     check_cone_polytope_agreement, cone_generators,
-                    cone_member, generic_direction_count, INF,
+                    cone_member, ExtBool, generic_direction_count, INF,
                     lower_half_function, max_flow, vertex_sum_count)
 
 
@@ -233,3 +234,99 @@ def test_lower_halves_are_the_nonpositive_generator_sums():
             sub = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
             bounded = all(sum(vec[v] for v in sub) <= 0 for vec in gens)
             assert bounded == g.is_lower_half(sub)
+
+
+def _small_digraphs():
+    for nv in range(5):
+        yield from all_digraphs(LABELS[:nv])
+
+
+def _seeded_graphs(seed: int, count: int = 30):
+    rng = random.Random(seed)
+    return [random_digraph(rng, LABELS[:5 + i % 3]) for i in range(count)]
+
+
+def _assert_flow_matches_oracle(net):
+    new = max_flow(net)
+    assert new == oracle_max_flow(net), net  # value, flows, cut and cut capacity
+    return new
+
+
+def _assert_flows_match(g, vec):
+    # the sampled integer vector and the same vector over 12, in Fractions
+    result = _assert_flow_matches_oracle(build_flow_network(g, vec))
+    numbers = (result.value, result.cut_capacity, *result.flows)
+    assert all(type(c) is int for c in numbers), "ints in must give ints out"
+    _assert_flow_matches_oracle(build_flow_network(g, {v: Fraction(c, 12)
+                                                       for v, c in vec.items()}))
+
+
+def test_max_flow_matches_old_route_on_all_small_digraphs():
+    # one vector per graph, the three kinds of sample in turn
+    for i, g in enumerate(_small_digraphs()):
+        _assert_flows_match(g, cones._sample_vectors(g, 3, random.Random(i))[i % 3])
+
+
+def test_max_flow_matches_old_route_on_seeded_graphs():
+    for i, g in enumerate(_seeded_graphs(211)):
+        for vec in cones._sample_vectors(g, 30, random.Random(i)):
+            _assert_flows_match(g, vec)
+
+
+def test_sampled_vectors_are_twelve_times_the_old_ones():
+    graphs = [*all_digraphs(LABELS[:3]), *_seeded_graphs(223)]
+    for i, g in enumerate(graphs):
+        new_rng, old_rng = random.Random(i), random.Random(i)
+        new = cones._sample_vectors(g, 12, new_rng)
+        old = oracle_sample_vectors(g, 12, old_rng)
+        assert new == [{v: 12 * c for v, c in vec.items()} for vec in old], g
+        assert all(type(c) is int for vec in new for c in vec.values())
+        assert new_rng.random() == old_rng.random()  # the same draws, in order
+
+
+def test_base_member_matches_old_route():
+    rng = random.Random(227)
+    graphs = [*all_digraphs(LABELS[:3]), *_seeded_graphs(229, 12)]
+    for i, g in enumerate(graphs):
+        z = lower_half_function(g)
+        for vec in cones._sample_vectors(g, 12, random.Random(i)):
+            for x in (vec, {v: Fraction(c, 12) for v, c in vec.items()}):
+                assert base_member(z, x) == oracle_base_member(z, x), (g, x)
+    # tables with finite values beyond 0, on the full set too
+    for _ in range(300):
+        labels = LABELS[:rng.randint(0, 4)]
+        n = len(labels)
+        values = [0] + [rng.choice((INF, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)))
+                        for _ in range((1 << n) - 1)]
+        if n:
+            values[-1] = rng.randint(-2, 2)
+        z = ExtBool(labels, values)
+        x = {lab: Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for lab in labels}
+        if labels:
+            x[labels[-1]] += z.values[-1] - sum(x.values())
+        for y in (x, {lab: c.numerator if c.denominator == 1 else c for lab, c in x.items()}):
+            assert base_member(z, y) == oracle_base_member(z, y), (z, y)
+
+
+def test_agreement_runs_without_fractions(monkeypatch):
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("the sampled agreement check built a Fraction")
+
+    monkeypatch.setattr(cones, "Fraction", NoFraction)
+    for i, g in enumerate(_seeded_graphs(233, 6)):
+        assert check_cone_polytope_agreement(g, samples=30, seed=i).passed, g
+
+
+def test_agreement_refuses_a_negative_sample_count(g3):
+    with pytest.raises(ValueError, match="samples"):
+        check_cone_polytope_agreement(g3, samples=-1)
+    assert check_cone_polytope_agreement(g3, samples=0).samples == 0
+
+
+def test_int_and_fraction_queries_get_the_same_answers(g3):
+    x = {"0": -2, "1": 1, "2": 1}
+    as_ints = cone_member(g3, x)
+    as_fractions = cone_member(g3, {v: Fraction(c) for v, c in x.items()})
+    assert as_ints == as_fractions
+    assert all(type(w) is int for w in as_ints.values())

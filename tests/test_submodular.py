@@ -131,20 +131,50 @@ def test_subset_tables_refuse_past_twenty_labels_before_scanning(monkeypatch):
 def test_morphism_checks_exhaustive_small():
     for g in all_digraphs("abc"):
         verts = g.vertices
-        for mask in range(1 << len(verts)):
-            sub = frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
-            check = check_low_morphism(g, sub)
+        subs = [frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
+                for mask in range(1 << len(verts))]
+        checks = check_low_morphism(g, subs)
+        assert len(checks) == len(subs)
+        for sub, check in zip(subs, checks):
             assert check.passed, (g, sub, check)
 
 
 def test_morphism_check_contents(g3):
-    check = check_low_morphism(g3, {"0"})
+    check, check2 = check_low_morphism(g3, [{"0"}, {"2"}])
     assert check.split_is_lower_half
     assert check.restriction_ok and check.contraction_ok and check.product_ok
-    check2 = check_low_morphism(g3, {"2"})
     assert not check2.split_is_lower_half
     assert check2.zero_sides_agree
     assert check2.restriction_ok is None
+
+
+def test_morphism_builds_each_cut_function_once(g3, monkeypatch):
+    import hopfdg.submodular as submodular
+    built = []
+
+    def counted(g):
+        built.append(g)
+        return lower_half_function(g)
+
+    monkeypatch.setattr(submodular, "lower_half_function", counted)
+    subs = [{"0"}, {"2"}, {"0", "1"}]
+    assert all(check.passed for check in check_low_morphism(g3, subs))
+    # g once, then per subset the two parts and their disjoint union,
+    # which drops an edge of g3 for each of these subsets
+    assert built[0] == g3 and len(built) == 1 + 3 * len(subs)
+    assert built.count(g3) == 1
+
+
+def test_morphism_check_requires_the_split_to_give_the_induced_parts(g3, monkeypatch):
+    def swapped(self, subset):
+        sub = frozenset(subset)
+        rest = frozenset(self.vertices) - sub
+        return (self.restrict(rest), self.restrict(sub)) if self.is_lower_half(sub) else None
+
+    monkeypatch.setattr(Digraph, "coproduct", swapped)
+    (check,) = check_low_morphism(g3, [{"0"}])
+    assert check.split_is_lower_half and not check.passed
+    assert check.restriction_ok is False and check.contraction_ok is False
 
 
 def test_morphism_product_law_directly():
