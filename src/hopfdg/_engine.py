@@ -9,7 +9,9 @@ folds a value along such chains:
       the work is one step per nested pair of lower halves;
   surjection_stats
       the states are all subsets, 3^n steps, and the lower halves play no
-      part: this route stays independent of the three above.
+      part.  Only the b-polynomial needs it: every other invariant of the
+      colorings reads chain_stats, since a coloring weakly increasing
+      along the edges is exactly a chain of lower halves.
 
 The lower halves come from one table, inpred[S], the tails of the edges
 into S, built in O(2^n) by a lowest-bit recurrence: S is a lower half
@@ -20,9 +22,11 @@ inside[S], the mask of edges with both ends in S, and into[S], the edges
 with their head in S.  The edges a block T keeps are inside[T].
 
 Each sum first asks hopfdg.limits for tables of at most SUBSET_BOUND
-vertices and for its steps within the work budget: 3^n over all subsets,
-and L(L+1)/2 over L lower halves, a bound on the nested pairs taken
-right after the 2^n scan.
+vertices and for its steps within the work budget: L(L+1)/2 over L
+lower halves, a bound on the nested pairs taken right after the 2^n
+scan, and over all subsets a bound on the accumulator entries the fold
+walks (_surjection_work), since each of the 3^n steps walks a whole
+accumulator.
 
 The fold visits the states in order of size.  A state's accumulator is
 complete once every state below it has been visited; it is then pushed
@@ -32,6 +36,7 @@ it.  Only the accumulators of states not yet visited are alive.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Any, Callable, Iterable
 
 from . import limits
@@ -187,6 +192,36 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
     return _fold(nv, halves, step)
 
 
+def _surjection_work(nv: int, tails: list[int], heads: list[int]) -> int:
+    """Bound on the accumulator entries surjection_stats walks.
+
+    A state S of s vertices pushes its accumulator into at most 2^(n-s)
+    states above it.  Its keys (k, asc, desc) have k <= s and
+    asc + desc <= e, the number of edges inside S, so there are at most
+    s(e+1)(e+2)/2 of them; the empty state holds one.  Over the states of
+    size s, the sums of e and e^2 count the edges and the ordered pairs of
+    edges inside them: a pair whose ends are u vertices lies inside
+    C(n-u, s-u) states of size s.
+    """
+    m = len(tails)
+    degree = [0] * nv
+    spans: dict[tuple[int, int], int] = {}
+    for t, h in zip(tails, heads):
+        degree[t] += 1
+        degree[h] += 1
+        span = (t, h) if t < h else (h, t)
+        spans[span] = spans.get(span, 0) + 1
+    same = sum(c * c for c in spans.values())       # pairs on the same two ends
+    shared = sum(d * d for d in degree) - 2 * same   # pairs on three ends
+    apart = m * m - same - shared                    # pairs on four ends
+    total = 1 << nv
+    for s in range(1, nv + 1):
+        on2, on3, on4 = (comb(nv - u, s - u) if s >= u else 0 for u in (2, 3, 4))
+        squares = same * on2 + shared * on3 + apart * on4
+        total += (1 << nv - s) * s * (squares + 3 * m * on2 + 2 * comb(nv, s)) // 2
+    return total
+
+
 def surjection_stats(nv: int, tails: list[int],
                      heads: list[int]) -> dict[tuple[int, int, int], int]:
     """Counts of surjections onto {1..k} by edge statistics.
@@ -198,7 +233,8 @@ def surjection_stats(nv: int, tails: list[int],
     into arbitrary subsets.
     """
     limits.check_size("composition sum", nv, limits.SUBSET_BOUND)
-    limits.check_work(f"surjection scan over {nv} vertices", 3 ** nv)
+    limits.check_work(f"surjection scan over {nv} vertices",
+                      _surjection_work(nv, tails, heads))
     if nv == 0:
         return {}
     inside, into = _edge_tables(nv, tails, heads)

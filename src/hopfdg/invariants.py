@@ -3,22 +3,27 @@
 Each invariant counts maps f from the vertices onto {1..k}, weighted by
 how f behaves along the edges, and records the count as the coefficient
 of C(n, k); substituting an integer n then counts maps into {1..n}.
-This route never looks at lower halves, so it is independent of the
-character-polynomial engine and the two are compared in the tests.
 
-All four are projections of one histogram: kernels.surjection_stats
-counts the surjections onto {1..k} by (k, ascents, descents).  One walk
-over it adds each entry it keeps into an integer exponent dict for
-C(n, k), and each coefficient Poly is built once from its dict.  With m
-edges, an entry (k, asc, desc) goes to
+The value classes of f, in increasing order, form an ordered set
+composition.  f is weakly increasing along every edge exactly when every
+prefix of that composition is a lower half, and the edges f leaves level
+are then the edges kept inside single blocks.  So strict, weak and psi
+are projections of kernels.chain_stats, the (k, kept) histogram over the
+lattice of lower halves, and strict_chromatic is the basic character
+polynomial, as the paper's theorem says.  An entry (k, kept) goes to
 
-  strict_chromatic   1 when asc = m and desc = 0 (f strictly increasing)
-  weak_chromatic     1 when desc = 0 (f weakly increasing)
-  b_polynomial       y^asc * z^desc (every f)
-  edge_invariant     q^(m - asc) when desc = 0 (level edges of f)
+  strict_chromatic   1 when kept = 0 (f strictly increasing)
+  weak_chromatic     1 (f weakly increasing)
+  edge_invariant     q^kept (level edges of f)
 
-brute_strict and brute_weak scan all n^|vertices| maps directly and are
-the oracles the polynomial routes are tested against.
+b_polynomial alone needs every map: it walks all surjections through
+kernels.surjection_stats, whose key (k, asc, desc) goes to y^asc * z^desc.
+Each walk adds each entry it keeps into an integer exponent dict for
+C(n, k), and each coefficient Poly is built once from its dict.
+
+The routes the tests compare these against share no code with them:
+brute_strict and brute_weak scan all n^|vertices| maps directly, and the
+oracles in the test suite enumerate colorings and compositions.
 """
 
 from __future__ import annotations
@@ -33,47 +38,51 @@ from .rings import BinPoly, Expt, Poly
 
 
 def _check_scan_size(g: Digraph, max_vertices: int | None) -> None:
+    # one wording for all four invariants and the reciprocity checks, kept
+    # from when each of them scanned the surjections: refusals are output
+    # too, and stay byte-stable
     limits.check_size("surjection scan", len(g.vertices), max_vertices)
 
 
 def _project(g: Digraph, max_vertices: int | None,
-             keep: Callable[[int, int, int], Expt | None]) -> BinPoly:
-    """One walk of the histogram: an entry that keep(m, asc, desc) maps to
-    an exponent vector adds its count there, in the coefficient of C(n, k)."""
+             histogram: Callable[[int, list[int], list[int]], dict[tuple, int]],
+             weight: Callable[[tuple], Expt | None]) -> BinPoly:
+    """One walk of a kernel histogram keyed (k, ...): an entry whose key
+    weight maps to an exponent vector adds its count there, in the
+    coefficient of C(n, k)."""
     nv, tails, heads = g.edge_arrays()
     if nv == 0:
         return BinPoly((1,))
     _check_scan_size(g, max_vertices)
-    m = len(tails)
     sums: list[dict[Expt, int]] = [{} for _ in range(nv + 1)]
-    for (k, asc, desc), cnt in kernels.surjection_stats(nv, tails, heads).items():
-        e = keep(m, asc, desc)
+    for key, cnt in histogram(nv, tails, heads).items():
+        e = weight(key)
         if e is not None:
-            sums[k][e] = sums[k].get(e, 0) + cnt
+            terms = sums[key[0]]
+            terms[e] = terms.get(e, 0) + cnt
     return BinPoly(tuple(Poly(terms) for terms in sums))
 
 
 def strict_chromatic(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:
     """Counts maps strictly increasing along every edge."""
-    return _project(g, max_vertices,
-                    lambda m, asc, desc: (0, 0, 0) if asc == m and desc == 0 else None)
+    return _project(g, max_vertices, kernels.chain_stats,
+                    lambda key: None if key[1] else (0, 0, 0))
 
 
 def weak_chromatic(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:
     """Counts maps weakly increasing along every edge."""
-    return _project(g, max_vertices,
-                    lambda m, asc, desc: (0, 0, 0) if desc == 0 else None)
+    return _project(g, max_vertices, kernels.chain_stats, lambda key: (0, 0, 0))
 
 
 def b_polynomial(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:
     """All maps, each weighted y^(rising edges) * z^(falling edges)."""
-    return _project(g, max_vertices, lambda m, asc, desc: (0, asc, desc))
+    return _project(g, max_vertices, kernels.surjection_stats,
+                    lambda key: (0, key[1], key[2]))
 
 
 def edge_invariant(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:
     """Maps with no falling edge, each weighted q^(level edges)."""
-    return _project(g, max_vertices,
-                    lambda m, asc, desc: (m - asc, 0, 0) if desc == 0 else None)
+    return _project(g, max_vertices, kernels.chain_stats, lambda key: (key[1], 0, 0))
 
 
 def _work_gate(g: Digraph, n: int) -> None:

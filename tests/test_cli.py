@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import pytest
 
@@ -345,3 +347,70 @@ def test_verify_samples_keeps_the_int_message(capsys, g3_file):
         main(["verify", "all", g3_file, "--samples", "ten"])
     assert exc.value.code == 2
     assert "argument --samples: invalid int value: 'ten'" in capsys.readouterr().err
+
+
+def _graph_file(tmp_path, name, n, edges):
+    verts = [f"v{i:02d}" for i in range(n)]
+    path = tmp_path / name
+    path.write_text("vertices: " + " ".join(verts) + "\n"
+                    + "".join(f"{verts[t]} -> {verts[h]}\n" for t, h in edges))
+    return str(path)
+
+
+def _tournament_file(tmp_path, n):
+    return _graph_file(tmp_path, f"tournament{n}.txt", n,
+                       [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+# The binomial line of each invariant of the 16-vertex transitive
+# tournament, as its start and its end.  Weakly increasing maps of a chain
+# number C(n + 15, 16) = sum over k of C(15, k - 1) C(n, k); psi weights a
+# composition into intervals by q^(edges kept inside them), so one block
+# gives q^120 and fifteen blocks give 15 q.
+_WEAK16 = " + ".join(f"{c}*C(n,{k})" if c > 1 else f"C(n,{k})"
+                     for k, c in ((k, math.comb(15, k - 1)) for k in range(1, 17)))
+_TOURNAMENT16 = {
+    "strict": ("C(n,16)", "C(n,16)"),
+    "weak": (_WEAK16, _WEAK16),
+    "psi": ("q^120*C(n,1) + ", " + 15*q*C(n,15) + C(n,16)"),
+}
+
+
+@pytest.mark.parametrize("which", _TOURNAMENT16)
+def test_sixteen_vertex_tournament_answers_under_the_default_budget(
+        capsys, tmp_path, monkeypatch, which):
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    path = _tournament_file(tmp_path, 16)
+    code, out, err = run(capsys, "invariant", which, path, "--max-vertices", "16")
+    assert code == 0 and err == ""
+    assert out.startswith(f"graph: 16 vertices, 120 edges\ninvariant: {which}\n")
+    start, end = _TOURNAMENT16[which]
+    line = out.splitlines()[2]
+    assert line.startswith("binomial: " + start) and line.endswith(end)
+
+
+@pytest.mark.parametrize("which, binomial", (
+    ("strict", "0"), ("weak", "C(n,1)"), ("psi", "q^16*C(n,1)")))
+def test_sixteen_vertex_cycle_answers_under_the_default_budget(
+        capsys, tmp_path, monkeypatch, which, binomial):
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    path = _graph_file(tmp_path, "cycle16.txt", 16, [(i, (i + 1) % 16) for i in range(16)])
+    code, out, err = run(capsys, "invariant", which, path, "--max-vertices", "16")
+    assert code == 0 and err == ""
+    assert f"binomial: {binomial}\n" in out
+
+
+def test_bpoly_answers_on_nine_vertices_and_refuses_thirteen_at_once(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    code, out, err = run(capsys, "invariant", "bpoly", _tournament_file(tmp_path, 9))
+    assert code == 0 and err == ""
+    assert out.startswith("graph: 9 vertices, 36 edges\ninvariant: bpoly\n")
+    # on 13 vertices the walk over all surjections would take about a minute
+    path = _tournament_file(tmp_path, 13)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariant", "bpoly", path, "--max-vertices", "13")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: surjection scan over 13 vertices needs about ")
+    assert err.count("\n") == 1

@@ -13,7 +13,8 @@ from conftest import (all_digraphs, oracle_character_sum, oracle_chain_stats,
                       oracle_takeuchi_terms, random_digraph)
 from hopfdg import (EDGE, Character, Digraph, SizeLimitError, WorkLimitError,
                     antipode, character_polynomial, kernels)
-from hopfdg._engine import _fold, _lower_halves
+from hopfdg import _engine, limits
+from hopfdg._engine import _fold, _lower_halves, _surjection_work
 from hopfdg.rings import Q, Y, Z
 
 
@@ -113,12 +114,13 @@ def test_fold_steps_once_per_nested_pair_of_lower_halves():
 
 
 def test_engine_refuses_work_past_the_budget(monkeypatch):
-    # 2^16 + 1 lower halves for the lattice sums, 3^17 steps for the surjections
+    # 2^16 + 1 lower halves for the lattice sums; for the surjections, the
+    # bound on the accumulator entries their 3^17 steps walk
     monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
     tails, heads = list(range(16)), [16] * 16
     estimates = {kernels.chain_stats: 65537 * 65538 // 2,
                  kernels.takeuchi_terms: 65537 * 65538 // 2,
-                 kernels.surjection_stats: 3 ** 17}
+                 kernels.surjection_stats: _surjection_work(17, tails, heads)}
     for fn, estimate in estimates.items():
         with pytest.raises(WorkLimitError) as exc:
             fn(17, tails, heads)
@@ -127,6 +129,45 @@ def test_engine_refuses_work_past_the_budget(monkeypatch):
         assert "10000000" in message and "HOPFDG_MAX_WORK" in message
     with pytest.raises(WorkLimitError):
         kernels.character_sum(17, tails, heads, lambda mask: 1)
+
+
+def entries_walked(monkeypatch, g: Digraph) -> int:
+    """Accumulator entries surjection_stats walks on g, summed over its steps."""
+    walked = 0
+
+    def fold(nv, states, step):
+        def counting_step(target, source, low, block):
+            nonlocal walked
+            walked += len(source)
+            step(target, source, low, block)
+        return _fold(nv, states, counting_step)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_engine, "_fold", fold)
+        kernels.surjection_stats(*g.edge_arrays())
+    return walked
+
+
+def tournament(n: int) -> Digraph:
+    verts = [f"v{i:02d}" for i in range(n)]
+    return Digraph(verts, ((verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)))
+
+
+def test_surjection_estimate_bounds_the_entries_walked(monkeypatch):
+    rng = random.Random(71)
+    graphs = [g for labels in ("a", "ab", "abc") for g in all_digraphs(labels)]
+    graphs += [random_digraph(rng, labels, p) for labels in ("abcd", "abcdef", "abcdefg")
+               for p in (0.2, 0.5, 0.9)]
+    graphs.append(tournament(9))
+    for g in graphs:
+        assert entries_walked(monkeypatch, g) <= _surjection_work(*g.edge_arrays())
+
+
+def test_surjection_estimate_admits_every_nine_vertex_digraph():
+    # the bound grows with the edges, so the complete digraph stands for all
+    labels = "abcdefghi"
+    complete = Digraph(labels, ((u, v) for u in labels for v in labels if u != v))
+    assert _surjection_work(*complete.edge_arrays()) <= limits.DEFAULT_MAX_WORK
 
 
 def test_seventeen_vertex_cycle_has_two_lower_halves_and_an_answer():

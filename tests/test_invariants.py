@@ -8,7 +8,7 @@ from hopfdg import (BASIC, BinPoly, Digraph, EDGE, EMPTY, WorkLimitError,
                     antipode, b_polynomial, brute_strict, brute_weak,
                     character_polynomial, character_polynomial_of_sum,
                     check_edge_reciprocity, check_reciprocity, edge_invariant,
-                    strict_chromatic, weak_chromatic)
+                    kernels, strict_chromatic, weak_chromatic)
 from hopfdg.rings import Poly, Q, Y, Z
 
 
@@ -85,35 +85,49 @@ def test_edge_invariant_from_b_polynomial():
             assert expect == psi.coefficient(k)
 
 
-_INVARIANTS = {"strict": strict_chromatic, "weak": weak_chromatic,
-               "bpoly": b_polynomial, "psi": edge_invariant}
+# strict, weak and psi project the lattice histogram chain_stats; only
+# bpoly walks all surjections
+_ON_LATTICE = {"strict": strict_chromatic, "weak": weak_chromatic, "psi": edge_invariant}
 
 
-def _assert_matches_old_assembly(g):
+def _no_surjection_walk(*args):
+    raise AssertionError("the surjection walk ran")
+
+
+def _assert_matches_old_assembly(g, monkeypatch):
     want = oracle_invariants(g)
-    for name, fn in _INVARIANTS.items():
-        got = fn(g)
-        assert got == want[name], (name, g)
+    got = {"bpoly": b_polynomial(g)}
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "surjection_stats", _no_surjection_walk)
+        got.update((name, fn(g)) for name, fn in _ON_LATTICE.items())
+    for name, poly in got.items():
+        assert poly == want[name], (name, g)
         # equal tuples, and constant coefficients stay plain ints
-        assert [type(c) for c in got.coeffs] == [type(c) for c in want[name].coeffs]
+        assert [type(c) for c in poly.coeffs] == [type(c) for c in want[name].coeffs]
 
 
-def test_projection_matches_old_assembly_on_all_small_digraphs():
-    _assert_matches_old_assembly(EMPTY)
+def test_projection_matches_old_assembly_on_all_small_digraphs(monkeypatch):
+    _assert_matches_old_assembly(EMPTY, monkeypatch)
     for labels in ("a", "ab", "abc", "abcd"):
         for g in all_digraphs(labels):
-            _assert_matches_old_assembly(g)
+            _assert_matches_old_assembly(g, monkeypatch)
 
 
-def test_projection_matches_old_assembly_on_seeded_graphs():
+def test_projection_matches_old_assembly_on_seeded_graphs(monkeypatch):
     rng = random.Random(61)
     for labels, count in (("abcde", 8), ("abcdef", 4), ("abcdefg", 2)):
         for _ in range(count):
-            _assert_matches_old_assembly(random_digraph(rng, labels))
+            _assert_matches_old_assembly(random_digraph(rng, labels), monkeypatch)
+
+
+def test_only_bpoly_walks_all_surjections(monkeypatch, g3):
+    # the guard of the tests above stops the walk bpoly really takes
+    monkeypatch.setattr(kernels, "surjection_stats", _no_surjection_walk)
+    with pytest.raises(AssertionError, match="surjection walk"):
+        b_polynomial(g3)
 
 
 def test_surjection_statistics_behind_invariants():
-    from hopfdg import kernels
     rng = random.Random(29)
     for _ in range(20):
         g = random_digraph(rng, "abcd")
