@@ -17,9 +17,9 @@ from .digraph import (Digraph, EMPTY, disjoint_union, format_graph,
 from .errors import (GraphParseError, ResourceLimitError, SizeLimitError,
                      UnboundedFlowError, WorkLimitError)
 from .hopf import (BASIC, Character, EDGE, FormalSum, antipode,
-                   antipode_of_sum, basic_char, character_of_sum,
-                   character_polynomial, character_polynomial_of_sum,
-                   edge_char)
+                   antipode_masks, antipode_of_sum, basic_char,
+                   character_of_sum, character_polynomial,
+                   character_polynomial_of_sum, edge_char)
 from .invariants import (ReciprocityCheck, b_polynomial, brute_strict,
                          brute_weak, check_edge_reciprocity,
                          check_reciprocity, edge_invariant, strict_chromatic,
@@ -37,9 +37,9 @@ __all__ = [
     "FormalSum", "GraphParseError", "INF", "Infinity", "MorphismCheck",
     "Poly", "ReciprocityCheck", "ResourceLimitError", "SINK", "SOURCE",
     "SizeLimitError", "UnboundedFlowError", "WorkLimitError",
-    "antipode", "antipode_of_sum", "ascent_polytope_points", "audit_flow",
-    "b_polynomial", "base_member", "basic_char", "binomial", "brute_strict",
-    "brute_weak", "build_flow_network", "character_of_sum",
+    "antipode", "antipode_masks", "antipode_of_sum", "ascent_polytope_points",
+    "audit_flow", "b_polynomial", "base_member", "basic_char", "binomial",
+    "brute_strict", "brute_weak", "build_flow_network", "character_of_sum",
     "character_polynomial", "character_polynomial_of_sum",
     "check_cone_polytope_agreement", "check_edge_reciprocity",
     "check_low_morphism", "check_reciprocity", "cone_generators",

@@ -23,10 +23,11 @@ with their head in S.  The edges a block T keeps are inside[T].
 
 Each sum first asks hopfdg.limits for tables of at most SUBSET_BOUND
 vertices and for its steps within the work budget: L(L+1)/2 over L
-lower halves, a bound on the nested pairs taken right after the 2^n
-scan, and over all subsets a bound on the accumulator entries the fold
-walks (_surjection_work), since each of the 3^n steps walks a whole
-accumulator.
+lower halves, a bound on the nested pairs, checked right after the 2^n
+scan and, when 2^n lower halves would not fit the budget, once before
+it against a lower bound on L (_halves_floor); and over all subsets a
+bound on the accumulator entries the fold walks (_surjection_work),
+since each of the 3^n steps walks a whole accumulator.
 
 The fold visits the states in order of size.  A state's accumulator is
 complete once every state below it has been visited; it is then pushed
@@ -55,9 +56,76 @@ def _lower_halves(nv: int, tails: list[int], heads: list[int]) -> list[int]:
     return [s for s in range(size) if not inpred[s] & ~s]
 
 
+def _halves_floor(nv: int, tails: list[int], heads: list[int]) -> int:
+    """A lower bound on the number of lower halves, in O(n + m).
+
+    The lower halves of a graph are the unions of one lower half of each
+    weakly connected component.  In a component with s strong components,
+    the prefixes of a topological order of those s give s + 1 of them.
+    """
+    out: list[list[int]] = [[] for _ in range(nv)]
+    weak = list(range(nv))     # union-find forest of the weak components
+
+    def root(v: int) -> int:
+        while weak[v] != v:
+            weak[v] = v = weak[weak[v]]
+        return v
+
+    for t, h in zip(tails, heads):
+        out[t].append(h)
+        weak[root(t)] = root(h)
+    # Tarjan's strong components, counted at the root of each weak component
+    strong = [0] * nv
+    order = [0] * nv           # visit number from 1; 0 while unvisited
+    low = [0] * nv
+    placed = [False] * nv      # assigned to a finished strong component
+    stack: list[int] = []
+    count = 0
+    for start in range(nv):
+        if order[start]:
+            continue
+        count += 1
+        order[start] = low[start] = count
+        stack.append(start)
+        path = [(start, iter(out[start]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if not order[w]:
+                    count += 1
+                    order[w] = low[w] = count
+                    stack.append(w)
+                    path.append((w, iter(out[w])))
+                    break
+                if not placed[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    strong[root(v)] += 1
+                    while True:
+                        w = stack.pop()
+                        placed[w] = True
+                        if w == v:
+                            break
+    floor = 1
+    for s in strong:
+        floor *= s + 1
+    return floor
+
+
 def _lattice(nv: int, tails: list[int], heads: list[int]) -> list[int]:
     """The lower halves, once the tables and the fold over them fit the limits."""
     limits.check_size("composition sum", nv, limits.SUBSET_BOUND)
+    # before the 2^n scan, refuse what a lower bound on L already puts over
+    # the budget; a graph whose 2^n subsets would all fit needs no bound
+    size = 1 << nv
+    if size * (size + 1) // 2 > limits.work_budget():
+        floor = _halves_floor(nv, tails, heads)
+        limits.check_work(f"composition sum over at least {floor} lower halves",
+                          floor * (floor + 1) // 2)
     halves = _lower_halves(nv, tails, heads)
     count = len(halves)
     limits.check_work(f"composition sum over {count} lower halves",

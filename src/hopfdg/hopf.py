@@ -15,7 +15,8 @@ themselves.  Both paths are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from itertools import compress
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import kernels, limits
 from .digraph import Digraph
@@ -95,29 +96,50 @@ class FormalSum:
         return FormalSum.of(self.vertices, ((g, c * k) for g, k in self.terms.items()))
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _kept(items: Sequence, mask: int) -> Iterator:
+    """items[i] for each bit len(items)-1-i set in mask, in the order of items."""
+    return compress(items, f"{mask:0{len(items)}b}".encode().translate(_BIT_FLAGS))
+
+
+def antipode_masks(g: Digraph, *, max_vertices: int | None = None
+                   ) -> tuple[tuple[tuple[str, str], ...], list[tuple[int, int]]]:
+    """The antipode as (edge_list, [(mask, coefficient), ...]).
+
+    Bit m-1-i of a mask, m = len(edge_list), stands for edge_list[i].  The
+    pairs come in the order of FormalSum.items: more edges first, ties by
+    edge list.  Of two kept sets of one size, the one holding the lowest
+    edge index where they differ has the larger mask, so the order is that
+    of (-popcount, -mask).
+    """
+    nv = len(g.vertices)
+    limits.check_size("composition enumeration", nv, max_vertices)
+    edge_list = g.edge_list
+    if nv == 0:
+        return edge_list, [(0, 1)]
+    _, tails, heads = g.edge_arrays()
+    # the kernel returns distinct edge masks with non-zero coefficients
+    terms = kernels.takeuchi_terms(nv, tails[::-1], heads[::-1])
+    m = len(edge_list)
+    full = (1 << m) - 1
+    keys = sorted((mask.bit_count() << m | mask for mask in terms), reverse=True)
+    return edge_list, [(key & full, terms[key & full]) for key in keys]
+
+
 def antipode(g: Digraph, *, max_vertices: int | None = None) -> FormalSum:
     """Alternating sum over admissible compositions, as one formal sum.
 
     The empty graph maps to itself with coefficient +1.  Each term keeps
     the edges lying inside a single block of its composition, so the
-    result is supported on spanning subgraphs of g.
+    result is supported on spanning subgraphs of g.  The terms are stored
+    in the order of FormalSum.items.
     """
-    nv = len(g.vertices)
-    limits.check_size("composition enumeration", nv, max_vertices)
-    if nv == 0:
-        return FormalSum.of((), [(g, 1)])
-    _, tails, heads = g.edge_arrays()
-    edge_list = g.edge_list
-    terms = {}
-    # the kernel returns distinct edge masks with non-zero coefficients
-    for mask, c in kernels.takeuchi_terms(nv, tails, heads).items():
-        kept = []
-        while mask:
-            low = mask & -mask
-            kept.append(edge_list[low.bit_length() - 1])
-            mask ^= low
-        terms[g._subgraph(g.vertices, kept)] = c
-    return FormalSum(g.vertices, terms)
+    edge_list, terms = antipode_masks(g, max_vertices=max_vertices)
+    verts = g.vertices
+    return FormalSum(verts, {g._subgraph(verts, _kept(edge_list, mask)): c
+                             for mask, c in terms})
 
 
 def character_polynomial(g: Digraph, character: Character | Callable[[Digraph], Any],

@@ -30,13 +30,18 @@ def check_size(what: str, nv: int, limit: int | None) -> None:
         raise SizeLimitError(f"{what} over {nv} vertices exceeds bound {limit}")
 
 
-def check_work(what: str, estimate: int) -> None:
-    """Refuse `what` when its estimated steps exceed the work budget."""
+def work_budget() -> int:
+    """The work budget: HOPFDG_MAX_WORK when set, else DEFAULT_MAX_WORK."""
     raw = os.environ.get(ENV_MAX_WORK, DEFAULT_MAX_WORK)
     try:
-        budget = int(raw)
+        return int(raw)
     except ValueError:
         raise ValueError(f"{ENV_MAX_WORK} must be an integer, got {raw!r}")
+
+
+def check_work(what: str, estimate: int) -> None:
+    """Refuse `what` when its estimated steps exceed the work budget."""
+    budget = work_budget()
     if estimate > budget:
         raise WorkLimitError(f"{what} needs about {estimate} steps, over the work "
                              f"budget {budget}; set {ENV_MAX_WORK} to raise it")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -260,6 +261,33 @@ def oracle_surjection_walk(nv, tails, heads) -> dict[tuple[int, int, int], int]:
 
         walk(0, 0, 0, 0)
     return stats
+
+
+# ---------------------------------------------------------------------------
+# The antipode output as the command line printed it before it rendered the
+# kernel's edge masks: one Digraph per term, sorted by (-|E|, edge_list),
+# each term's edges sorted again to print them, and json.dumps of the whole
+# payload.  The terms come from the submask DP oracle above.
+
+def oracle_antipode_output(g: Digraph, fmt: str) -> str:
+    """Stdout of `hopfdg antipode` on g in the given --format."""
+    nv, tails, heads = g.edge_arrays()
+    edge_list = g.edge_list
+    terms = {Digraph(g.vertices, (edge_list[e] for e in range(len(edge_list)) if mask >> e & 1)): c
+             for mask, c in oracle_takeuchi_terms(nv, tails, heads).items()}
+    ordered = [(t, terms[t]) for t in sorted(terms, key=lambda t: (-len(t.edges), t.edge_list))]
+    if fmt == "json":
+        payload = {
+            "graph": {"vertices": list(g.vertices), "edges": [[u, v] for u, v in g.edge_list]},
+            "terms": [{"coefficient": c, "edges": [[u, v] for u, v in t.edge_list]}
+                      for t, c in ordered],
+        }
+        return json.dumps(payload) + "\n"
+    lines = [f"antipode: {len(ordered)} terms on {nv} vertices"]
+    for t, c in ordered:
+        edges = ", ".join(f"{u}->{v}" for u, v in t.edge_list)
+        lines.append(f"{c:+d} * [{edges}]")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from conftest import (all_digraphs, oracle_character_sum, oracle_chain_stats,
 from hopfdg import (EDGE, Character, Digraph, SizeLimitError, WorkLimitError,
                     antipode, character_polynomial, kernels)
 from hopfdg import _engine, limits
-from hopfdg._engine import _fold, _lower_halves, _surjection_work
+from hopfdg._engine import _fold, _halves_floor, _lower_halves, _surjection_work
+from hopfdg.cli import main
 from hopfdg.rings import Q, Y, Z
 
 
@@ -182,3 +183,41 @@ def test_dense_tables_stay_within_the_subset_bound(monkeypatch):
     for fn in (kernels.chain_stats, kernels.surjection_stats):
         with pytest.raises(SizeLimitError):
             fn(21, [], [])
+
+
+def test_halves_floor_never_exceeds_the_lower_halves():
+    rng = random.Random(23)
+    graphs = [g for labels in ("", "a", "ab", "abc", "abcd") for g in all_digraphs(labels)]
+    graphs += [random_digraph(rng, labels, p) for labels in ("abcde", "abcdef", "abcdefg")
+               for p in (0.1, 0.2, 0.35, 0.6) for _ in range(5)]
+    for g in graphs:
+        nv, tails, heads = g.edge_arrays()
+        assert 1 <= _halves_floor(nv, tails, heads) <= len(_lower_halves(nv, tails, heads))
+    # exact when each weak component's strong components form a chain:
+    # 20 isolated vertices, a 3-cycle beside a path of 4 vertices, a path
+    # into a 2-cycle
+    assert _halves_floor(20, [], []) == 1 << 20
+    assert _halves_floor(7, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 6]) == 2 * 5
+    assert _halves_floor(4, [0, 1, 2, 3], [1, 2, 3, 2]) == 4
+
+
+@pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
+@pytest.mark.parametrize("nv, budget", ((20, None), (8, "1000")))
+def test_isolated_vertices_are_refused_before_the_scan(capsys, monkeypatch, tmp_path,
+                                                       argv, nv, budget):
+    if budget is None:
+        monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    else:
+        monkeypatch.setenv("HOPFDG_MAX_WORK", budget)
+
+    def no_scan(*args):
+        raise AssertionError("the 2^n scan ran before the refusal")
+
+    monkeypatch.setattr(_engine, "_lower_halves", no_scan)
+    path = tmp_path / "isolated.txt"
+    path.write_text("vertices: " + " ".join(f"v{i:02d}" for i in range(nv)) + "\n")
+    code = main([*argv, str(path), "--max-vertices", str(nv)])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith(f"resource limit: composition sum over at least {1 << nv} "
+                              "lower halves needs about ")
