@@ -13,21 +13,22 @@ folds a value along such chains:
       colorings reads chain_stats, since a coloring weakly increasing
       along the edges is exactly a chain of lower halves.
 
-The lower halves come from one table, inpred[S], the tails of the edges
-into S, built in O(2^n) by a lowest-bit recurrence: S is a lower half
-exactly when inpred[S] lies inside S.  _lower_halves is the only scan for
-them in the package; hopfdg.kernels.lower_half_masks exposes it.  The
-sums over blocks read a second pair of tables built the same way:
-inside[S], the mask of edges with both ends in S, and into[S], the edges
-with their head in S.  The edges a block T keeps are inside[T].
+A lower half is a union of down-sets, the down-set of v being v and
+every vertex with a path to v.  _walk_halves yields each lower half once,
+adding one distinct down-set at a time to the halves it has found, so it
+costs about L times the number of distinct down-sets for L lower halves;
+hopfdg.kernels.lower_half_masks exposes it.  The sums over blocks read a
+pair of tables built in O(2^n) by a lowest-bit recurrence: inside[S],
+the mask of edges with both ends in S, and into[S], the edges with their
+head in S.  The edges a block T keeps are inside[T].
 
 Each sum first asks hopfdg.limits for tables of at most SUBSET_BOUND
-vertices and for its steps within the work budget: L(L+1)/2 over L
-lower halves, a bound on the nested pairs, checked right after the 2^n
-scan and, when 2^n lower halves would not fit the budget, once before
-it against a lower bound on L (_halves_floor); and over all subsets a
-bound on the accumulator entries the fold walks (_surjection_work),
-since each of the 3^n steps walks a whole accumulator.
+vertices and for its steps within the work budget: over the lower
+halves L(L+1)/2, a bound on the nested pairs, checked on at most one
+more lower half than the budget admits, so that a refusal stops the walk
+early and names a lower bound on L; over all subsets a bound on the
+accumulator entries the fold walks (_surjection_work), since each of the
+3^n steps walks a whole accumulator.
 
 The fold visits the states in order of size.  A state's accumulator is
 complete once every state below it has been visited; it is then pushed
@@ -37,100 +38,56 @@ it.  Only the accumulators of states not yet visited are alive.
 
 from __future__ import annotations
 
-from math import comb
-from typing import Any, Callable, Iterable
+from itertools import islice
+from math import comb, isqrt
+from typing import Any, Callable, Iterable, Iterator
 
 from . import limits
 
 
-def _lower_halves(nv: int, tails: list[int], heads: list[int]) -> list[int]:
-    """Masks S with no edge entering S from outside, in increasing order."""
-    pred = [0] * nv      # tails of the edges into each vertex
+def _down_sets(nv: int, tails: list[int], heads: list[int]) -> list[int]:
+    """down[v]: v and every vertex with a path to v, by Warshall on bit rows."""
+    down = [1 << v for v in range(nv)]
     for t, h in zip(tails, heads):
-        pred[h] |= 1 << t
-    size = 1 << nv
-    inpred = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        inpred[s] = inpred[s ^ low] | pred[low.bit_length() - 1]
-    return [s for s in range(size) if not inpred[s] & ~s]
+        down[h] |= 1 << t
+    for k in range(nv):
+        bit, row = 1 << k, down[k]
+        for v in range(nv):
+            if down[v] & bit:
+                down[v] |= row
+    return down
 
 
-def _halves_floor(nv: int, tails: list[int], heads: list[int]) -> int:
-    """A lower bound on the number of lower halves, in O(n + m).
+def _walk_halves(nv: int, tails: list[int], heads: list[int]) -> Iterator[int]:
+    """Each lower half once, breadth first from the empty set.
 
-    The lower halves of a graph are the unions of one lower half of each
-    weakly connected component.  In a component with s strong components,
-    the prefixes of a topological order of those s give s + 1 of them.
+    A lower half is the union of the down-sets of its vertices, so adding
+    one distinct down-set at a time reaches every lower half from 0.
     """
-    out: list[list[int]] = [[] for _ in range(nv)]
-    weak = list(range(nv))     # union-find forest of the weak components
-
-    def root(v: int) -> int:
-        while weak[v] != v:
-            weak[v] = v = weak[weak[v]]
-        return v
-
-    for t, h in zip(tails, heads):
-        out[t].append(h)
-        weak[root(t)] = root(h)
-    # Tarjan's strong components, counted at the root of each weak component
-    strong = [0] * nv
-    order = [0] * nv           # visit number from 1; 0 while unvisited
-    low = [0] * nv
-    placed = [False] * nv      # assigned to a finished strong component
-    stack: list[int] = []
-    count = 0
-    for start in range(nv):
-        if order[start]:
-            continue
-        count += 1
-        order[start] = low[start] = count
-        stack.append(start)
-        path = [(start, iter(out[start]))]
-        while path:
-            v, edges = path[-1]
-            for w in edges:
-                if not order[w]:
-                    count += 1
-                    order[w] = low[w] = count
-                    stack.append(w)
-                    path.append((w, iter(out[w])))
-                    break
-                if not placed[w] and order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                path.pop()
-                if path and low[v] < low[path[-1][0]]:
-                    low[path[-1][0]] = low[v]
-                if low[v] == order[v]:
-                    strong[root(v)] += 1
-                    while True:
-                        w = stack.pop()
-                        placed[w] = True
-                        if w == v:
-                            break
-    floor = 1
-    for s in strong:
-        floor *= s + 1
-    return floor
+    downs = set(_down_sets(nv, tails, heads))
+    seen = {0}
+    queue = [0]
+    yield 0
+    for low in queue:   # the queue grows while it is read
+        for down in downs:
+            high = low | down
+            if high not in seen:
+                seen.add(high)
+                queue.append(high)
+                yield high
 
 
 def _lattice(nv: int, tails: list[int], heads: list[int]) -> list[int]:
     """The lower halves, once the tables and the fold over them fit the limits."""
     limits.check_size("composition sum", nv, limits.SUBSET_BOUND)
-    # before the 2^n scan, refuse what a lower bound on L already puts over
-    # the budget; a graph whose 2^n subsets would all fit needs no bound
-    size = 1 << nv
-    if size * (size + 1) // 2 > limits.work_budget():
-        floor = _halves_floor(nv, tails, heads)
-        limits.check_work(f"composition sum over at least {floor} lower halves",
-                          floor * (floor + 1) // 2)
-    halves = _lower_halves(nv, tails, heads)
+    # cap is the most lower halves L whose L(L+1)/2 nested pairs fit the
+    # budget, so the walk stops at cap + 1: a refusal names a lower bound
+    cap = (isqrt(8 * max(limits.work_budget(), 0) + 1) - 1) // 2
+    halves = list(islice(_walk_halves(nv, tails, heads), cap + 1))
     count = len(halves)
-    limits.check_work(f"composition sum over {count} lower halves",
+    limits.check_work(f"composition sum over at least {count} lower halves",
                       count * (count + 1) // 2)
-    return halves
+    return sorted(halves)
 
 
 def _edge_tables(nv: int, tails: list[int], heads: list[int]) -> tuple[list[int], list[int]]:

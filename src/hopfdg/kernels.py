@@ -3,10 +3,10 @@
 A graph in kernel form is (nv, tails, heads): edge e runs tails[e] ->
 heads[e] between vertex indices 0..nv-1, and subsets travel as bitmasks
 over those indices.  The composition sums come from the one dynamic
-program in _engine, and the lower halves from its one scan.  The counts
-of colorings and of lattice points walk the coordinates directly; they
-are the brute-force route the polynomial invariants are checked against,
-so they share no code with the engine.
+program in _engine, and the lower halves from its walk over unions of
+down-sets.  The counts of colorings and of lattice points walk the
+coordinates directly; they are the brute-force route the polynomial
+invariants are checked against, so they share no code with the engine.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ surjection_stats = _engine.surjection_stats
 
 def lower_half_masks(nv: int, tails: list[int], heads: list[int]) -> list[int]:
     """Masks S with no edge entering S from outside, in increasing order."""
-    # a def, not an alias of _engine._lower_halves, so that wrapping this
+    # a def, not an alias of an _engine function, so that wrapping this
     # public name (as perfbench's tracer does) leaves the engine's own calls
     # unwrapped
-    return _engine._lower_halves(nv, tails, heads)
+    return sorted(_engine._walk_halves(nv, tails, heads))
 
 
 def count_strict_colorings(nv: int, tails: list[int], heads: list[int], n: int) -> int:

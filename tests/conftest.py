@@ -89,6 +89,23 @@ def oracle_is_lower_half(g: Digraph, sub) -> bool:
     return all(u in sub or v not in sub for u, v in g.edges)
 
 
+def oracle_lower_halves(nv, tails, heads) -> list[int]:
+    """Masks S with no edge entering S, in increasing order, by a scan of all 2^n.
+
+    inpred[S], the tails of the edges into S, comes from a lowest-bit
+    recurrence; S is a lower half exactly when inpred[S] lies inside S.
+    """
+    pred = [0] * nv
+    for t, h in zip(tails, heads):
+        pred[h] |= 1 << t
+    size = 1 << nv
+    inpred = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        inpred[s] = inpred[s ^ low] | pred[low.bit_length() - 1]
+    return [s for s in range(size) if not inpred[s] & ~s]
+
+
 def admissible_compositions(g: Digraph):
     """All block sequences whose prefix unions admit no incoming edge."""
     n = len(g.vertices)

@@ -1,7 +1,8 @@
 """The composition-sum engine against the algorithms it replaced.
 
-The oracles in conftest are the earlier submask DPs over remaining sets
-and the k^n walk over colorings; they share no code with hopfdg._engine.
+The oracles in conftest are the earlier submask DPs over remaining sets,
+the k^n walk over colorings and the 2^n scan for the lower halves; they
+share no code with hopfdg._engine.
 """
 
 import random
@@ -9,12 +10,12 @@ import random
 import pytest
 
 from conftest import (all_digraphs, oracle_character_sum, oracle_chain_stats,
-                      oracle_is_lower_half, oracle_surjection_walk,
-                      oracle_takeuchi_terms, random_digraph)
+                      oracle_is_lower_half, oracle_lower_halves,
+                      oracle_surjection_walk, oracle_takeuchi_terms, random_digraph)
 from hopfdg import (EDGE, Character, Digraph, SizeLimitError, WorkLimitError,
                     antipode, character_polynomial, kernels)
 from hopfdg import _engine, limits
-from hopfdg._engine import _fold, _halves_floor, _lower_halves, _surjection_work
+from hopfdg._engine import _down_sets, _fold, _surjection_work
 from hopfdg.cli import main
 from hopfdg.rings import Q, Y, Z
 
@@ -92,7 +93,7 @@ def test_lower_half_scan_matches_definition():
         nv, tails, heads = g.edge_arrays()
         want = [mask for mask in range(1 << nv) if oracle_is_lower_half(
             g, (g.vertices[i] for i in range(nv) if mask >> i & 1))]
-        assert _lower_halves(nv, tails, heads) == want
+        assert oracle_lower_halves(nv, tails, heads) == want
         assert kernels.lower_half_masks(nv, tails, heads) == want
 
 
@@ -103,10 +104,35 @@ def test_lower_half_scan_has_no_kernel_bound():
     assert halves == [(1 << j) - 1 for j in range(nv + 1)]
 
 
+def test_lower_half_walk_matches_the_scan():
+    rng = random.Random(29)
+    graphs = [g.edge_arrays() for labels in ("", "a", "ab", "abc", "abcd")
+              for g in all_digraphs(labels)]
+    graphs += [random_digraph(rng, "abcdefg"[:n], p).edge_arrays() for n in (5, 6, 7)
+               for p in (0.1, 0.2, 0.35, 0.5, 0.7) for _ in range(4)]
+    # no vertices; the 17-vertex path; a 3-cycle beside a path of 4 vertices;
+    # a path into a 2-cycle
+    graphs += [(0, [], []), (17, list(range(16)), list(range(1, 17))),
+               (7, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 6]), (4, [0, 1, 2, 3], [1, 2, 3, 2])]
+    for nv, tails, heads in graphs:
+        assert kernels.lower_half_masks(nv, tails, heads) == oracle_lower_halves(nv, tails, heads)
+
+
+def test_down_sets_are_the_vertices_with_a_path_in():
+    for labels in ("", "a", "ab", "abc", "abcd"):
+        for g in all_digraphs(labels):
+            nv, tails, heads = g.edge_arrays()
+            reach = [{v} for v in range(nv)]   # reach[v]: the vertices with a path to v
+            for _ in range(nv):
+                for t, h in zip(tails, heads):
+                    reach[h] |= reach[t]
+            assert _down_sets(nv, tails, heads) == [sum(1 << u for u in r) for r in reach]
+
+
 def test_fold_steps_once_per_nested_pair_of_lower_halves():
     for g in seeded_six_vertex_digraphs():
         nv, tails, heads = g.edge_arrays()
-        halves = _lower_halves(nv, tails, heads)
+        halves = kernels.lower_half_masks(nv, tails, heads)
         seen = []
         _fold(nv, halves, lambda target, source, low, block: seen.append((low, block)))
         want = sorted((low, high ^ low) for low in halves for high in halves
@@ -114,19 +140,30 @@ def test_fold_steps_once_per_nested_pair_of_lower_halves():
         assert sorted(seen) == want
 
 
+def halves_cap(budget: int) -> int:
+    """The most lower halves L whose L(L+1)/2 nested pairs fit the budget."""
+    cap = 0
+    while (cap + 1) * (cap + 2) // 2 <= budget:
+        cap += 1
+    return cap
+
+
 def test_engine_refuses_work_past_the_budget(monkeypatch):
-    # 2^16 + 1 lower halves for the lattice sums; for the surjections, the
-    # bound on the accumulator entries their 3^17 steps walk
+    # the 17-vertex star has 2^16 + 1 lower halves; the lattice sums stop
+    # at one more than the budget admits.  For the surjections, the bound
+    # on the accumulator entries their 3^17 steps walk
     monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
     tails, heads = list(range(16)), [16] * 16
-    estimates = {kernels.chain_stats: 65537 * 65538 // 2,
-                 kernels.takeuchi_terms: 65537 * 65538 // 2,
-                 kernels.surjection_stats: _surjection_work(17, tails, heads)}
-    for fn, estimate in estimates.items():
+    seen = halves_cap(limits.DEFAULT_MAX_WORK) + 1
+    assert seen == 4472
+    lattice = f"at least {seen} lower halves needs about {seen * (seen + 1) // 2} steps"
+    messages = {kernels.chain_stats: lattice, kernels.takeuchi_terms: lattice,
+                kernels.surjection_stats: f"about {_surjection_work(17, tails, heads)} steps"}
+    for fn, want in messages.items():
         with pytest.raises(WorkLimitError) as exc:
             fn(17, tails, heads)
         message = str(exc.value)
-        assert str(estimate) in message
+        assert want in message
         assert "10000000" in message and "HOPFDG_MAX_WORK" in message
     with pytest.raises(WorkLimitError):
         kernels.character_sum(17, tails, heads, lambda mask: 1)
@@ -185,39 +222,64 @@ def test_dense_tables_stay_within_the_subset_bound(monkeypatch):
             fn(21, [], [])
 
 
-def test_halves_floor_never_exceeds_the_lower_halves():
-    rng = random.Random(23)
-    graphs = [g for labels in ("", "a", "ab", "abc", "abcd") for g in all_digraphs(labels)]
-    graphs += [random_digraph(rng, labels, p) for labels in ("abcde", "abcdef", "abcdefg")
-               for p in (0.1, 0.2, 0.35, 0.6) for _ in range(5)]
-    for g in graphs:
-        nv, tails, heads = g.edge_arrays()
-        assert 1 <= _halves_floor(nv, tails, heads) <= len(_lower_halves(nv, tails, heads))
-    # exact when each weak component's strong components form a chain:
-    # 20 isolated vertices, a 3-cycle beside a path of 4 vertices, a path
-    # into a 2-cycle
-    assert _halves_floor(20, [], []) == 1 << 20
-    assert _halves_floor(7, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 6]) == 2 * 5
-    assert _halves_floor(4, [0, 1, 2, 3], [1, 2, 3, 2]) == 4
+def assert_refused_early(capsys, monkeypatch, tmp_path, argv, text, budget):
+    """Exit 3 with no 2^n table built and at most cap + 1 lower halves taken."""
+    if budget is None:
+        monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    else:
+        monkeypatch.setenv("HOPFDG_MAX_WORK", budget)
+
+    def no_tables(*args):
+        raise AssertionError("the 2^n edge tables were built before the refusal")
+
+    taken = 0
+    walk = _engine._walk_halves
+
+    def counted_walk(*args):
+        nonlocal taken
+        for half in walk(*args):
+            taken += 1
+            yield half
+
+    monkeypatch.setattr(_engine, "_edge_tables", no_tables)
+    monkeypatch.setattr(_engine, "_walk_halves", counted_walk)
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    code = main([*argv, str(path), "--max-vertices", "20"])
+    out = capsys.readouterr()
+    seen = halves_cap(limits.work_budget()) + 1
+    assert code == 3 and out.out == ""
+    assert taken == seen
+    assert out.err.startswith(f"resource limit: composition sum over at least {seen} "
+                              "lower halves needs about ")
 
 
 @pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
 @pytest.mark.parametrize("nv, budget", ((20, None), (8, "1000")))
 def test_isolated_vertices_are_refused_before_the_scan(capsys, monkeypatch, tmp_path,
                                                        argv, nv, budget):
-    if budget is None:
-        monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
-    else:
-        monkeypatch.setenv("HOPFDG_MAX_WORK", budget)
+    text = "vertices: " + " ".join(f"v{i:02d}" for i in range(nv)) + "\n"
+    assert_refused_early(capsys, monkeypatch, tmp_path, argv, text, budget)
 
-    def no_scan(*args):
-        raise AssertionError("the 2^n scan ran before the refusal")
 
-    monkeypatch.setattr(_engine, "_lower_halves", no_scan)
-    path = tmp_path / "isolated.txt"
-    path.write_text("vertices: " + " ".join(f"v{i:02d}" for i in range(nv)) + "\n")
-    code = main([*argv, str(path), "--max-vertices", str(nv)])
+@pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
+def test_star_is_refused_before_the_scan(capsys, monkeypatch, tmp_path, argv):
+    # 16 sources into one sink: 2^16 + 1 lower halves, 17 distinct down-sets
+    text = "vertices: " + " ".join(f"v{i:02d}" for i in range(17)) + "\n"
+    text += "".join(f"v{i:02d} -> v16\n" for i in range(16))
+    assert_refused_early(capsys, monkeypatch, tmp_path, argv, text, None)
+
+
+@pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
+@pytest.mark.parametrize("budget, want", (("-1", 3), ("0", 3), ("abc", 2)))
+def test_budget_edge_cases_keep_their_exit_codes(capsys, monkeypatch, tmp_path,
+                                                 argv, budget, want):
+    # even the empty set alone does not fit a budget below 1
+    monkeypatch.setenv("HOPFDG_MAX_WORK", budget)
+    path = tmp_path / "path.txt"
+    path.write_text("vertices: a b c\na -> b\nb -> c\n")
+    code = main([*argv, str(path)])
     out = capsys.readouterr()
-    assert code == 3 and out.out == ""
-    assert out.err.startswith(f"resource limit: composition sum over at least {1 << nv} "
-                              "lower halves needs about ")
+    assert code == want and out.out == ""
+    assert out.err.startswith("resource limit: " if want == 3 else "input error: ")
+    assert "Traceback" not in out.err
