@@ -17,18 +17,17 @@ A lower half is a union of down-sets, the down-set of v being v and
 every vertex with a path to v.  _walk_halves yields each lower half once,
 adding one distinct down-set at a time to the halves it has found, so it
 costs about L times the number of distinct down-sets for L lower halves;
-hopfdg.kernels.lower_half_masks exposes it.  The sums over blocks read a
-pair of tables built in O(2^n) by a lowest-bit recurrence: inside[S],
-the mask of edges with both ends in S, and into[S], the edges with their
-head in S.  The edges a block T keeps are inside[T].
+hopfdg.kernels.lower_half_masks exposes it.  The sums over blocks read
+two edge masks per state (_edge_masks), never a table over all subsets.
 
-Each sum first asks hopfdg.limits for tables of at most SUBSET_BOUND
-vertices and for its steps within the work budget: over the lower
-halves L(L+1)/2, a bound on the nested pairs, checked on at most one
-more lower half than the budget admits, so that a refusal stops the walk
-early and names a lower bound on L; over all subsets a bound on the
-accumulator entries the fold walks (_surjection_work), since each of the
-3^n steps walks a whole accumulator.
+Each sum first asks hopfdg.limits for at most SUBSET_BOUND vertices and
+for its steps within the work budget: over the lower halves L(L+1)/2, a
+bound on the nested pairs, checked on at most one more lower half than
+the budget admits, so that a refusal stops the walk early and names a
+lower bound on L; over all subsets a bound on the accumulator entries
+the fold walks (_surjection_work), since each of the 3^n steps walks a
+whole accumulator.  Neither estimate counts the antipode's terms, of
+which a transitive tournament has 2^(n-1), so SUBSET_BOUND caps those.
 
 The fold visits the states in order of size.  A state's accumulator is
 complete once every state below it has been visited; it is then pushed
@@ -90,28 +89,27 @@ def _lattice(nv: int, tails: list[int], heads: list[int]) -> list[int]:
     return sorted(halves)
 
 
-def _edge_tables(nv: int, tails: list[int], heads: list[int]) -> tuple[list[int], list[int]]:
-    """inside (edges with both ends in S) and into (edges with their head in S)."""
-    at = [0] * nv        # edges touching each vertex
-    ending = [0] * nv    # edges whose head is the vertex
+def _edge_masks(nv: int, tails: list[int], heads: list[int],
+                states: Iterable[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """out[S], the edges with their tail in S, and into[S], those with their head in S.
+
+    Every edge has one tail and one head, so for states low < high the
+    block high ^ low keeps (out[high] ^ out[low]) & (into[high] ^ into[low]).
+    """
+    tail_at, head_at = [0] * nv, [0] * nv
     for e, (t, h) in enumerate(zip(tails, heads)):
-        bit = 1 << e
-        at[t] |= bit
-        at[h] |= bit
-        ending[h] |= bit
-    size = 1 << nv
-    inside = [0] * size
-    touching = [0] * size
-    into = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        v = low.bit_length() - 1
-        r = s ^ low
-        # an edge at v that also touches r has its other end in r
-        inside[s] = inside[r] | (at[v] & touching[r])
-        touching[s] = touching[r] | at[v]
-        into[s] = into[r] | ending[v]
-    return inside, into
+        tail_at[t] |= 1 << e
+        head_at[h] |= 1 << e
+    out, into = {0: 0}, {0: 0}
+    for s in states:
+        o, i, rest = 0, 0, s
+        while rest not in out:   # drop lowest vertices down to a state seen before
+            v = (rest & -rest).bit_length() - 1
+            o |= tail_at[v]
+            i |= head_at[v]
+            rest &= rest - 1
+        out[s], into[s] = o | out[rest], i | into[rest]
+    return out, into
 
 
 def _fold(nv: int, states: Iterable[int],
@@ -125,9 +123,7 @@ def _fold(nv: int, states: Iterable[int],
     """
     states = sorted(states, key=int.bit_count)
     full = (1 << nv) - 1
-    member = bytearray(1 << nv)
-    for s in states:
-        member[s] = 1
+    member = set(states)
     acc: dict[int, dict] = {0: {0: 1}}
     count = len(states)
     for i in range(count - 1):   # the full set, last, pushes nothing
@@ -139,7 +135,7 @@ def _fold(nv: int, states: Iterable[int],
             highs = []
             block = rest
             while block:
-                if member[low | block]:
+                if low | block in member:
                     highs.append(low | block)
                 block = (block - 1) & rest
         else:
@@ -159,11 +155,13 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     edges inside single blocks.  The empty graph gives {(0, 0): 1}.
     """
     halves = _lattice(nv, tails, heads)
-    inside, _ = _edge_tables(nv, tails, heads)
+    out, into = _edge_masks(nv, tails, heads, halves)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
-        delta = 1 + (inside[block].bit_count() << shift)
+        high = low | block
+        kept = (out[high] ^ out[low]) & (into[high] ^ into[low])
+        delta = 1 + (kept.bit_count() << shift)
         get = target.get
         for key, cnt in source.items():
             key += delta
@@ -181,10 +179,11 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     its blocks.  Zero coefficients are dropped; the empty graph gives {0: 1}.
     """
     halves = _lattice(nv, tails, heads)
-    inside, _ = _edge_tables(nv, tails, heads)
+    out, into = _edge_masks(nv, tails, heads, halves)
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
-        kept = inside[block]
+        high = low | block
+        kept = (out[high] ^ out[low]) & (into[high] ^ into[low])
         get = target.get
         for mask, coeff in source.items():
             if coeff:
@@ -262,20 +261,21 @@ def surjection_stats(nv: int, tails: list[int],
                       _surjection_work(nv, tails, heads))
     if nv == 0:
         return {}
-    inside, into = _edge_tables(nv, tails, heads)
+    states = range(1 << nv)
+    out, into = _edge_masks(nv, tails, heads, states)
     width = max(nv, len(tails)).bit_length()   # keys pack k, asc, desc
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
-        # edges between the earlier values and the block rise into it or fall out of it
-        cross = inside[low | block] ^ inside[low] ^ inside[block]
-        asc = (cross & into[block]).bit_count()
-        delta = 1 + (asc << width) + ((cross.bit_count() - asc) << 2 * width)
+        # edges from the earlier values into the block rise; those back out of it fall
+        asc = (out[low] & into[block]).bit_count()
+        desc = (out[block] & into[low]).bit_count()
+        delta = 1 + (asc << width) + (desc << 2 * width)
         get = target.get
         for key, cnt in source.items():
             key += delta
             target[key] = get(key, 0) + cnt
 
-    packed = _fold(nv, range(1 << nv), step)
+    packed = _fold(nv, states, step)
     mask = (1 << width) - 1
     return {(key & mask, key >> width & mask, key >> 2 * width): cnt
             for key, cnt in packed.items()}

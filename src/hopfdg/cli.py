@@ -377,14 +377,17 @@ def _cmd_cone_member(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
-    return value
+def _int_at_least(least: int) -> Callable[[str], int]:
+    """An argparse type: an int of at least `least`, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"need at least {least}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-vertices", type=int, default=limits.DEFAULT_MAX_VERTICES,
+        p.add_argument("--max-vertices", type=_int_at_least(0),
+                       default=limits.DEFAULT_MAX_VERTICES,
                        help="refuse composition enumerations beyond this size")
 
     p_inv = sub.add_parser("invariant", help="print one polynomial invariant")
@@ -413,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", choices=(*_SUITES, "all"))
     p_ver.add_argument("graph")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--samples", type=_positive_int, default=200)
+    p_ver.add_argument("--samples", type=_int_at_least(1), default=200)
     common(p_ver)
     p_ver.set_defaults(fn=_cmd_verify)
 

@@ -106,6 +106,34 @@ def oracle_lower_halves(nv, tails, heads) -> list[int]:
     return [s for s in range(size) if not inpred[s] & ~s]
 
 
+def oracle_edge_tables(nv, tails, heads) -> tuple[list[int], list[int]]:
+    """inside[S] (edges with both ends in S) and into[S] (edges with their head in S).
+
+    Dense tables over all 2^n subsets from a lowest-bit recurrence, the
+    route the engine's per-state edge masks replaced.
+    """
+    at = [0] * nv        # edges touching each vertex
+    ending = [0] * nv    # edges whose head is the vertex
+    for e, (t, h) in enumerate(zip(tails, heads)):
+        bit = 1 << e
+        at[t] |= bit
+        at[h] |= bit
+        ending[h] |= bit
+    size = 1 << nv
+    inside = [0] * size
+    touching = [0] * size
+    into = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        v = low.bit_length() - 1
+        r = s ^ low
+        # an edge at v that also touches r has its other end in r
+        inside[s] = inside[r] | (at[v] & touching[r])
+        touching[s] = touching[r] | at[v]
+        into[s] = into[r] | ending[v]
+    return inside, into
+
+
 def admissible_compositions(g: Digraph):
     """All block sequences whose prefix unions admit no incoming edge."""
     n = len(g.vertices)

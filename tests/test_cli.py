@@ -349,6 +349,20 @@ def test_verify_samples_keeps_the_int_message(capsys, g3_file):
     assert "argument --samples: invalid int value: 'ten'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict"), ("verify", "all")))
+def test_negative_vertex_cap_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "empty.txt"
+    path.write_text("vertices:\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(path), "--max-vertices", "-1"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "argument --max-vertices: need at least 0, got -1" in out.err
+    # a cap of 0 still admits the empty graph
+    code, out, err = run(capsys, *argv, str(path), "--max-vertices", "0")
+    assert code == 0 and out and err == ""
+
+
 def _graph_file(tmp_path, name, n, edges):
     verts = [f"v{i:02d}" for i in range(n)]
     path = tmp_path / name

@@ -6,16 +6,17 @@ share no code with hopfdg._engine.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import (all_digraphs, oracle_character_sum, oracle_chain_stats,
-                      oracle_is_lower_half, oracle_lower_halves,
+                      oracle_edge_tables, oracle_is_lower_half, oracle_lower_halves,
                       oracle_surjection_walk, oracle_takeuchi_terms, random_digraph)
 from hopfdg import (EDGE, Character, Digraph, SizeLimitError, WorkLimitError,
                     antipode, character_polynomial, kernels)
 from hopfdg import _engine, limits
-from hopfdg._engine import _down_sets, _fold, _surjection_work
+from hopfdg._engine import _down_sets, _edge_masks, _fold, _surjection_work
 from hopfdg.cli import main
 from hopfdg.rings import Q, Y, Z
 
@@ -140,6 +141,59 @@ def test_fold_steps_once_per_nested_pair_of_lower_halves():
         assert sorted(seen) == want
 
 
+def test_edge_masks_match_the_dense_tables():
+    for labels in ("", "a", "ab", "abc", "abcd"):
+        for g in all_digraphs(labels):
+            nv, tails, heads = g.edge_arrays()
+            inside, into = oracle_edge_tables(nv, tails, heads)
+            out, got_into = _edge_masks(nv, tails, heads, range(1 << nv))
+            for s in range(1 << nv):
+                assert out[s] & got_into[s] == inside[s]
+                assert got_into[s] == into[s]
+            # the lattice sums build masks on the lower halves alone
+            halves = kernels.lower_half_masks(nv, tails, heads)
+            out, got_into = _edge_masks(nv, tails, heads, halves)
+            for low in halves:
+                for high in halves:
+                    if not low & ~high:
+                        kept = (out[high] ^ out[low]) & (got_into[high] ^ got_into[low])
+                        assert kept == inside[high ^ low]
+
+
+def peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lattice_sums_allocate_nothing_per_subset(monkeypatch):
+    # a 20-vertex directed cycle has 2 lower halves and a transitive
+    # tournament 21; a table over the 2^20 subsets would take tens of MB
+    nv = 20
+    cycle = (nv, list(range(nv)), [(v + 1) % nv for v in range(nv)])
+    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+    order = (nv, [i for i, _ in pairs], [j for _, j in pairs])
+    limit = 1 << 20
+    for fn, args in ((kernels.chain_stats, cycle), (kernels.takeuchi_terms, cycle),
+                     (kernels.character_sum, (*cycle, lambda mask: 1)),
+                     (kernels.chain_stats, order)):
+        assert peak_bytes(fn, *args) < limit
+    received = []
+
+    def recorded(nv, tails, heads, states):
+        received.append(list(states))
+        return _edge_masks(nv, tails, heads, received[-1])
+
+    monkeypatch.setattr(_engine, "_edge_masks", recorded)
+    kernels.chain_stats(*cycle)
+    kernels.takeuchi_terms(*cycle)
+    kernels.chain_stats(*order)
+    assert received == [kernels.lower_half_masks(*args) for args in (cycle, cycle, order)]
+
+
 def halves_cap(budget: int) -> int:
     """The most lower halves L whose L(L+1)/2 nested pairs fit the budget."""
     cap = 0
@@ -223,14 +277,14 @@ def test_dense_tables_stay_within_the_subset_bound(monkeypatch):
 
 
 def assert_refused_early(capsys, monkeypatch, tmp_path, argv, text, budget):
-    """Exit 3 with no 2^n table built and at most cap + 1 lower halves taken."""
+    """Exit 3 with no edge masks built and at most cap + 1 lower halves taken."""
     if budget is None:
         monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
     else:
         monkeypatch.setenv("HOPFDG_MAX_WORK", budget)
 
-    def no_tables(*args):
-        raise AssertionError("the 2^n edge tables were built before the refusal")
+    def no_masks(*args):
+        raise AssertionError("the edge masks were built before the refusal")
 
     taken = 0
     walk = _engine._walk_halves
@@ -241,7 +295,7 @@ def assert_refused_early(capsys, monkeypatch, tmp_path, argv, text, budget):
             taken += 1
             yield half
 
-    monkeypatch.setattr(_engine, "_edge_tables", no_tables)
+    monkeypatch.setattr(_engine, "_edge_masks", no_masks)
     monkeypatch.setattr(_engine, "_walk_halves", counted_walk)
     path = tmp_path / "graph.txt"
     path.write_text(text)
