@@ -239,13 +239,19 @@ def build_flow_network(g: Digraph, x: Mapping[str, object]) -> FlowNetwork:
     Vertices with positive x feed the sink with capacity x(v); negative
     ones are fed from the source with capacity -x(v).  x must sum to zero.
     """
-    return _network(g, _normalize_vector(g, x))
+    return _network(g, _normalize_vector(g, x), _edge_arcs(g))
 
 
-def _network(g: Digraph, vec: dict[str, int | Fraction]) -> FlowNetwork:
+def _edge_arcs(g: Digraph) -> tuple[Arc, ...]:
+    """The INF arc of each graph edge, in edge_list order."""
+    return tuple(Arc(u, v, INF) for u, v in g.edge_list)
+
+
+def _network(g: Digraph, vec: dict[str, int | Fraction],
+             edge_arcs: tuple[Arc, ...]) -> FlowNetwork:
     if sum(vec.values()) != 0:
         raise ValueError("membership network needs a vector summing to zero")
-    arcs = [Arc(u, v, INF) for u, v in g.edge_list]
+    arcs = list(edge_arcs)
     for v in g.vertices:
         if vec[v] > 0:
             arcs.append(Arc(v, SINK, vec[v]))
@@ -263,12 +269,13 @@ def membership_flow(g: Digraph, x: Mapping[str, object]
 
     One max flow decides membership; callers audit or report that flow.
     """
-    return _membership_flow(g, _normalize_vector(g, x))
+    return _membership_flow(g, _normalize_vector(g, x), _edge_arcs(g))
 
 
-def _membership_flow(g: Digraph, vec: dict[str, int | Fraction]
+def _membership_flow(g: Digraph, vec: dict[str, int | Fraction],
+                     edge_arcs: tuple[Arc, ...]
                      ) -> tuple[FlowNetwork, FlowResult, Witness | None]:
-    net = _network(g, vec)
+    net = _network(g, vec, edge_arcs)
     result = max_flow(net)
     demand = sum(c for c in vec.values() if c > 0)
     if result.value != demand:
@@ -294,7 +301,7 @@ def cone_member(g: Digraph, x: Mapping[str, object]) -> Witness | None:
     when x is outside the cone.  The witness is re-checked before return.
     """
     vec = _normalize_vector(g, x)
-    return _membership_flow(g, vec)[2] if sum(vec.values()) == 0 else None
+    return _membership_flow(g, vec, _edge_arcs(g))[2] if sum(vec.values()) == 0 else None
 
 
 @dataclass(frozen=True)
@@ -361,6 +368,7 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
     rng = random.Random(seed)
     z = lower_half_function(g)
     vectors = _sample_vectors(g, samples, rng)
+    edge_arcs = _edge_arcs(g)
     mismatches = []
     audit_problems = []
     agreements = 0
@@ -368,7 +376,7 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
         in_base = base_member(z, vec)
         witness = None
         if sum(vec.values()) == 0:
-            net, result, witness = _membership_flow(g, vec)
+            net, result, witness = _membership_flow(g, vec, edge_arcs)
             problems = audit_flow(net, result)
             if problems:
                 audit_problems.append((vec, tuple(problems)))

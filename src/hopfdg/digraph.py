@@ -69,10 +69,12 @@ class Digraph:
 
     def _subgraph(self, vertices: tuple[str, ...],
                   edges: Iterable[tuple[str, str]]) -> "Digraph":
-        """A subgraph built from parts of this already validated graph.
+        """A graph built from parts of graphs that are already validated.
 
-        vertices must be a sorted sub-tuple of self.vertices and edges
-        edges of self between them.  Skips the checks of __init__.
+        vertices must be sorted, distinct, valid labels and edges simple
+        (tail, head) pairs between them, as when they are taken from self,
+        from a disjoint union or along a bijection.  Skips the checks of
+        __init__; input from outside goes through Digraph(...).
         """
         sub = object.__new__(Digraph)
         object.__setattr__(sub, "vertices", vertices)
@@ -104,7 +106,11 @@ class Digraph:
         images = [mapping[v] for v in self.vertices]
         if len(set(images)) != len(images):
             raise ValueError("relabel map is not injective on the vertices")
-        return Digraph(images, ((mapping[u], mapping[v]) for u, v in self.edges))
+        verts = canonical_labels(images)
+        for v in verts:
+            _check_label(v)
+        # a bijection of valid labels keeps the edges loop-free and distinct
+        return self._subgraph(verts, [(mapping[u], mapping[v]) for u, v in self.edges])
 
     def restrict(self, subset: Iterable[str]) -> "Digraph":
         """Induced subgraph on a subset of the vertices."""
@@ -134,12 +140,27 @@ class Digraph:
         return out
 
     def coproduct(self, subset: Iterable[str]) -> tuple["Digraph", "Digraph"] | None:
-        """Split into (inside, outside) when the subset is a lower half, else None."""
+        """Split into (inside, outside) when the subset is a lower half, else None.
+
+        One pass over the edges: the first edge entering the subset ends it
+        with None; every other edge lands inside, outside, or on the cut.
+        """
         sub = frozenset(subset)
-        if not self.is_lower_half(sub):
-            return None
-        rest = frozenset(self.vertices) - sub
-        return self.restrict(sub), self.restrict(rest)
+        extra = sub - set(self.vertices)
+        if extra:
+            raise ValueError(f"subset contains non-vertices {sorted(extra)}")
+        inside = []
+        outside = []
+        for u, v in self.edges:
+            if v in sub:
+                if u not in sub:
+                    return None
+                inside.append((u, v))
+            elif u not in sub:
+                outside.append((u, v))
+        verts = self.vertices
+        return (self._subgraph(tuple(v for v in verts if v in sub), inside),
+                self._subgraph(tuple(v for v in verts if v not in sub), outside))
 
     def composition_minor(self, blocks: Iterable[Iterable[str]]) -> "Digraph | None":
         """Union of the induced blocks when every prefix union is a lower half.
@@ -205,7 +226,7 @@ def disjoint_union(g1: Digraph, g2: Digraph) -> Digraph:
     overlap = set(g1.vertices) & set(g2.vertices)
     if overlap:
         raise ValueError(f"vertex sets overlap on {sorted(overlap)}")
-    return Digraph(g1.vertices + g2.vertices, list(g1.edges) + list(g2.edges))
+    return g1._subgraph(tuple(sorted(g1.vertices + g2.vertices)), g1.edges | g2.edges)
 
 
 EMPTY = Digraph(())

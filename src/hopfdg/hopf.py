@@ -156,21 +156,33 @@ def character_polynomial(g: Digraph, character: Character | Callable[[Digraph], 
         return BinPoly((1,))
 
     _, tails, heads = g.edge_arrays()
+    if _counts_edges(character):
+        return _edge_count_polynomial(kernels.chain_stats(nv, tails, heads), nv, character)
+    verts = g.vertices
+
+    def block_value(mask: int) -> Any:
+        return character(g.restrict(verts[i] for i in range(nv) if mask >> i & 1))
+
     coeffs: list[Any] = [0] * (nv + 1)
-    if isinstance(character, Character) and character.of_edge_count is not None:
-        values: dict[int, Any] = {}
-        for (k, kept), cnt in kernels.chain_stats(nv, tails, heads).items():
-            if kept not in values:
-                values[kept] = character.of_edge_count(kept)
-            coeffs[k] = coeffs[k] + cnt * values[kept]
-    else:
-        verts = g.vertices
+    for k, val in kernels.character_sum(nv, tails, heads, block_value).items():
+        coeffs[k] = val
+    return BinPoly(tuple(coeffs))
 
-        def block_value(mask: int) -> Any:
-            return character(g.restrict(verts[i] for i in range(nv) if mask >> i & 1))
 
-        for k, val in kernels.character_sum(nv, tails, heads, block_value).items():
-            coeffs[k] = val
+def _counts_edges(character: Character | Callable[[Digraph], Any]) -> bool:
+    return isinstance(character, Character) and character.of_edge_count is not None
+
+
+def _edge_count_polynomial(stats: dict[tuple[int, int], Any], nv: int,
+                           character: Character) -> BinPoly:
+    """The polynomial of a (k, kept) -> count histogram: each entry adds
+    count * of_edge_count(kept) to the coefficient of C(n, k)."""
+    coeffs: list[Any] = [0] * (nv + 1)
+    values: dict[int, Any] = {}
+    for (k, kept), cnt in stats.items():
+        if kept not in values:
+            values[kept] = character.of_edge_count(kept)
+        coeffs[k] = coeffs[k] + cnt * values[kept]
     return BinPoly(tuple(coeffs))
 
 
@@ -184,7 +196,21 @@ def character_of_sum(s: FormalSum, character: Callable[[Digraph], Any]) -> Any:
 
 def character_polynomial_of_sum(s: FormalSum, character: Character | Callable[[Digraph], Any],
                                 *, max_vertices: int | None = None) -> BinPoly:
-    """Linear extension of character_polynomial to a formal sum."""
+    """Linear extension of character_polynomial to a formal sum.
+
+    For a character with of_edge_count, the terms' chain_stats histograms
+    are added, weighted by their coefficients, and one polynomial is
+    built from the total.
+    """
+    nv = len(s.vertices)
+    if s.terms and nv and _counts_edges(character):
+        limits.check_size("composition enumeration", nv, max_vertices)
+        stats: dict[tuple[int, int], int] = {}
+        for g, c in s.items():
+            _, tails, heads = g.edge_arrays()
+            for key, cnt in kernels.chain_stats(nv, tails, heads).items():
+                stats[key] = stats.get(key, 0) + c * cnt
+        return _edge_count_polynomial(stats, nv, character)
     total = BinPoly(())
     for g, c in s.items():
         total = total + character_polynomial(g, character, max_vertices=max_vertices).scale(c)

@@ -61,6 +61,13 @@ def _check_value(v) -> None:
         raise ValueError(f"values must be ints, Fractions or INF, got {v!r}")
 
 
+def _check_ends(vals: tuple) -> None:
+    if vals[0] != 0:
+        raise ValueError(f"value on the empty set must be 0, got {vals[0]!r}")
+    if not is_finite(vals[-1]):
+        raise ValueError("value on the full ground set must be finite")
+
+
 @dataclass(frozen=True)
 class ExtBool:
     """Dense table of one extended Boolean function.
@@ -80,12 +87,23 @@ class ExtBool:
                 f"need {1 << len(g)} values for {len(g)} labels, got {len(vals)}")
         for v in vals:
             _check_value(v)
-        if vals[0] != 0:
-            raise ValueError(f"value on the empty set must be 0, got {vals[0]!r}")
-        if not is_finite(vals[-1]):
-            raise ValueError("value on the full ground set must be finite")
+        _check_ends(vals)
         object.__setattr__(self, "ground", g)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _of(cls, ground: tuple[str, ...], values: tuple) -> "ExtBool":
+        """A function built from the values of already validated functions.
+
+        ground must be sorted, distinct labels and values one int,
+        Fraction or INF per mask.  Skips __init__'s per-value checks and
+        keeps its two checks on the ends of the table.
+        """
+        _check_ends(values)
+        z = object.__new__(cls)
+        object.__setattr__(z, "ground", ground)
+        object.__setattr__(z, "values", values)
+        return z
 
     @classmethod
     def tabulate(cls, ground: Iterable[str],
@@ -122,7 +140,7 @@ class ExtBool:
                 if mask >> i & 1:
                     big |= 1 << pos[sub[i]]
             vals.append(self.values[big])
-        return ExtBool(sub, vals)
+        return ExtBool._of(sub, tuple(vals))
 
     def contract(self, subset: Iterable[str]) -> "ExtBool | None":
         """Shift to the complement by the subset's value; None when that is INF."""
@@ -140,7 +158,7 @@ class ExtBool:
                     big |= 1 << pos[rest[i]]
             v = self.values[big]
             vals.append(v - base if is_finite(v) else INF)
-        return ExtBool(rest, vals)
+        return ExtBool._of(rest, tuple(vals))
 
     def is_submodular(self) -> bool:
         """Exhaustive pair check of v(A|B) + v(A&B) <= v(A) + v(B).
@@ -173,21 +191,24 @@ def direct_sum(u: ExtBool, v: ExtBool) -> ExtBool:
         raise ValueError(f"ground sets overlap on {sorted(overlap)}")
     ground = canonical_labels(u.ground + v.ground)
     limits.check_size("table", len(ground), limits.SUBSET_BOUND)
+    # ubits[i], vbits[i]: the bit of ground[i] in u's or v's own masks
     upos = {lab: i for i, lab in enumerate(u.ground)}
     vpos = {lab: i for i, lab in enumerate(v.ground)}
-    vals = []
-    for mask in range(1 << len(ground)):
-        um = 0
-        vm = 0
-        for i, lab in enumerate(ground):
-            if mask >> i & 1:
-                if lab in upos:
-                    um |= 1 << upos[lab]
-                else:
-                    vm |= 1 << vpos[lab]
-        a, b = u.values[um], v.values[vm]
-        vals.append(a + b if is_finite(a) and is_finite(b) else INF)
-    return ExtBool(ground, vals)
+    ubits = [1 << upos[lab] if lab in upos else 0 for lab in ground]
+    vbits = [1 << vpos[lab] if lab in vpos else 0 for lab in ground]
+    uvals, vvals = u.values, v.values
+    size = 1 << len(ground)
+    umask = [0] * size
+    vmask = [0] * size
+    vals = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        umask[mask] = um = umask[mask ^ low] | ubits[i]
+        vmask[mask] = vm = vmask[mask ^ low] | vbits[i]
+        a, b = uvals[um], vvals[vm]
+        vals[mask] = INF if a is INF or b is INF else a + b
+    return ExtBool._of(ground, tuple(vals))
 
 
 def lower_half_function(g: Digraph) -> ExtBool:
@@ -197,7 +218,7 @@ def lower_half_function(g: Digraph) -> ExtBool:
     vals = [INF] * (1 << nv)
     for mask in kernels.lower_half_masks(nv, tails, heads):
         vals[mask] = 0
-    return ExtBool(g.vertices, vals)
+    return ExtBool._of(g.vertices, tuple(vals))
 
 
 @dataclass(frozen=True)

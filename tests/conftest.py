@@ -17,7 +17,8 @@ from math import lcm
 
 import pytest
 
-from hopfdg import BinPoly, Digraph, UnboundedFlowError, cone_generators, is_finite
+from hopfdg import (INF, BinPoly, Digraph, ExtBool, UnboundedFlowError,
+                    character_polynomial, cone_generators, is_finite)
 from hopfdg.cones import FlowResult
 from hopfdg.digraph import canonical_labels
 
@@ -557,3 +558,54 @@ def oracle_base_member(z, x) -> bool:
         if is_finite(v) and sum(coords[i] for i in range(n) if mask >> i & 1) > v:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Routes that rebuilt already validated values through the public, checking
+# constructors, kept as oracles for the unchecked builds that replaced them
+# (Digraph._subgraph, ExtBool._of) and for the one histogram behind the
+# character polynomial of a formal sum.
+
+def oracle_disjoint_union(g1: Digraph, g2: Digraph) -> Digraph:
+    return Digraph(g1.vertices + g2.vertices, list(g1.edges) + list(g2.edges))
+
+
+def oracle_relabel(g: Digraph, mapping) -> Digraph:
+    return Digraph([mapping[v] for v in g.vertices],
+                   ((mapping[u], mapping[v]) for u, v in g.edges))
+
+
+def oracle_coproduct(g: Digraph, subset):
+    """is_lower_half, then two restrict calls."""
+    sub = frozenset(subset)
+    if not g.is_lower_half(sub):
+        return None
+    return g.restrict(sub), g.restrict(frozenset(g.vertices) - sub)
+
+
+def oracle_direct_sum(u, v):
+    """The per-label loop: each mask split into u's and v's masks bit by bit."""
+    ground = canonical_labels(u.ground + v.ground)
+    upos = {lab: i for i, lab in enumerate(u.ground)}
+    vpos = {lab: i for i, lab in enumerate(v.ground)}
+    vals = []
+    for mask in range(1 << len(ground)):
+        um = 0
+        vm = 0
+        for i, lab in enumerate(ground):
+            if mask >> i & 1:
+                if lab in upos:
+                    um |= 1 << upos[lab]
+                else:
+                    vm |= 1 << vpos[lab]
+        a, b = u.values[um], v.values[vm]
+        vals.append(a + b if is_finite(a) and is_finite(b) else INF)
+    return ExtBool(ground, vals)
+
+
+def oracle_character_polynomial_of_sum(s, character) -> BinPoly:
+    """One character polynomial per term, scaled and added."""
+    total = BinPoly(())
+    for g, c in s.items():
+        total = total + character_polynomial(g, character).scale(c)
+    return total

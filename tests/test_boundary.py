@@ -1,0 +1,188 @@
+"""Input is checked once, at the boundary.
+
+Graphs and set functions the library has already validated are rebuilt
+without going back through Digraph(...) or ExtBool(...).  The differential
+tests here compare each such build with the checking route it replaced
+(oracles in conftest.py), on every digraph with at most 4 vertices and
+every subset, and on seeded graphs of 5 to 7 vertices.  The error-path
+tests pin the exception type and message of every check that stays.
+"""
+
+from __future__ import annotations
+
+import random
+import re
+from fractions import Fraction
+
+import pytest
+
+from conftest import (LABELS, all_digraphs, oracle_character_polynomial_of_sum,
+                      oracle_coproduct, oracle_direct_sum, oracle_disjoint_union,
+                      oracle_relabel, random_digraph)
+from hopfdg import (BASIC, EDGE, INF, Digraph, ExtBool, FormalSum, antipode,
+                    character_polynomial_of_sum, direct_sum, disjoint_union)
+
+SMALL = [g for n in range(5) for g in all_digraphs(LABELS[:n])]
+
+
+def seeded_graphs(seed: int, count: int = 12):
+    rng = random.Random(seed)
+    return [random_digraph(rng, LABELS[:n]) for n in (5, 6, 7) for _ in range(count)]
+
+
+def subsets(g: Digraph):
+    verts = g.vertices
+    return [frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+            for mask in range(1 << len(verts))]
+
+
+def same_graph(got: Digraph, want: Digraph) -> bool:
+    return (got == want and hash(got) == hash(want)
+            and type(got.vertices) is tuple and type(got.edges) is frozenset)
+
+
+def test_coproduct_matches_lower_half_check_and_two_restrictions():
+    rng = random.Random(83)
+    for g in SMALL + seeded_graphs(83):
+        subs = subsets(g)
+        if len(subs) > 16:
+            subs = rng.sample(subs, 16)
+        for sub in subs:
+            got, want = g.coproduct(sub), oracle_coproduct(g, sub)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert same_graph(got[0], want[0]) and same_graph(got[1], want[1])
+
+
+def test_relabel_matches_the_checked_rebuild():
+    rng = random.Random(89)
+    for g in SMALL + seeded_graphs(89):
+        # images interleave with the old labels and come in another order
+        images = [f"{lab}{k}" for k, lab in enumerate(reversed(g.vertices))]
+        rng.shuffle(images)
+        sigma = dict(zip(g.vertices, images))
+        assert same_graph(g.relabel(sigma), oracle_relabel(g, sigma))
+        assert same_graph(g.relabel(sigma).relabel({v: k for k, v in sigma.items()}), g)
+
+
+def test_disjoint_union_matches_the_checked_rebuild():
+    rng = random.Random(97)
+    for g in SMALL + seeded_graphs(97):
+        # "a1" sorts between "a" and "b": the two vertex sets interleave
+        h = random_digraph(rng, [f"{lab}1" for lab in LABELS[:rng.randint(0, 3)]])
+        for left, right in ((g, h), (h, g)):
+            assert same_graph(disjoint_union(left, right), oracle_disjoint_union(left, right))
+
+
+def random_extbool(rng: random.Random, ground) -> ExtBool:
+    """Ints, Fractions and INF at random, 0 on the empty set, finite on the full one."""
+    def draw():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(-5, 5)
+        if kind == 1:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return INF
+    vals = [0] + [draw() for _ in range((1 << len(ground)) - 1)]
+    if len(vals) > 1 and vals[-1] is INF:
+        vals[-1] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return ExtBool(ground, vals)
+
+
+def test_direct_sum_matches_the_per_label_loop():
+    rng = random.Random(101)
+    for _ in range(300):
+        labels = list(LABELS[:rng.randint(0, 7)])
+        rng.shuffle(labels)
+        cut = rng.randint(0, len(labels))
+        u = random_extbool(rng, labels[:cut])
+        v = random_extbool(rng, labels[cut:])
+        got, want = direct_sum(u, v), oracle_direct_sum(u, v)
+        assert got == want
+        assert [type(x) for x in got.values] == [type(x) for x in want.values]
+
+
+def formal_sums(g: Digraph, rng: random.Random):
+    """The antipode of g, and a random combination of spanning subgraphs of g."""
+    yield antipode(g)
+    edges = g.edge_list
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        kept = [e for e in edges if rng.random() < 0.5]
+        pairs.append((Digraph(g.vertices, kept), rng.randint(-3, 3)))
+    yield FormalSum.of(g.vertices, pairs)
+
+
+@pytest.mark.parametrize("character", [EDGE, BASIC], ids=["edge", "basic"])
+def test_character_polynomial_of_sum_matches_the_per_term_sum(character):
+    rng = random.Random(103)
+    for g in SMALL + seeded_graphs(103, 4):
+        for s in formal_sums(g, rng):
+            got = character_polynomial_of_sum(s, character)
+            want = oracle_character_polynomial_of_sum(s, character)
+            assert got == want
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+            assert got.binomial_str() == want.binomial_str()
+
+
+# ------------------------------------------------------------ error paths
+
+def raises_exactly(exc_type, message, fn, *args):
+    with pytest.raises(exc_type, match=re.escape(message)) as info:
+        fn(*args)
+    assert type(info.value) is exc_type and str(info.value) == message
+
+
+LABEL_RULE = "vertex labels must be non-empty strings without whitespace, '#' or '->'"
+
+
+@pytest.mark.parametrize("image, message", [
+    (5, "labels must be non-empty strings, got 5"),
+    ("", "labels must be non-empty strings, got ''"),
+    ("x y", f"{LABEL_RULE}, got 'x y'"),
+    ("x\ty", f"{LABEL_RULE}, got 'x\\ty'"),
+    ("x#", f"{LABEL_RULE}, got 'x#'"),
+    ("x->y", f"{LABEL_RULE}, got 'x->y'"),
+])
+def test_relabel_onto_a_bad_label(g3, image, message):
+    raises_exactly(ValueError, message, g3.relabel, {"0": "p", "1": image, "2": "r"})
+
+
+def test_relabel_reports_the_first_bad_label_in_sorted_order(g3):
+    raises_exactly(ValueError, f"{LABEL_RULE}, got 'b c'",
+                   g3.relabel, {"0": "z#", "1": "b c", "2": "r"})
+
+
+def test_relabel_map_must_be_injective_and_total(g3):
+    raises_exactly(ValueError, "relabel map is not injective on the vertices",
+                   g3.relabel, {"0": "p", "1": "p", "2": "r"})
+    raises_exactly(ValueError, "relabel map misses vertices ['1']",
+                   g3.relabel, {"0": "p", "2": "r"})
+
+
+def test_splits_reject_non_vertices(g3):
+    raises_exactly(ValueError, "subset contains non-vertices ['q']", g3.coproduct, {"0", "q"})
+    raises_exactly(ValueError, "subset contains non-vertices ['p', 'q']",
+                   g3.coproduct, ["q", "p"])
+    raises_exactly(ValueError, "restriction set contains non-vertices ['q']",
+                   g3.restrict, {"q"})
+
+
+def test_disjoint_union_rejects_overlap(g3):
+    raises_exactly(ValueError, "vertex sets overlap on ['0', '2']",
+                   disjoint_union, g3, Digraph(("2", "0", "x")))
+
+
+@pytest.mark.parametrize("values, message", [
+    ((0, 0.5), "values must be ints, Fractions or INF, got 0.5"),
+    ((1, 0), "value on the empty set must be 0, got 1"),
+    ((Fraction(1, 2), 0), "value on the empty set must be 0, got Fraction(1, 2)"),
+    ((0, INF), "value on the full ground set must be finite"),
+])
+def test_extbool_constructor_still_checks_every_value(values, message):
+    raises_exactly(ValueError, message, ExtBool, ("a",), values)
+
+
+def test_restriction_to_an_infinite_subset_is_refused():
+    z = ExtBool(("a", "b"), (0, INF, 1, 2))
+    raises_exactly(ValueError, "value on the full ground set must be finite", z.restrict, {"a"})

@@ -1,5 +1,9 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -184,6 +188,25 @@ def test_verify_json(capsys, g3_file):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["checks"][0]["name"] == "polytope/cone agreement (30 vectors)"
+
+
+VERIFY_GOLDENS = os.path.join(os.path.dirname(__file__), "verify_goldens.json")
+
+
+def test_verify_all_output_is_frozen_on_every_small_digraph(capsys, tmp_path):
+    """sha256 of `verify all --samples 20` stdout, text and json, for every
+    digraph on at most 3 labels; keys are the graph files, one line per ';'."""
+    with open(VERIFY_GOLDENS, encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    assert len(goldens) == 1 + 1 + 4 + 64
+    path = tmp_path / "g.graph"
+    for key, digests in goldens.items():
+        path.write_text(key.replace("; ", "\n") + "\n")
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "verify", "all", str(path),
+                                 "--samples", "20", "--format", fmt)
+            assert code == 0 and err == ""
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt], (key, fmt)
 
 
 def test_verify_seed_changes_samples_not_verdict(capsys, g3_file):
@@ -428,3 +451,13 @@ def test_bpoly_answers_on_nine_vertices_and_refuses_thirteen_at_once(
     assert code == 3 and out == ""
     assert err.startswith("resource limit: surjection scan over 13 vertices needs about ")
     assert err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hopfdg", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: hopfdg ")
