@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .digraph import Digraph
 from .errors import UnboundedFlowError
-from .submodular import INF, ExtBool, Infinity, is_finite, lower_half_function
+from .submodular import INF, ExtBool, lower_half_function
 from . import kernels, limits
 
 
@@ -50,7 +50,7 @@ class Arc:
         if self.tail == self.head:
             raise ValueError(f"loop arc at {self.tail!r}")
         cap = self.capacity
-        if isinstance(cap, Infinity):
+        if cap is INF:
             return
         if not isinstance(cap, (int, Fraction)) or cap < 0:
             raise ValueError(f"capacity must be non-negative or INF, got {cap!r}")
@@ -100,7 +100,7 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     no finite cut exists and UnboundedFlowError is raised.
     """
     arcs = net.arcs
-    stand_in = sum(a.capacity for a in arcs if is_finite(a.capacity)) + 1
+    stand_in = sum(a.capacity for a in arcs if a.capacity is not INF) + 1
 
     index = {node: i for i, node in enumerate(net.nodes)}
     s, t = index[net.source], index[net.sink]
@@ -112,7 +112,7 @@ def max_flow(net: FlowNetwork) -> FlowResult:
     adj: list[list[int]] = [[] for _ in range(nn)]
     for e, arc in enumerate(arcs):
         u, v = index[arc.tail], index[arc.head]
-        res.extend((arc.capacity if is_finite(arc.capacity) else stand_in, 0))
+        res.extend((stand_in if arc.capacity is INF else arc.capacity, 0))
         ends.extend(((u, v), (v, u)))
         adj[u].append(2 * e)
         adj[v].append(2 * e + 1)
@@ -168,7 +168,7 @@ def audit_flow(net: FlowNetwork, result: FlowResult) -> list[str]:
     for arc, f in zip(net.arcs, result.flows):
         if f < 0:
             problems.append(f"negative flow {f} on {arc!r}")
-        if is_finite(arc.capacity) and f > arc.capacity:
+        if arc.capacity is not INF and f > arc.capacity:
             problems.append(f"flow {f} exceeds capacity on {arc!r}")
         excess[arc.head] += f
         excess[arc.tail] -= f
@@ -184,7 +184,7 @@ def audit_flow(net: FlowNetwork, result: FlowResult) -> list[str]:
     cap = 0
     for arc in net.arcs:
         if arc.tail in result.cut and arc.head not in result.cut:
-            if not is_finite(arc.capacity):
+            if arc.capacity is INF:
                 problems.append(f"INF arc {arc!r} crosses the cut")
                 continue
             cap += arc.capacity
@@ -209,21 +209,25 @@ def base_member(z: ExtBool, x: Mapping[str, object]) -> bool:
     """Is x in the base polytope of z?
 
     Requires the coordinate sum to hit the full-set value and x(A) to stay
-    at or below z(A) for every subset A; INF constraints are vacuous.
-    Subset sums come from the lowest-bit recurrence, one add per mask.
+    at or below z(A) for every subset A; INF constraints are vacuous, so
+    only the support z.finite is read.  Each mask adds its lowest
+    coordinates until it reaches a mask already summed, so a support in
+    increasing order costs one add per mask.
     """
     if set(x) != set(z.ground):
         raise ValueError("vector must assign exactly the ground labels")
     coords = [_exact(x[lab]) for lab in z.ground]
-    values = z.values
-    if sum(coords) != values[-1]:
+    if sum(coords) != z.finite[(1 << len(coords)) - 1]:
         return False
-    sums = [0] * len(values)
-    for mask in range(1, len(values)):
-        low = mask & -mask
-        sums[mask] = total = sums[mask ^ low] + coords[low.bit_length() - 1]
-        v = values[mask]
-        if is_finite(v) and total > v:
+    sums = {0: 0}
+    for mask, v in z.finite.items():
+        total, rest = 0, mask
+        while rest not in sums:   # drop lowest bits down to a mask summed before
+            low = rest & -rest
+            total += coords[low.bit_length() - 1]
+            rest ^= low
+        sums[mask] = total = total + sums[rest]
+        if total > v:
             return False
     return True
 
@@ -360,7 +364,8 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
 
     Every sampled vector must land the same way under both tests, and
     every max-flow run must pass its audit.  Deterministic in the seed.
-    The work estimate is samples * 2^n, one subset scan per base check.
+    The work estimate is samples * 2^n: each base check scans the cut
+    function's support, at most all 2^n subsets.
     """
     if samples < 0:
         raise ValueError(f"need samples >= 0, got {samples}")

@@ -254,11 +254,13 @@ def parse_graph(text: str) -> Digraph:
                                       len(line) - len(line.lstrip()) + 1)
             names = stripped[len("vertices:"):].split()
             seen: set[str] = set()
+            col = len(line) - len(line.lstrip()) + len("vertices:")
             for name in names:
+                col = line.index(name, col)   # this name's column, 0-based
                 if name in seen:
-                    raise GraphParseError(f"duplicate vertex {name!r}", lineno,
-                                          line.index(name) + 1)
+                    raise GraphParseError(f"duplicate vertex {name!r}", lineno, col + 1)
                 seen.add(name)
+                col += len(name)
             vertices = names
             continue
         if "->" not in line:

@@ -5,10 +5,11 @@ first and raises instead of hanging; the command line reports either
 refusal as "resource limit" with exit code 3.
 
   check_size  a vertex count against the user's cap on composition sums
-              (max_vertices=, --max-vertices) or SUBSET_BOUND, the ground
-              set of the largest dense 2^n table (the cut function, the
-              states of the surjection walk); on the lower halves, where
-              no 2^n table is built, it caps the antipode's terms, up to
+              (max_vertices=, --max-vertices) or SUBSET_BOUND, the most
+              vertices whose 2^n subsets may all be visited (the states of
+              the surjection walk, ExtBool.tabulate, the cut function's
+              support, all 2^n subsets on an edgeless graph); on the
+              lower halves it also caps the antipode's terms, up to
               2^(n-1), which the work estimate does not count;
   check_work  an estimate of the steps against the one work budget,
               DEFAULT_MAX_WORK or the HOPFDG_MAX_WORK environment variable.

@@ -1,16 +1,19 @@
 """Set functions with values in the rationals extended by +infinity.
 
 An ExtBool assigns a value to every subset of its ground set, zero to the
-empty set and something finite to the full set.  Infinity is the tagged
-singleton INF, never a float, so all arithmetic stays exact.  The three
-Hopf operations mirror the graph ones: direct_sum glues two functions on
-disjoint grounds, restrict forgets the outside, and contract shifts by
-the value of the contracted set (undefined when that value is INF, which
-is the zero case of the split).
+empty set and something finite to the full set.  It stores only its
+finite support, {mask: value}, and every mask missing from it is INF.
+Infinity is the tagged singleton INF, never a float, so all arithmetic
+stays exact.  The three Hopf operations mirror the graph ones and read
+the support only: direct_sum glues two functions on disjoint grounds,
+restrict forgets the outside, and contract shifts by the value of the
+contracted set (undefined when that value is INF, which is the zero case
+of the split).
 
-lower_half_function sends a graph to the function that is 0 on its lower
-halves and INF elsewhere; the tests verify this is compatible with every
-operation above, and the cones module uses its base polytope.
+lower_half_function sends a graph to the function that is 0 on its L
+lower halves and INF elsewhere, a support of L masks; the tests verify
+this is compatible with every operation above, and the cones module uses
+its base polytope.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ class Infinity:
 
 INF = Infinity()
 
-Value = int | Fraction | Infinity
-
 
 def is_finite(v) -> bool:
     return not isinstance(v, Infinity)
@@ -61,25 +62,41 @@ def _check_value(v) -> None:
         raise ValueError(f"values must be ints, Fractions or INF, got {v!r}")
 
 
-def _check_ends(vals: tuple) -> None:
-    if vals[0] != 0:
-        raise ValueError(f"value on the empty set must be 0, got {vals[0]!r}")
-    if not is_finite(vals[-1]):
+def _check_ends(finite: dict, full: int) -> None:
+    empty = finite.get(0, INF)
+    if empty != 0:
+        raise ValueError(f"value on the empty set must be 0, got {empty!r}")
+    if full not in finite:
         raise ValueError("value on the full ground set must be finite")
+
+
+def _spread(finite: dict, bits: list[int]) -> dict:
+    """finite with bit i of every mask moved to bits[i] (0 drops the bit)."""
+    out = {}
+    for mask, v in finite.items():
+        big, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            big |= bits[low.bit_length() - 1]
+            rest ^= low
+        out[big] = v
+    return out
 
 
 @dataclass(frozen=True)
 class ExtBool:
-    """Dense table of one extended Boolean function.
+    """One extended Boolean function, stored on its finite support.
 
-    values[mask] is the value on the subset encoded by mask over the
-    sorted ground labels; bit i stands for ground[i].
+    finite[mask] is the value on the subset encoded by mask over the
+    sorted ground labels, bit i standing for ground[i]; a mask missing
+    from finite has the value INF.  Never mutate finite.
     """
 
     ground: tuple[str, ...]
-    values: tuple
+    finite: dict
 
     def __init__(self, ground: Iterable[str], values: Iterable):
+        """values: one value per mask, INF included, in mask order."""
         g = canonical_labels(ground)
         vals = tuple(values)
         if len(vals) != 1 << len(g):
@@ -87,23 +104,27 @@ class ExtBool:
                 f"need {1 << len(g)} values for {len(g)} labels, got {len(vals)}")
         for v in vals:
             _check_value(v)
-        _check_ends(vals)
+        finite = {mask: v for mask, v in enumerate(vals) if v is not INF}
+        _check_ends(finite, len(vals) - 1)
         object.__setattr__(self, "ground", g)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "finite", finite)
 
     @classmethod
-    def _of(cls, ground: tuple[str, ...], values: tuple) -> "ExtBool":
-        """A function built from the values of already validated functions.
+    def _of(cls, ground: tuple[str, ...], finite: dict) -> "ExtBool":
+        """A function built from the support of already validated functions.
 
-        ground must be sorted, distinct labels and values one int,
-        Fraction or INF per mask.  Skips __init__'s per-value checks and
-        keeps its two checks on the ends of the table.
+        ground must be sorted, distinct labels and finite map masks to
+        ints or Fractions.  Skips __init__'s per-value checks and keeps
+        its two checks on the ends.
         """
-        _check_ends(values)
+        _check_ends(finite, (1 << len(ground)) - 1)
         z = object.__new__(cls)
         object.__setattr__(z, "ground", ground)
-        object.__setattr__(z, "values", values)
+        object.__setattr__(z, "finite", finite)
         return z
+
+    def __hash__(self) -> int:
+        return hash((self.ground, frozenset(self.finite.items())))
 
     @classmethod
     def tabulate(cls, ground: Iterable[str],
@@ -125,61 +146,45 @@ class ExtBool:
         return mask
 
     def value(self, subset: Iterable[str]):
-        return self.values[self._mask(subset)]
+        return self.finite.get(self._mask(subset), INF)
+
+    def _renumber(self, keep: int) -> tuple[tuple[str, ...], list[int]]:
+        """The labels in keep, and per ground label its bit among them (0 if dropped)."""
+        labels = tuple(lab for i, lab in enumerate(self.ground) if keep >> i & 1)
+        new = {lab: 1 << k for k, lab in enumerate(labels)}
+        return labels, [new.get(lab, 0) for lab in self.ground]
 
     def restrict(self, subset: Iterable[str]) -> "ExtBool":
         """Forget everything outside the subset."""
-        sub = canonical_labels(subset)
-        self._mask(sub)  # validates membership
-        n = len(self.ground)
-        pos = {v: i for i, v in enumerate(self.ground)}
-        vals = []
-        for mask in range(1 << len(sub)):
-            big = 0
-            for i in range(len(sub)):
-                if mask >> i & 1:
-                    big |= 1 << pos[sub[i]]
-            vals.append(self.values[big])
-        return ExtBool._of(sub, tuple(vals))
+        smask = self._mask(canonical_labels(subset))
+        sub, bits = self._renumber(smask)
+        inside = {m: v for m, v in self.finite.items() if not m & ~smask}
+        return ExtBool._of(sub, _spread(inside, bits))
 
     def contract(self, subset: Iterable[str]) -> "ExtBool | None":
         """Shift to the complement by the subset's value; None when that is INF."""
         smask = self._mask(subset)
-        base = self.values[smask]
-        if not is_finite(base):
+        base = self.finite.get(smask)
+        if base is None:
             return None
-        rest = tuple(v for i, v in enumerate(self.ground) if not smask >> i & 1)
-        pos = {v: i for i, v in enumerate(self.ground)}
-        vals = []
-        for mask in range(1 << len(rest)):
-            big = smask
-            for i in range(len(rest)):
-                if mask >> i & 1:
-                    big |= 1 << pos[rest[i]]
-            v = self.values[big]
-            vals.append(v - base if is_finite(v) else INF)
-        return ExtBool._of(rest, tuple(vals))
+        rest, bits = self._renumber(((1 << len(self.ground)) - 1) ^ smask)
+        above = {m: v - base for m, v in self.finite.items() if m & smask == smask}
+        return ExtBool._of(rest, _spread(above, bits))
 
     def is_submodular(self) -> bool:
-        """Exhaustive pair check of v(A|B) + v(A&B) <= v(A) + v(B).
+        """Pair check of v(A|B) + v(A&B) <= v(A) + v(B) over the support.
 
         The inequality is only required where v(A) and v(B) are finite;
         an infinite value on the union or intersection then fails it.
         """
         n = len(self.ground)
         limits.check_work(f"submodularity check over {n} labels", 4 ** n)
-        vals = self.values
-        finite = [m for m in range(1 << n) if is_finite(vals[m])]
-        for a in finite:
-            va = vals[a]
-            for b in finite:
-                if b > a:
-                    break
-                lhs_u = vals[a | b]
-                lhs_i = vals[a & b]
-                if not (is_finite(lhs_u) and is_finite(lhs_i)):
-                    return False
-                if lhs_u + lhs_i > va + vals[b]:
+        finite = self.finite
+        pairs = list(finite.items())
+        for i, (a, va) in enumerate(pairs):
+            for b, vb in pairs[:i]:
+                lhs_u, lhs_i = finite.get(a | b), finite.get(a & b)
+                if lhs_u is None or lhs_i is None or lhs_u + lhs_i > va + vb:
                     return False
         return True
 
@@ -191,34 +196,18 @@ def direct_sum(u: ExtBool, v: ExtBool) -> ExtBool:
         raise ValueError(f"ground sets overlap on {sorted(overlap)}")
     ground = canonical_labels(u.ground + v.ground)
     limits.check_size("table", len(ground), limits.SUBSET_BOUND)
-    # ubits[i], vbits[i]: the bit of ground[i] in u's or v's own masks
-    upos = {lab: i for i, lab in enumerate(u.ground)}
-    vpos = {lab: i for i, lab in enumerate(v.ground)}
-    ubits = [1 << upos[lab] if lab in upos else 0 for lab in ground]
-    vbits = [1 << vpos[lab] if lab in vpos else 0 for lab in ground]
-    uvals, vvals = u.values, v.values
-    size = 1 << len(ground)
-    umask = [0] * size
-    vmask = [0] * size
-    vals = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        umask[mask] = um = umask[mask ^ low] | ubits[i]
-        vmask[mask] = vm = vmask[mask ^ low] | vbits[i]
-        a, b = uvals[um], vvals[vm]
-        vals[mask] = INF if a is INF or b is INF else a + b
-    return ExtBool._of(ground, tuple(vals))
+    pos = {lab: i for i, lab in enumerate(ground)}
+    ufin = _spread(u.finite, [1 << pos[lab] for lab in u.ground])
+    vfin = _spread(v.finite, [1 << pos[lab] for lab in v.ground])
+    return ExtBool._of(ground, {um | vm: a + b for um, a in ufin.items()
+                                for vm, b in vfin.items()})
 
 
 def lower_half_function(g: Digraph) -> ExtBool:
     """0 on lower halves of g, INF elsewhere."""
     nv, tails, heads = g.edge_arrays()
     limits.check_size("table", nv, limits.SUBSET_BOUND)
-    vals = [INF] * (1 << nv)
-    for mask in kernels.lower_half_masks(nv, tails, heads):
-        vals[mask] = 0
-    return ExtBool._of(g.vertices, tuple(vals))
+    return ExtBool._of(g.vertices, dict.fromkeys(kernels.lower_half_masks(nv, tails, heads), 0))
 
 
 @dataclass(frozen=True)

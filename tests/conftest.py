@@ -550,13 +550,80 @@ def oracle_sample_vectors(g: Digraph, samples: int, rng: random.Random):
 
 def oracle_base_member(z, x) -> bool:
     coords = [Fraction(x[lab]) for lab in z.ground]
-    if sum(coords) != z.values[-1]:
+    values = dense_values(z)
+    if sum(coords) != values[-1]:
         return False
     n = len(z.ground)
     for mask in range(1 << n):
-        v = z.values[mask]
+        v = values[mask]
         if is_finite(v) and sum(coords[i] for i in range(n) if mask >> i & 1) > v:
             return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The dense routes of the cut function: one value per subset, all 2^n of
+# them, kept as oracles for the operations that read only the finite
+# support ExtBool.finite.
+
+def dense_values(z) -> list:
+    """z's value on every mask, INF included, in mask order."""
+    return [z.finite.get(mask, INF) for mask in range(1 << len(z.ground))]
+
+
+def oracle_lower_half_function(g: Digraph):
+    nv, tails, heads = g.edge_arrays()
+    vals = [INF] * (1 << nv)
+    for mask in oracle_lower_halves(nv, tails, heads):
+        vals[mask] = 0
+    return ExtBool(g.vertices, vals)
+
+
+def oracle_restrict(z, subset):
+    sub = canonical_labels(subset)
+    pos = {v: i for i, v in enumerate(z.ground)}
+    values = dense_values(z)
+    vals = []
+    for mask in range(1 << len(sub)):
+        big = 0
+        for i in range(len(sub)):
+            if mask >> i & 1:
+                big |= 1 << pos[sub[i]]
+        vals.append(values[big])
+    return ExtBool(sub, vals)
+
+
+def oracle_contract(z, subset):
+    sub = frozenset(subset)
+    smask = sum(1 << i for i, v in enumerate(z.ground) if v in sub)
+    values = dense_values(z)
+    base = values[smask]
+    if not is_finite(base):
+        return None
+    rest = tuple(v for v in z.ground if v not in sub)
+    pos = {v: i for i, v in enumerate(z.ground)}
+    vals = []
+    for mask in range(1 << len(rest)):
+        big = smask
+        for i in range(len(rest)):
+            if mask >> i & 1:
+                big |= 1 << pos[rest[i]]
+        v = values[big]
+        vals.append(v - base if is_finite(v) else INF)
+    return ExtBool(rest, vals)
+
+
+def oracle_is_submodular(z) -> bool:
+    """v(A|B) + v(A&B) <= v(A) + v(B) for every pair with v(A), v(B) finite."""
+    values = dense_values(z)
+    finite = [m for m in range(len(values)) if is_finite(values[m])]
+    for a in finite:
+        for b in finite:
+            lhs_u, lhs_i = values[a | b], values[a & b]
+            if not (is_finite(lhs_u) and is_finite(lhs_i)):
+                return False
+            if lhs_u + lhs_i > values[a] + values[b]:
+                return False
     return True
 
 
@@ -588,6 +655,7 @@ def oracle_direct_sum(u, v):
     ground = canonical_labels(u.ground + v.ground)
     upos = {lab: i for i, lab in enumerate(u.ground)}
     vpos = {lab: i for i, lab in enumerate(v.ground)}
+    uvals, vvals = dense_values(u), dense_values(v)
     vals = []
     for mask in range(1 << len(ground)):
         um = 0
@@ -598,7 +666,7 @@ def oracle_direct_sum(u, v):
                     um |= 1 << upos[lab]
                 else:
                     vm |= 1 << vpos[lab]
-        a, b = u.values[um], v.values[vm]
+        a, b = uvals[um], vvals[vm]
         vals.append(a + b if is_finite(a) and is_finite(b) else INF)
     return ExtBool(ground, vals)
 

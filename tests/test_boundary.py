@@ -1,11 +1,13 @@
 """Input is checked once, at the boundary.
 
 Graphs and set functions the library has already validated are rebuilt
-without going back through Digraph(...) or ExtBool(...).  The differential
-tests here compare each such build with the checking route it replaced
-(oracles in conftest.py), on every digraph with at most 4 vertices and
-every subset, and on seeded graphs of 5 to 7 vertices.  The error-path
-tests pin the exception type and message of every check that stays.
+without going back through Digraph(...) or ExtBool(...), and a set
+function's operations read only its finite support.  The differential
+tests here compare each such build with the checking, dense route it
+replaced (oracles in conftest.py), on every digraph with at most 4
+vertices and every subset, and on seeded graphs or set functions of 5 to
+7 labels.  The error-path tests pin the exception type and message of
+every check that stays.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (LABELS, all_digraphs, oracle_character_polynomial_of_sum,
-                      oracle_coproduct, oracle_direct_sum, oracle_disjoint_union,
-                      oracle_relabel, random_digraph)
+from conftest import (LABELS, all_digraphs, dense_values, oracle_character_polynomial_of_sum,
+                      oracle_contract, oracle_coproduct, oracle_direct_sum,
+                      oracle_disjoint_union, oracle_is_submodular, oracle_lower_half_function,
+                      oracle_relabel, oracle_restrict, random_digraph)
 from hopfdg import (BASIC, EDGE, INF, Digraph, ExtBool, FormalSum, antipode,
-                    character_polynomial_of_sum, direct_sum, disjoint_union)
+                    character_polynomial_of_sum, check_cone_polytope_agreement, direct_sum,
+                    disjoint_union, lower_half_function)
 
 SMALL = [g for n in range(5) for g in all_digraphs(LABELS[:n])]
 
@@ -98,8 +102,75 @@ def test_direct_sum_matches_the_per_label_loop():
         u = random_extbool(rng, labels[:cut])
         v = random_extbool(rng, labels[cut:])
         got, want = direct_sum(u, v), oracle_direct_sum(u, v)
-        assert got == want
-        assert [type(x) for x in got.values] == [type(x) for x in want.values]
+        assert same_function(got, want)
+
+
+def same_function(got: ExtBool, want: ExtBool) -> bool:
+    return (got == want and hash(got) == hash(want)
+            and [type(x) for x in dense_values(got)] == [type(x) for x in dense_values(want)])
+
+
+def outcome(route, z: ExtBool, sub):
+    """route(z, sub), or the type and message of the ValueError it raises."""
+    try:
+        return route(z, sub)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(route, oracle, z: ExtBool, sub) -> bool:
+    """Same function, both None (a zero contraction) or the same error."""
+    got, want = outcome(route, z, sub), outcome(oracle, z, sub)
+    if isinstance(got, ExtBool) and isinstance(want, ExtBool):
+        return same_function(got, want)
+    return got == want
+
+
+def test_cut_function_matches_the_dense_routes_on_small_digraphs():
+    for g in SMALL:
+        z = lower_half_function(g)
+        assert same_function(z, oracle_lower_half_function(g)), g
+        assert z.is_submodular() == oracle_is_submodular(z), g
+        for sub in subsets(g):
+            assert same_outcome(ExtBool.restrict, oracle_restrict, z, sub), (g, sub)
+            assert same_outcome(ExtBool.contract, oracle_contract, z, sub), (g, sub)
+
+
+def shifted_cut_function(rng: random.Random, labels) -> ExtBool:
+    """A random graph's cut function plus random int or Fraction weights: submodular."""
+    g = random_digraph(rng, labels)
+    weight = {v: rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 2)))
+              for v in labels}
+    return ExtBool.tabulate(labels, lambda s: sum(weight[v] for v in s)
+                            if g.is_lower_half(s) else INF)
+
+
+def test_set_function_operations_match_the_dense_routes():
+    rng = random.Random(107)
+    for k in range(300):
+        labels = LABELS[:rng.randint(0, 7)]
+        z = random_extbool(rng, labels) if k % 2 else shifted_cut_function(rng, labels)
+        assert z.is_submodular() == oracle_is_submodular(z), z
+        for _ in range(4):
+            sub = frozenset(v for v in labels if rng.random() < 0.5)
+            assert same_outcome(ExtBool.restrict, oracle_restrict, z, sub), (z, sub)
+            assert same_outcome(ExtBool.contract, oracle_contract, z, sub), (z, sub)
+
+
+def test_equal_set_functions_built_by_different_routes_hash_equal():
+    rng = random.Random(109)
+    for _ in range(200):
+        labels = LABELS[:rng.randint(0, 6)]
+        z = random_extbool(rng, labels)
+        s = frozenset(v for v in labels if rng.random() < 0.4)
+        t = frozenset(v for v in labels if v not in s and rng.random() < 0.5)
+        if z.value(s | t) is not INF and z.value(s) is not INF:
+            assert len({z.restrict(s | t).restrict(s), z.restrict(s)}) == 1
+    for _ in range(40):
+        g = random_digraph(rng, "abc")
+        h = random_digraph(rng, "xy")
+        merged = direct_sum(lower_half_function(g), lower_half_function(h))
+        assert len({merged, lower_half_function(disjoint_union(g, h))}) == 1
 
 
 def formal_sums(g: Digraph, rng: random.Random):

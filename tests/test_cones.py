@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (LABELS, all_digraphs, oracle_base_member, oracle_max_flow,
-                      oracle_sample_vectors, random_digraph)
+from conftest import (LABELS, all_digraphs, dense_values, oracle_base_member,
+                      oracle_max_flow, oracle_sample_vectors, random_digraph)
 from hopfdg import cones
 from hopfdg import (Arc, Digraph, FlowNetwork, SINK, SOURCE,
                     UnboundedFlowError, WorkLimitError,
@@ -303,9 +303,16 @@ def test_base_member_matches_old_route():
         z = ExtBool(labels, values)
         x = {lab: Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for lab in labels}
         if labels:
-            x[labels[-1]] += z.values[-1] - sum(x.values())
+            x[labels[-1]] += dense_values(z)[-1] - sum(x.values())
         for y in (x, {lab: c.numerator if c.denominator == 1 else c for lab, c in x.items()}):
             assert base_member(z, y) == oracle_base_member(z, y), (z, y)
+
+
+def test_agreement_on_a_long_cycle_builds_no_table_over_all_subsets():
+    labels = [f"v{i:02d}" for i in range(20)]
+    g = Digraph(labels, zip(labels, labels[1:] + labels[:1]))
+    assert lower_half_function(g).finite == {0: 0, (1 << 20) - 1: 0}
+    assert check_cone_polytope_agreement(g, samples=5).passed
 
 
 def test_agreement_runs_without_fractions(monkeypatch):

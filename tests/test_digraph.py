@@ -132,7 +132,9 @@ def test_parse_graph_roundtrip(g3):
 @pytest.mark.parametrize("text,line,fragment", [
     ("", 1, "vertices"),
     ("0 -> 1\n", 1, "vertices"),
-    ("vertices: a a\n", 1, "duplicate vertex"),
+    ("vertices: a a\n", 1, "column 13: duplicate vertex"),
+    ("vertices: ab b b\n", 1, "column 16: duplicate vertex 'b'"),
+    ("  vertices:a\tb  a # a\n", 1, "column 17: duplicate vertex 'a'"),
     ("vertices: a b\na - b\n", 2, "expected"),
     ("vertices: a b\na -> c\n", 2, "unknown vertex"),
     ("vertices: a b\nc -> a\n", 2, "unknown vertex"),
