@@ -26,8 +26,7 @@ from .invariants import (ReciprocityCheck, b_polynomial, brute_strict,
                          weak_chromatic)
 from .rings import BinPoly, Poly, binomial
 from .submodular import (ExtBool, INF, Infinity, MorphismCheck,
-                         check_low_morphism, direct_sum, is_finite,
-                         lower_half_function)
+                         check_low_morphism, direct_sum, lower_half_function)
 
 __version__ = "0.1.0"
 
@@ -44,7 +43,7 @@ __all__ = [
     "check_cone_polytope_agreement", "check_edge_reciprocity",
     "check_low_morphism", "check_reciprocity", "cone_generators",
     "cone_member", "direct_sum", "disjoint_union", "edge_char",
-    "edge_invariant", "format_graph", "generic_direction_count", "is_finite",
+    "edge_invariant", "format_graph", "generic_direction_count",
     "lower_half_function", "max_flow", "parse_graph", "strict_chromatic",
     "vertex_sum_count", "weak_chromatic",
 ]

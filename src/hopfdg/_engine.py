@@ -15,30 +15,31 @@ folds a value along such chains:
 
 A lower half is a union of down-sets, the down-set of v being v and
 every vertex with a path to v.  _walk_halves yields each lower half once,
-adding one distinct down-set at a time to the halves it has found, so it
-costs about L times the number of distinct down-sets for L lower halves;
+adding one distinct down-set at a time to the halves it has found, so
+each half it takes probes every distinct down-set;
 hopfdg.kernels.lower_half_masks exposes it.  The sums over blocks read
 two edge masks per state (_edge_masks), never a table over all subsets.
-
-Each sum first asks hopfdg.limits for at most SUBSET_BOUND vertices and
-for its steps within the work budget: over the lower halves L(L+1)/2, a
-bound on the nested pairs, checked on at most one more lower half than
-the budget admits, so that a refusal stops the walk early and names a
-lower bound on L; over all subsets a bound on the accumulator entries
-the fold walks (_surjection_work), since each of the 3^n steps walks a
-whole accumulator.  Neither estimate counts the antipode's terms, of
-which a transitive tournament has 2^(n-1), so SUBSET_BOUND caps those.
 
 The fold visits the states in order of size.  A state's accumulator is
 complete once every state below it has been visited; it is then pushed
 into every state nested above it and dropped, since no later state reads
 it.  Only the accumulators of states not yet visited are alive.
+
+One meter gates every sum: the work is counted while it is done, and
+hopfdg.limits refuses the sum once the count passes the work budget, so
+a refusal comes after at most one budget of work and before any output.
+The walk is charged its probes and stops one half past what the budget
+admits.  The fold charges each state, before it pushes, the states its
+row scans plus one per push and one per entry each push walks.  The last
+accumulator is the output, so the meter caps the antipode's terms too.
+Up front only what a lower bound proves is refused: the 3^n - 2^n steps
+of surjection_stats each walk an entry, and its edge masks cover all 2^n
+subsets, so it alone keeps SUBSET_BOUND.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from math import comb, isqrt
 from typing import Any, Callable, Iterable, Iterator
 
 from . import limits
@@ -57,13 +58,13 @@ def _down_sets(nv: int, tails: list[int], heads: list[int]) -> list[int]:
     return down
 
 
-def _walk_halves(nv: int, tails: list[int], heads: list[int]) -> Iterator[int]:
+def _walk_halves(downs: set[int]) -> Iterator[int]:
     """Each lower half once, breadth first from the empty set.
 
-    A lower half is the union of the down-sets of its vertices, so adding
-    one distinct down-set at a time reaches every lower half from 0.
+    downs holds the distinct down-sets.  A lower half is the union of the
+    down-sets of its vertices, so adding one distinct down-set at a time
+    reaches every lower half from 0.
     """
-    downs = set(_down_sets(nv, tails, heads))
     seen = {0}
     queue = [0]
     yield 0
@@ -76,17 +77,22 @@ def _walk_halves(nv: int, tails: list[int], heads: list[int]) -> Iterator[int]:
                 yield high
 
 
-def _lattice(nv: int, tails: list[int], heads: list[int]) -> list[int]:
-    """The lower halves, once the tables and the fold over them fit the limits."""
-    limits.check_size("composition sum", nv, limits.SUBSET_BOUND)
-    # cap is the most lower halves L whose L(L+1)/2 nested pairs fit the
-    # budget, so the walk stops at cap + 1: a refusal names a lower bound
-    cap = (isqrt(8 * max(limits.work_budget(), 0) + 1) - 1) // 2
-    halves = list(islice(_walk_halves(nv, tails, heads), cap + 1))
-    count = len(halves)
-    limits.check_work(f"composition sum over at least {count} lower halves",
-                      count * (count + 1) // 2)
-    return sorted(halves)
+def _lattice(nv: int, tails: list[int],
+             heads: list[int]) -> tuple[list[int], int, int]:
+    """The lower halves in increasing order, the work budget and the walk's work.
+
+    Each half taken is charged one probe per distinct down-set, so the
+    walk stops one half past what the budget admits.
+    """
+    downs = set(_down_sets(nv, tails, heads))
+    probes = max(len(downs), 1)   # the empty graph has no down-sets
+    budget = limits.work_budget()
+    halves = list(islice(_walk_halves(downs), max(budget // probes + 1, 0)))
+    work = len(halves) * probes
+    if work > budget:
+        limits.refuse_work(f"composition sum over at least {len(halves)} lower halves",
+                           work, budget)
+    return sorted(halves), budget, work
 
 
 def _edge_masks(nv: int, tails: list[int], heads: list[int],
@@ -112,14 +118,17 @@ def _edge_masks(nv: int, tails: list[int], heads: list[int],
     return out, into
 
 
-def _fold(nv: int, states: Iterable[int],
-          step: Callable[[dict, dict, int, int], None]) -> dict:
-    """Accumulator of the full set, from the unit {0: 1} at the empty set.
+def _fold(nv: int, states: Iterable[int], step: Callable[[dict, dict, int, int], None],
+          budget: int, work: int = 0) -> tuple[dict, int]:
+    """Accumulator of the full set, from the unit {0: 1} at the empty set, and the work.
 
     states lists every state in increasing order, the empty and the full
     set included; the fold visits them by size.  step(target, source,
     low, block) adds to target the contribution of source, the accumulator
     of state low, extended by the block that leads to the state low | block.
+    The count starts at work: before a state pushes, it is charged the
+    states its row scans, plus one per push and one per entry of source
+    per push.  Once the count passes budget, hopfdg.limits refuses the sum.
     """
     states = sorted(states, key=int.bit_count)
     full = (1 << nv) - 1
@@ -130,7 +139,8 @@ def _fold(nv: int, states: Iterable[int],
         low = states[i]
         source = acc.pop(low)
         rest = full ^ low
-        if 1 << rest.bit_count() <= count - i:
+        scan = 1 << rest.bit_count()
+        if scan <= count - i:
             # fewer subsets of the complement than states still to visit
             highs = []
             block = rest
@@ -139,13 +149,17 @@ def _fold(nv: int, states: Iterable[int],
                     highs.append(low | block)
                 block = (block - 1) & rest
         else:
+            scan = count - i
             highs = [high for high in states[i + 1:] if not low & ~high]
+        work += scan + len(highs) * (1 + len(source))
+        if work > budget:
+            limits.refuse_work(f"composition sum over {nv} vertices", work, budget)
         for high in highs:
             target = acc.get(high)
             if target is None:
                 target = acc[high] = {}
             step(target, source, low, high ^ low)
-    return acc.pop(full)
+    return acc.pop(full), work
 
 
 def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, int], int]:
@@ -154,7 +168,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     Key (k, kept) counts such compositions into k blocks that keep `kept`
     edges inside single blocks.  The empty graph gives {(0, 0): 1}.
     """
-    halves = _lattice(nv, tails, heads)
+    halves, budget, work = _lattice(nv, tails, heads)
     out, into = _edge_masks(nv, tails, heads, halves)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
@@ -167,7 +181,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
             key += delta
             target[key] = get(key, 0) + cnt
 
-    packed = _fold(nv, halves, step)
+    packed, _ = _fold(nv, halves, step, budget, work)
     mask = (1 << shift) - 1
     return {(key & mask, key >> shift): cnt for key, cnt in packed.items()}
 
@@ -178,7 +192,7 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     A composition into k blocks adds (-1)^k at the mask of the edges inside
     its blocks.  Zero coefficients are dropped; the empty graph gives {0: 1}.
     """
-    halves = _lattice(nv, tails, heads)
+    halves, budget, work = _lattice(nv, tails, heads)
     out, into = _edge_masks(nv, tails, heads, halves)
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
@@ -190,7 +204,7 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
                 mask |= kept
                 target[mask] = get(mask, 0) - coeff
 
-    terms = _fold(nv, halves, step)
+    terms, _ = _fold(nv, halves, step, budget, work)
     return {mask: coeff for mask, coeff in terms.items() if coeff}
 
 
@@ -203,7 +217,7 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
     order.
     block_value is called once per block.  The empty graph gives {0: 1}.
     """
-    halves = _lattice(nv, tails, heads)
+    halves, budget, work = _lattice(nv, tails, heads)
     values: dict[int, Any] = {}
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
@@ -213,37 +227,7 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
         for k, val in source.items():
             target[k + 1] = target.get(k + 1, 0) + val * z
 
-    return _fold(nv, halves, step)
-
-
-def _surjection_work(nv: int, tails: list[int], heads: list[int]) -> int:
-    """Bound on the accumulator entries surjection_stats walks.
-
-    A state S of s vertices pushes its accumulator into at most 2^(n-s)
-    states above it.  Its keys (k, asc, desc) have k <= s and
-    asc + desc <= e, the number of edges inside S, so there are at most
-    s(e+1)(e+2)/2 of them; the empty state holds one.  Over the states of
-    size s, the sums of e and e^2 count the edges and the ordered pairs of
-    edges inside them: a pair whose ends are u vertices lies inside
-    C(n-u, s-u) states of size s.
-    """
-    m = len(tails)
-    degree = [0] * nv
-    spans: dict[tuple[int, int], int] = {}
-    for t, h in zip(tails, heads):
-        degree[t] += 1
-        degree[h] += 1
-        span = (t, h) if t < h else (h, t)
-        spans[span] = spans.get(span, 0) + 1
-    same = sum(c * c for c in spans.values())       # pairs on the same two ends
-    shared = sum(d * d for d in degree) - 2 * same   # pairs on three ends
-    apart = m * m - same - shared                    # pairs on four ends
-    total = 1 << nv
-    for s in range(1, nv + 1):
-        on2, on3, on4 = (comb(nv - u, s - u) if s >= u else 0 for u in (2, 3, 4))
-        squares = same * on2 + shared * on3 + apart * on4
-        total += (1 << nv - s) * s * (squares + 3 * m * on2 + 2 * comb(nv, s)) // 2
-    return total
+    return _fold(nv, halves, step, budget, work)[0]
 
 
 def surjection_stats(nv: int, tails: list[int],
@@ -257,8 +241,8 @@ def surjection_stats(nv: int, tails: list[int],
     into arbitrary subsets.
     """
     limits.check_size("composition sum", nv, limits.SUBSET_BOUND)
-    limits.check_work(f"surjection scan over {nv} vertices",
-                      _surjection_work(nv, tails, heads))
+    # each of the 3^n - 2^n steps walks at least one entry
+    budget = limits.check_work(f"surjection scan over {nv} vertices", 3 ** nv - 2 ** nv)
     if nv == 0:
         return {}
     states = range(1 << nv)
@@ -275,7 +259,7 @@ def surjection_stats(nv: int, tails: list[int],
             key += delta
             target[key] = get(key, 0) + cnt
 
-    packed = _fold(nv, states, step)
+    packed, _ = _fold(nv, states, step, budget)
     mask = (1 << width) - 1
     return {(key & mask, key >> width & mask, key >> 2 * width): cnt
             for key, cnt in packed.items()}

@@ -24,7 +24,7 @@ def lower_half_masks(nv: int, tails: list[int], heads: list[int]) -> list[int]:
     # a def, not an alias of an _engine function, so that wrapping this
     # public name (as perfbench's tracer does) leaves the engine's own calls
     # unwrapped
-    return sorted(_engine._walk_halves(nv, tails, heads))
+    return sorted(_engine._walk_halves(set(_engine._down_sets(nv, tails, heads))))
 
 
 def count_strict_colorings(nv: int, tails: list[int], heads: list[int], n: int) -> int:

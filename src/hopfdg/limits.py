@@ -1,23 +1,25 @@
-"""The one resource gate: every refusal to start oversized work comes from here.
+"""The one resource gate: every refusal of oversized work comes from here.
 
-Every entry point that starts exponential work calls one of two checks
-first and raises instead of hanging; the command line reports either
-refusal as "resource limit" with exit code 3.
+The command line reports each refusal as "resource limit" with exit code
+3.  Nothing is printed before the work returns, so stdout stays empty.
 
-  check_size  a vertex count against the user's cap on composition sums
-              (max_vertices=, --max-vertices) or SUBSET_BOUND, the most
-              vertices whose 2^n subsets may all be visited (the states of
-              the surjection walk, ExtBool.tabulate, the cut function's
-              support, all 2^n subsets on an edgeless graph); on the
-              lower halves it also caps the antipode's terms, up to
-              2^(n-1), which the work estimate does not count;
-  check_work  an estimate of the steps against the one work budget,
-              DEFAULT_MAX_WORK or the HOPFDG_MAX_WORK environment variable.
+  check_size   a vertex count against a cap: the user's cap on
+               composition sums (max_vertices=, --max-vertices), or
+               SUBSET_BOUND, the most vertices whose 2^n subsets may all
+               be built or visited (the states of the surjection walk,
+               ExtBool.tabulate, the cut function's support);
+  check_work   an estimate of the steps, made before the work starts,
+               against the one work budget, DEFAULT_MAX_WORK or the
+               HOPFDG_MAX_WORK environment variable;
+  refuse_work  the meter: the composition sums count their work while
+               they do it and call this once the count passes the
+               budget, so they stop within one budget of work.
 """
 
 from __future__ import annotations
 
 import os
+from typing import NoReturn
 
 from .errors import SizeLimitError, WorkLimitError
 
@@ -43,9 +45,16 @@ def work_budget() -> int:
         raise ValueError(f"{ENV_MAX_WORK} must be an integer, got {raw!r}")
 
 
-def check_work(what: str, estimate: int) -> None:
-    """Refuse `what` when its estimated steps exceed the work budget."""
+def check_work(what: str, estimate: int) -> int:
+    """Refuse `what` when its estimated steps exceed the work budget; else the budget."""
     budget = work_budget()
     if estimate > budget:
         raise WorkLimitError(f"{what} needs about {estimate} steps, over the work "
                              f"budget {budget}; set {ENV_MAX_WORK} to raise it")
+    return budget
+
+
+def refuse_work(what: str, work: int, budget: int) -> NoReturn:
+    """Refuse `what`, whose counted work has passed the budget."""
+    raise WorkLimitError(f"{what} needs at least {work} steps, over the work "
+                         f"budget {budget}; set {ENV_MAX_WORK} to raise it")

@@ -53,10 +53,6 @@ class Infinity:
 INF = Infinity()
 
 
-def is_finite(v) -> bool:
-    return not isinstance(v, Infinity)
-
-
 def _check_value(v) -> None:
     if not isinstance(v, (int, Fraction, Infinity)):
         raise ValueError(f"values must be ints, Fractions or INF, got {v!r}")
@@ -177,9 +173,10 @@ class ExtBool:
         The inequality is only required where v(A) and v(B) are finite;
         an infinite value on the union or intersection then fails it.
         """
-        n = len(self.ground)
-        limits.check_work(f"submodularity check over {n} labels", 4 ** n)
         finite = self.finite
+        size = len(finite)
+        limits.check_work(f"submodularity check over {size} finite values",
+                          size * (size - 1) // 2)
         pairs = list(finite.items())
         for i, (a, va) in enumerate(pairs):
             for b, vb in pairs[:i]:

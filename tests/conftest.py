@@ -18,7 +18,7 @@ from math import lcm
 import pytest
 
 from hopfdg import (INF, BinPoly, Digraph, ExtBool, UnboundedFlowError,
-                    character_polynomial, cone_generators, is_finite)
+                    character_polynomial, cone_generators)
 from hopfdg.cones import FlowResult
 from hopfdg.digraph import canonical_labels
 
@@ -29,6 +29,11 @@ LABELS = "abcdefghij"
 def g3() -> Digraph:
     """Transitive tournament on three vertices."""
     return Digraph(("0", "1", "2"), (("0", "1"), ("1", "2"), ("0", "2")))
+
+
+def is_finite(v) -> bool:
+    """v is not INF, the one infinite value."""
+    return v is not INF
 
 
 def all_digraphs(labels):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -437,20 +438,75 @@ def test_sixteen_vertex_cycle_answers_under_the_default_budget(
     assert f"binomial: {binomial}\n" in out
 
 
-def test_bpoly_answers_on_nine_vertices_and_refuses_thirteen_at_once(
+def test_bpoly_answers_on_nine_vertices_meters_thirteen_and_refuses_fifteen_at_once(
         capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
     code, out, err = run(capsys, "invariant", "bpoly", _tournament_file(tmp_path, 9))
     assert code == 0 and err == ""
     assert out.startswith("graph: 9 vertices, 36 edges\ninvariant: bpoly\n")
-    # on 13 vertices the walk over all surjections would take about a minute
+    # on 13 vertices the 3^13 - 2^13 steps fit the budget, but the entries
+    # they walk do not: the meter stops the fold within one budget of work
     path = _tournament_file(tmp_path, 13)
-    start = time.perf_counter()
     code, out, err = run(capsys, "invariant", "bpoly", path, "--max-vertices", "13")
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: composition sum over 13 vertices needs at least ")
+    assert "work budget 10000000; set HOPFDG_MAX_WORK" in err and err.count("\n") == 1
+    # on 15 vertices the steps alone are past the budget
+    path = _tournament_file(tmp_path, 15)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariant", "bpoly", path, "--max-vertices", "15")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
-    assert err.startswith("resource limit: surjection scan over 13 vertices needs about ")
+    assert err.startswith("resource limit: surjection scan over 15 vertices needs about "
+                          f"{3 ** 15 - 2 ** 15} steps")
     assert err.count("\n") == 1
+
+
+def test_sparse_twenty_vertex_dag_antipode_is_refused_with_empty_stdout(
+        capsys, tmp_path, monkeypatch):
+    # 2,996 lower halves and about 3.4M antipode terms: the meter stops the
+    # fold long before them (a few seconds at the default budget)
+    rng = random.Random(2)
+    order = list(range(20))
+    rng.shuffle(order)
+    forward = [(order[i], order[j]) for i in range(20) for j in range(i + 1, 20)]
+    path = _graph_file(tmp_path, "dag20.txt", 20, rng.sample(forward, 30))
+    monkeypatch.setenv("HOPFDG_MAX_WORK", "1000000")
+    code, out, err = run(capsys, "antipode", path, "--max-vertices", "20")
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: composition sum over 20 vertices needs at least ")
+    assert "work budget 1000000; set HOPFDG_MAX_WORK" in err and err.count("\n") == 1
+
+
+# A dense cyclic graph on 10 vertices, 45 edges: its surjection walk fits
+# the default budget, where the former estimate of the walk read 10,142,872.
+_DENSE10 = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (0, 8), (1, 3), (1, 4), (1, 5),
+            (1, 6), (2, 0), (2, 5), (2, 9), (3, 0), (3, 1), (3, 2), (3, 8), (3, 9),
+            (4, 5), (4, 6), (4, 8), (5, 1), (5, 3), (5, 4), (5, 9), (6, 0), (6, 1),
+            (6, 2), (6, 3), (6, 8), (6, 9), (7, 0), (7, 1), (7, 2), (7, 6), (7, 8),
+            (7, 9), (8, 1), (8, 3), (8, 4), (8, 5), (8, 6), (8, 7), (9, 5), (9, 8))
+
+
+def test_ten_vertex_dense_cyclic_bpoly_answers_under_the_default_budget(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    path = _graph_file(tmp_path, "dense10.txt", 10, _DENSE10)
+    code, out, err = run(capsys, "invariant", "bpoly", path, "--max-vertices", "10")
+    assert code == 0 and err == ""
+    assert out.startswith("graph: 10 vertices, 45 edges\ninvariant: bpoly\nbinomial: C(n,1) + ")
+
+
+@pytest.mark.parametrize("argv, want", (
+    (("antipode",), "antipode: 1 terms on 24 vertices\n-1 * [v00->v01, "),
+    (("invariant", "strict"), "binomial: 0\n"),
+    (("invariant", "psi"), "binomial: q^24*C(n,1)\n")))
+def test_twenty_four_vertex_cycle_answers(capsys, tmp_path, monkeypatch, argv, want):
+    # two lower halves; no cap on the vertices of the lattice sums but the user's
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    path = _graph_file(tmp_path, "cycle24.txt", 24, [(i, (i + 1) % 24) for i in range(24)])
+    code, out, err = run(capsys, *argv, path, "--max-vertices", "24")
+    assert code == 0 and err == ""
+    assert want in out
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -5,6 +5,7 @@ the k^n walk over colorings and the 2^n scan for the lower halves; they
 share no code with hopfdg._engine.
 """
 
+import math
 import random
 import tracemalloc
 
@@ -16,7 +17,7 @@ from conftest import (all_digraphs, oracle_character_sum, oracle_chain_stats,
 from hopfdg import (EDGE, Character, Digraph, SizeLimitError, WorkLimitError,
                     antipode, character_polynomial, kernels)
 from hopfdg import _engine, limits
-from hopfdg._engine import _down_sets, _edge_masks, _fold, _surjection_work
+from hopfdg._engine import _down_sets, _edge_masks, _fold
 from hopfdg.cli import main
 from hopfdg.rings import Q, Y, Z
 
@@ -99,7 +100,7 @@ def test_lower_half_scan_matches_definition():
 
 
 def test_lower_half_scan_has_no_kernel_bound():
-    # a path on 17 vertices, past the sums' bound: its lower halves are the prefixes
+    # a path on 17 vertices, past any vertex cap: its lower halves are the prefixes
     nv = 17
     halves = kernels.lower_half_masks(nv, list(range(nv - 1)), list(range(1, nv)))
     assert halves == [(1 << j) - 1 for j in range(nv + 1)]
@@ -135,7 +136,8 @@ def test_fold_steps_once_per_nested_pair_of_lower_halves():
         nv, tails, heads = g.edge_arrays()
         halves = kernels.lower_half_masks(nv, tails, heads)
         seen = []
-        _fold(nv, halves, lambda target, source, low, block: seen.append((low, block)))
+        _fold(nv, halves, lambda target, source, low, block: seen.append((low, block)),
+              budget=10 ** 9)
         want = sorted((low, high ^ low) for low in halves for high in halves
                       if low != high and not low & ~high)
         assert sorted(seen) == want
@@ -194,72 +196,96 @@ def test_lattice_sums_allocate_nothing_per_subset(monkeypatch):
     assert received == [kernels.lower_half_masks(*args) for args in (cycle, cycle, order)]
 
 
-def halves_cap(budget: int) -> int:
-    """The most lower halves L whose L(L+1)/2 nested pairs fit the budget."""
-    cap = 0
-    while (cap + 1) * (cap + 2) // 2 <= budget:
-        cap += 1
-    return cap
+def charged_work(monkeypatch, fn, *args) -> int:
+    """The work fn charged to the meter: the count the last fold it ran returned."""
+    work = [0]   # a sum that never folds (surjections of no vertices) charges nothing
+
+    def fold(*fold_args):
+        acc, work[0] = _fold(*fold_args)
+        return acc, work[0]
+
+    with monkeypatch.context() as patch:
+        patch.setenv("HOPFDG_MAX_WORK", str(10 ** 12))
+        patch.setattr(_engine, "_fold", fold)
+        fn(*args)
+    return work[0]
+
+
+def assert_the_meter_is_exact(monkeypatch, g: Digraph) -> None:
+    """Each sum answers at a budget of the work it charged, and refuses at one less."""
+    nv, tails, heads = g.edge_arrays()
+
+    def block_value(mask):
+        return 3 * mask - 1
+
+    sums = ((kernels.chain_stats, (), oracle_chain_stats),
+            (kernels.takeuchi_terms, (), oracle_takeuchi_terms),
+            (kernels.character_sum, (block_value,), oracle_character_sum),
+            (kernels.surjection_stats, (), oracle_surjection_walk))
+    for fn, extra, oracle in sums:
+        args = (nv, tails, heads, *extra)
+        work = charged_work(monkeypatch, fn, *args)
+        monkeypatch.setenv("HOPFDG_MAX_WORK", str(work))
+        assert fn(*args) == oracle(*args), (fn.__name__, g)
+        monkeypatch.setenv("HOPFDG_MAX_WORK", str(work - 1))
+        with pytest.raises(WorkLimitError):
+            fn(*args)
+
+
+def test_the_meter_is_exact_on_every_small_digraph(monkeypatch):
+    for labels in ("", "a", "ab", "abc", "abcd"):
+        for g in all_digraphs(labels):
+            assert_the_meter_is_exact(monkeypatch, g)
+
+
+@pytest.mark.parametrize("n,count", ((5, 12), (6, 6), (7, 2)))
+def test_the_meter_is_exact_on_random_digraphs(monkeypatch, n, count):
+    rng = random.Random(200 + n)
+    for _ in range(count):
+        assert_the_meter_is_exact(
+            monkeypatch, random_digraph(rng, "abcdefg"[:n], p=rng.choice([0.1, 0.3, 0.6])))
+
+
+def star_arrays():
+    """16 sources into one sink: 2^16 + 1 lower halves, 17 distinct down-sets."""
+    return 17, list(range(16)), [16] * 16
 
 
 def test_engine_refuses_work_past_the_budget(monkeypatch):
-    # the 17-vertex star has 2^16 + 1 lower halves; the lattice sums stop
-    # at one more than the budget admits.  For the surjections, the bound
-    # on the accumulator entries their 3^17 steps walk
-    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
-    tails, heads = list(range(16)), [16] * 16
-    seen = halves_cap(limits.DEFAULT_MAX_WORK) + 1
-    assert seen == 4472
-    lattice = f"at least {seen} lower halves needs about {seen * (seen + 1) // 2} steps"
-    messages = {kernels.chain_stats: lattice, kernels.takeuchi_terms: lattice,
-                kernels.surjection_stats: f"about {_surjection_work(17, tails, heads)} steps"}
-    for fn, want in messages.items():
+    # the lattice sums walk all 2^16 + 1 lower halves of the star, charged
+    # 17 probes each, and the fold passes the budget; the surjections'
+    # 3^17 - 2^17 steps are refused before any of them
+    monkeypatch.setenv("HOPFDG_MAX_WORK", "2000000")
+    nv, tails, heads = star_arrays()
+    for fn, extra in ((kernels.chain_stats, ()), (kernels.takeuchi_terms, ()),
+                      (kernels.character_sum, (lambda mask: 1,))):
         with pytest.raises(WorkLimitError) as exc:
-            fn(17, tails, heads)
+            fn(nv, tails, heads, *extra)
         message = str(exc.value)
-        assert want in message
-        assert "10000000" in message and "HOPFDG_MAX_WORK" in message
-    with pytest.raises(WorkLimitError):
-        kernels.character_sum(17, tails, heads, lambda mask: 1)
+        assert message.startswith("composition sum over 17 vertices needs at least ")
+        assert "work budget 2000000" in message and "HOPFDG_MAX_WORK" in message
+    monkeypatch.delenv("HOPFDG_MAX_WORK")
+    with pytest.raises(WorkLimitError) as exc:
+        kernels.surjection_stats(nv, tails, heads)
+    message = str(exc.value)
+    assert message.startswith(f"surjection scan over 17 vertices needs about {3**17 - 2**17} ")
+    assert "work budget 10000000" in message and "HOPFDG_MAX_WORK" in message
 
 
-def entries_walked(monkeypatch, g: Digraph) -> int:
-    """Accumulator entries surjection_stats walks on g, summed over its steps."""
-    walked = 0
-
-    def fold(nv, states, step):
-        def counting_step(target, source, low, block):
-            nonlocal walked
-            walked += len(source)
-            step(target, source, low, block)
-        return _fold(nv, states, counting_step)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(_engine, "_fold", fold)
-        kernels.surjection_stats(*g.edge_arrays())
-    return walked
+def complete_arrays(nv: int) -> tuple[int, list[int], list[int]]:
+    pairs = [(u, v) for u in range(nv) for v in range(nv) if u != v]
+    return nv, [u for u, _ in pairs], [v for _, v in pairs]
 
 
-def tournament(n: int) -> Digraph:
-    verts = [f"v{i:02d}" for i in range(n)]
-    return Digraph(verts, ((verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)))
-
-
-def test_surjection_estimate_bounds_the_entries_walked(monkeypatch):
-    rng = random.Random(71)
-    graphs = [g for labels in ("a", "ab", "abc") for g in all_digraphs(labels)]
-    graphs += [random_digraph(rng, labels, p) for labels in ("abcd", "abcdef", "abcdefg")
-               for p in (0.2, 0.5, 0.9)]
-    graphs.append(tournament(9))
-    for g in graphs:
-        assert entries_walked(monkeypatch, g) <= _surjection_work(*g.edge_arrays())
-
-
-def test_surjection_estimate_admits_every_nine_vertex_digraph():
-    # the bound grows with the edges, so the complete digraph stands for all
-    labels = "abcdefghi"
-    complete = Digraph(labels, ((u, v) for u in labels for v in labels if u != v))
-    assert _surjection_work(*complete.edge_arrays()) <= limits.DEFAULT_MAX_WORK
+@pytest.mark.parametrize("nv", (9, 10))
+def test_surjections_of_complete_digraphs_answer_under_the_default_budget(monkeypatch, nv):
+    # every pair of vertices in two value classes gives one rising and one
+    # falling edge, so asc = desc; the counts add up to the ordered Bell number
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    stats = kernels.surjection_stats(*complete_arrays(nv))
+    assert sum(stats.values()) == {9: 7087261, 10: 102247563}[nv]
+    assert all(asc == desc for _, asc, desc in stats)
+    assert stats[nv, nv * (nv - 1) // 2, nv * (nv - 1) // 2] == math.factorial(nv)
 
 
 def test_seventeen_vertex_cycle_has_two_lower_halves_and_an_answer():
@@ -270,58 +296,71 @@ def test_seventeen_vertex_cycle_has_two_lower_halves_and_an_answer():
 
 
 def test_dense_tables_stay_within_the_subset_bound(monkeypatch):
+    # the surjections build edge masks over all 2^n subsets; the lattice
+    # sums build them per lower half and are gated by the meter alone
     monkeypatch.setenv("HOPFDG_MAX_WORK", str(10 ** 30))
-    for fn in (kernels.chain_stats, kernels.surjection_stats):
-        with pytest.raises(SizeLimitError):
-            fn(21, [], [])
+    with pytest.raises(SizeLimitError):
+        kernels.surjection_stats(21, [], [])
 
 
-def assert_refused_early(capsys, monkeypatch, tmp_path, argv, text, budget):
-    """Exit 3 with no edge masks built and at most cap + 1 lower halves taken."""
+def run_refused(capsys, monkeypatch, tmp_path, argv, text, budget):
+    """Run argv on text under the budget: exit 3, empty stdout; the refusal."""
     if budget is None:
         monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
     else:
         monkeypatch.setenv("HOPFDG_MAX_WORK", budget)
-
-    def no_masks(*args):
-        raise AssertionError("the edge masks were built before the refusal")
-
-    taken = 0
-    walk = _engine._walk_halves
-
-    def counted_walk(*args):
-        nonlocal taken
-        for half in walk(*args):
-            taken += 1
-            yield half
-
-    monkeypatch.setattr(_engine, "_edge_masks", no_masks)
-    monkeypatch.setattr(_engine, "_walk_halves", counted_walk)
     path = tmp_path / "graph.txt"
     path.write_text(text)
     code = main([*argv, str(path), "--max-vertices", "20"])
     out = capsys.readouterr()
-    seen = halves_cap(limits.work_budget()) + 1
     assert code == 3 and out.out == ""
-    assert taken == seen
-    assert out.err.startswith(f"resource limit: composition sum over at least {seen} "
-                              "lower halves needs about ")
+    assert out.err.count("\n") == 1
+    assert f"over the work budget {limits.work_budget()}; set HOPFDG_MAX_WORK" in out.err
+    return out.err
+
+
+def count_halves_taken(monkeypatch) -> list[int]:
+    taken = [0]
+    walk = _engine._walk_halves
+
+    def counted_walk(*args):
+        for half in walk(*args):
+            taken[0] += 1
+            yield half
+
+    monkeypatch.setattr(_engine, "_walk_halves", counted_walk)
+    return taken
 
 
 @pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
 @pytest.mark.parametrize("nv, budget", ((20, None), (8, "1000")))
 def test_isolated_vertices_are_refused_before_the_scan(capsys, monkeypatch, tmp_path,
                                                        argv, nv, budget):
+    # 2^nv lower halves, each charged nv probes: the walk stops one half
+    # past what the budget admits, before any edge mask is built
+    def no_masks(*args):
+        raise AssertionError("the edge masks were built before the refusal")
+
+    monkeypatch.setattr(_engine, "_edge_masks", no_masks)
+    taken = count_halves_taken(monkeypatch)
     text = "vertices: " + " ".join(f"v{i:02d}" for i in range(nv)) + "\n"
-    assert_refused_early(capsys, monkeypatch, tmp_path, argv, text, budget)
+    err = run_refused(capsys, monkeypatch, tmp_path, argv, text, budget)
+    seen = limits.work_budget() // nv + 1
+    assert seen < 1 << nv and taken[0] == seen
+    assert err.startswith(f"resource limit: composition sum over at least {seen} "
+                          f"lower halves needs at least {seen * nv} steps")
 
 
 @pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
-def test_star_is_refused_before_the_scan(capsys, monkeypatch, tmp_path, argv):
-    # 16 sources into one sink: 2^16 + 1 lower halves, 17 distinct down-sets
-    text = "vertices: " + " ".join(f"v{i:02d}" for i in range(17)) + "\n"
-    text += "".join(f"v{i:02d} -> v16\n" for i in range(16))
-    assert_refused_early(capsys, monkeypatch, tmp_path, argv, text, None)
+def test_star_is_refused_in_the_fold(capsys, monkeypatch, tmp_path, argv):
+    # the walk's 17 (2^16 + 1) probes fit the budget; the fold passes it
+    taken = count_halves_taken(monkeypatch)
+    nv, tails, heads = star_arrays()
+    text = "vertices: " + " ".join(f"v{i:02d}" for i in range(nv)) + "\n"
+    text += "".join(f"v{t:02d} -> v{h:02d}\n" for t, h in zip(tails, heads))
+    err = run_refused(capsys, monkeypatch, tmp_path, argv, text, "2000000")
+    assert taken[0] == (1 << 16) + 1
+    assert err.startswith("resource limit: composition sum over 17 vertices needs at least ")
 
 
 @pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_digraphs, dense_values, oracle_is_lower_half, random_digraph
+from conftest import (all_digraphs, dense_values, is_finite, oracle_is_lower_half,
+                      random_digraph)
 from hopfdg import (Digraph, ExtBool, INF, SizeLimitError, check_low_morphism,
-                    direct_sum, disjoint_union, is_finite, kernels,
+                    WorkLimitError, direct_sum, disjoint_union, kernels,
                     lower_half_function)
 
 
@@ -108,6 +109,20 @@ def test_lower_half_function_matches_definition_and_is_submodular():
             expect = 0 if oracle_is_lower_half(g, sub) else INF
             assert z.value(sub) == expect or z.value(sub) is expect
         assert z.is_submodular(), g
+
+
+def test_submodularity_check_is_gated_on_the_pairs_of_its_support(monkeypatch):
+    # a 14-vertex directed path has 15 lower halves, so 105 pairs; 4^14 is
+    # far past the default budget
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    labels = [f"v{i:02d}" for i in range(14)]
+    z = lower_half_function(Digraph(labels, zip(labels, labels[1:])))
+    assert len(z.finite) == 15
+    assert z.is_submodular()
+    monkeypatch.setenv("HOPFDG_MAX_WORK", "104")
+    with pytest.raises(WorkLimitError) as exc:
+        z.is_submodular()
+    assert "needs about 105 steps" in str(exc.value)
 
 
 def test_subset_tables_refuse_past_twenty_labels_before_scanning(monkeypatch):
