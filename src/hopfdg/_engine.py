@@ -17,8 +17,9 @@ A lower half is a union of down-sets, the down-set of v being v and
 every vertex with a path to v.  _walk_halves yields each lower half once,
 adding one distinct down-set at a time to the halves it has found, so
 each half it takes probes every distinct down-set;
-hopfdg.kernels.lower_half_masks exposes it.  The sums over blocks read
-two edge masks per state (_edge_masks), never a table over all subsets.
+hopfdg.kernels.lower_half_masks exposes the metered walk, _lattice.  The
+sums over blocks read two edge masks per state (_edge_masks), never a
+table over all subsets.
 
 The fold visits the states in order of size.  A state's accumulator is
 complete once every state below it has been visited; it is then pushed
@@ -33,8 +34,8 @@ admits.  The fold charges each state, before it pushes, the states its
 row scans plus one per push and one per entry each push walks.  The last
 accumulator is the output, so the meter caps the antipode's terms too.
 Up front only what a lower bound proves is refused: the 3^n - 2^n steps
-of surjection_stats each walk an entry, and its edge masks cover all 2^n
-subsets, so it alone keeps SUBSET_BOUND.
+of surjection_stats each walk an entry, so that count against the budget
+also bounds its 2^n states and their edge masks.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def _lattice(nv: int, tails: list[int],
     if work > budget:
         limits.refuse_work(f"composition sum over at least {len(halves)} lower halves",
                            work, budget)
-    return sorted(halves), budget, work
+    halves.sort()
+    return halves, budget, work
 
 
 def _edge_masks(nv: int, tails: list[int], heads: list[int],
@@ -240,8 +242,8 @@ def surjection_stats(nv: int, tails: list[int],
     classes, in increasing order, are the blocks of an ordered composition
     into arbitrary subsets.
     """
-    limits.check_size("composition sum", nv, limits.SUBSET_BOUND)
-    # each of the 3^n - 2^n steps walks at least one entry
+    # each of the 3^n - 2^n steps walks at least one entry, which also
+    # bounds the 2^n states and their edge masks
     budget = limits.check_work(f"surjection scan over {nv} vertices", 3 ** nv - 2 ** nv)
     if nv == 0:
         return {}

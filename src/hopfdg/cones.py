@@ -352,10 +352,17 @@ def _sample_vectors(g: Digraph, samples: int, rng: random.Random) -> list[dict[s
     return out
 
 
-def check_agreement_work(g: Digraph, samples: int) -> None:
-    """Refuse check_cone_polytope_agreement past the work budget."""
-    nv = len(g.vertices)
-    limits.check_work(f"base check of {samples} vectors over {nv} vertices", samples << nv)
+def check_agreement_work(g: Digraph, samples: int) -> ExtBool:
+    """Refuse check_cone_polytope_agreement past the work budget; else g's cut function.
+
+    Each sample is one base check over the cut function's support, its L
+    lower halves found by the metered walk, and one flow search over the
+    graph: samples * (L + |V| + |E|) steps.
+    """
+    z = lower_half_function(g)
+    limits.check_work(f"base check of {samples} vectors over {len(z.finite)} lower halves",
+                      samples * (len(z.finite) + len(g.vertices) + len(g.edges)))
+    return z
 
 
 def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
@@ -364,14 +371,12 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
 
     Every sampled vector must land the same way under both tests, and
     every max-flow run must pass its audit.  Deterministic in the seed.
-    The work estimate is samples * 2^n: each base check scans the cut
-    function's support, at most all 2^n subsets.
+    Gated by check_agreement_work.
     """
     if samples < 0:
         raise ValueError(f"need samples >= 0, got {samples}")
-    check_agreement_work(g, samples)
+    z = check_agreement_work(g, samples)
     rng = random.Random(seed)
-    z = lower_half_function(g)
     vectors = _sample_vectors(g, samples, rng)
     edge_arcs = _edge_arcs(g)
     mismatches = []

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from . import kernels, limits
+from . import kernels
 from .errors import GraphParseError
 
 _FORBIDDEN = re.compile(r"[\s#]|->")
@@ -132,7 +132,6 @@ class Digraph:
     def lower_halves(self) -> list[frozenset[str]]:
         """All lower halves, from the empty set up to the full vertex set."""
         nv, tails, heads = self.edge_arrays()
-        limits.check_size("subset scan", nv, limits.SUBSET_BOUND)
         verts = self.vertices
         out = []
         for mask in kernels.lower_half_masks(nv, tails, heads):

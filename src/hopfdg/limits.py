@@ -3,11 +3,8 @@
 The command line reports each refusal as "resource limit" with exit code
 3.  Nothing is printed before the work returns, so stdout stays empty.
 
-  check_size   a vertex count against a cap: the user's cap on
-               composition sums (max_vertices=, --max-vertices), or
-               SUBSET_BOUND, the most vertices whose 2^n subsets may all
-               be built or visited (the states of the surjection walk,
-               ExtBool.tabulate, the cut function's support);
+  check_size   a vertex count against the user's cap on composition
+               sums (max_vertices=, --max-vertices);
   check_work   an estimate of the steps, made before the work starts,
                against the one work budget, DEFAULT_MAX_WORK or the
                HOPFDG_MAX_WORK environment variable;
@@ -24,7 +21,6 @@ from typing import NoReturn
 from .errors import SizeLimitError, WorkLimitError
 
 DEFAULT_MAX_VERTICES = 9   # default of the user's cap on composition sums
-SUBSET_BOUND = 20
 DEFAULT_MAX_WORK = 10_000_000
 ENV_MAX_WORK = "HOPFDG_MAX_WORK"
 

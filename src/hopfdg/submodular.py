@@ -13,14 +13,17 @@ of the split).
 lower_half_function sends a graph to the function that is 0 on its L
 lower halves and INF elsewhere, a support of L masks; the tests verify
 this is compatible with every operation above, and the cones module uses
-its base polytope.
+its base polytope.  No operation visits all 2^n subsets, so only the work
+budget bounds them: the walk over the lower halves is metered, and
+direct_sum and is_submodular are refused up front on the entries or
+pairs of their supports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import kernels, limits
 from .digraph import Digraph, canonical_labels, disjoint_union
@@ -122,16 +125,6 @@ class ExtBool:
     def __hash__(self) -> int:
         return hash((self.ground, frozenset(self.finite.items())))
 
-    @classmethod
-    def tabulate(cls, ground: Iterable[str],
-                 fn: Callable[[frozenset[str]], object]) -> "ExtBool":
-        g = canonical_labels(ground)
-        limits.check_size("table", len(g), limits.SUBSET_BOUND)
-        vals = []
-        for mask in range(1 << len(g)):
-            vals.append(fn(frozenset(g[i] for i in range(len(g)) if mask >> i & 1)))
-        return cls(g, vals)
-
     def _mask(self, subset: Iterable[str]) -> int:
         idx = {v: i for i, v in enumerate(self.ground)}
         mask = 0
@@ -191,8 +184,9 @@ def direct_sum(u: ExtBool, v: ExtBool) -> ExtBool:
     overlap = set(u.ground) & set(v.ground)
     if overlap:
         raise ValueError(f"ground sets overlap on {sorted(overlap)}")
+    limits.check_work(f"direct sum of {len(u.finite)} and {len(v.finite)} finite values",
+                      len(u.finite) * len(v.finite))
     ground = canonical_labels(u.ground + v.ground)
-    limits.check_size("table", len(ground), limits.SUBSET_BOUND)
     pos = {lab: i for i, lab in enumerate(ground)}
     ufin = _spread(u.finite, [1 << pos[lab] for lab in u.ground])
     vfin = _spread(v.finite, [1 << pos[lab] for lab in v.ground])
@@ -201,9 +195,8 @@ def direct_sum(u: ExtBool, v: ExtBool) -> ExtBool:
 
 
 def lower_half_function(g: Digraph) -> ExtBool:
-    """0 on lower halves of g, INF elsewhere."""
+    """0 on lower halves of g, INF elsewhere; the metered walk finds them."""
     nv, tails, heads = g.edge_arrays()
-    limits.check_size("table", nv, limits.SUBSET_BOUND)
     return ExtBool._of(g.vertices, dict.fromkeys(kernels.lower_half_masks(nv, tails, heads), 0))
 
 

@@ -19,6 +19,7 @@ import pytest
 
 from hopfdg import (INF, BinPoly, Digraph, ExtBool, UnboundedFlowError,
                     character_polynomial, cone_generators)
+from hopfdg import _engine
 from hopfdg.cones import FlowResult
 from hopfdg.digraph import canonical_labels
 
@@ -29,6 +30,20 @@ LABELS = "abcdefghij"
 def g3() -> Digraph:
     """Transitive tournament on three vertices."""
     return Digraph(("0", "1", "2"), (("0", "1"), ("1", "2"), ("0", "2")))
+
+
+def count_halves_taken(monkeypatch) -> list[int]:
+    """A one-item list counting the lower halves the engine's walk yields."""
+    taken = [0]
+    walk = _engine._walk_halves
+
+    def counted_walk(*args):
+        for half in walk(*args):
+            taken[0] += 1
+            yield half
+
+    monkeypatch.setattr(_engine, "_walk_halves", counted_walk)
+    return taken
 
 
 def is_finite(v) -> bool:
@@ -570,6 +585,13 @@ def oracle_base_member(z, x) -> bool:
 # The dense routes of the cut function: one value per subset, all 2^n of
 # them, kept as oracles for the operations that read only the finite
 # support ExtBool.finite.
+
+def tabulate(ground, fn) -> ExtBool:
+    """The ExtBool with the value fn(subset) on every subset of ground."""
+    g = canonical_labels(ground)
+    return ExtBool(g, [fn(frozenset(g[i] for i in range(len(g)) if mask >> i & 1))
+                       for mask in range(1 << len(g))])
+
 
 def dense_values(z) -> list:
     """z's value on every mask, INF included, in mask order."""

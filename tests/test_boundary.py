@@ -21,7 +21,7 @@ import pytest
 from conftest import (LABELS, all_digraphs, dense_values, oracle_character_polynomial_of_sum,
                       oracle_contract, oracle_coproduct, oracle_direct_sum,
                       oracle_disjoint_union, oracle_is_submodular, oracle_lower_half_function,
-                      oracle_relabel, oracle_restrict, random_digraph)
+                      oracle_relabel, oracle_restrict, random_digraph, tabulate)
 from hopfdg import (BASIC, EDGE, INF, Digraph, ExtBool, FormalSum, antipode,
                     character_polynomial_of_sum, check_cone_polytope_agreement, direct_sum,
                     disjoint_union, lower_half_function)
@@ -141,8 +141,8 @@ def shifted_cut_function(rng: random.Random, labels) -> ExtBool:
     g = random_digraph(rng, labels)
     weight = {v: rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 2)))
               for v in labels}
-    return ExtBool.tabulate(labels, lambda s: sum(weight[v] for v in s)
-                            if g.is_lower_half(s) else INF)
+    return tabulate(labels, lambda s: sum(weight[v] for v in s)
+                    if g.is_lower_half(s) else INF)
 
 
 def test_set_function_operations_match_the_dense_routes():

@@ -262,7 +262,8 @@ def test_kernel_size_limit_exits_with_resource_limit(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("suite", ("morphism", "theorem1"))
 def test_verify_refuses_past_the_work_budget(capsys, tmp_path, monkeypatch, suite):
-    # 4^6 morphism steps and 200 * 2^6 base-check steps, both over 1000
+    # 4^6 morphism steps and 200 * (24 + 6 + 3) theorem1 steps (24 lower
+    # halves, 6 vertices, 3 edges), both over 1000
     path = tmp_path / "path6.txt"
     path.write_text("vertices: a b c d e f\na -> b\nb -> c\nd -> e\n")
     monkeypatch.setenv("HOPFDG_MAX_WORK", "1000")

@@ -11,11 +11,12 @@ import tracemalloc
 
 import pytest
 
-from conftest import (all_digraphs, oracle_character_sum, oracle_chain_stats,
-                      oracle_edge_tables, oracle_is_lower_half, oracle_lower_halves,
-                      oracle_surjection_walk, oracle_takeuchi_terms, random_digraph)
-from hopfdg import (EDGE, Character, Digraph, SizeLimitError, WorkLimitError,
-                    antipode, character_polynomial, kernels)
+from conftest import (all_digraphs, count_halves_taken, oracle_character_sum,
+                      oracle_chain_stats, oracle_edge_tables, oracle_is_lower_half,
+                      oracle_lower_halves, oracle_surjection_walk, oracle_takeuchi_terms,
+                      random_digraph)
+from hopfdg import (EDGE, Character, Digraph, WorkLimitError, antipode,
+                    character_polynomial, kernels)
 from hopfdg import _engine, limits
 from hopfdg._engine import _down_sets, _edge_masks, _fold
 from hopfdg.cli import main
@@ -295,14 +296,6 @@ def test_seventeen_vertex_cycle_has_two_lower_halves_and_an_answer():
     assert character_polynomial(g, EDGE, max_vertices=17).coeffs == (0, Q ** 17)
 
 
-def test_dense_tables_stay_within_the_subset_bound(monkeypatch):
-    # the surjections build edge masks over all 2^n subsets; the lattice
-    # sums build them per lower half and are gated by the meter alone
-    monkeypatch.setenv("HOPFDG_MAX_WORK", str(10 ** 30))
-    with pytest.raises(SizeLimitError):
-        kernels.surjection_stats(21, [], [])
-
-
 def run_refused(capsys, monkeypatch, tmp_path, argv, text, budget):
     """Run argv on text under the budget: exit 3, empty stdout; the refusal."""
     if budget is None:
@@ -317,19 +310,6 @@ def run_refused(capsys, monkeypatch, tmp_path, argv, text, budget):
     assert out.err.count("\n") == 1
     assert f"over the work budget {limits.work_budget()}; set HOPFDG_MAX_WORK" in out.err
     return out.err
-
-
-def count_halves_taken(monkeypatch) -> list[int]:
-    taken = [0]
-    walk = _engine._walk_halves
-
-    def counted_walk(*args):
-        for half in walk(*args):
-            taken[0] += 1
-            yield half
-
-    monkeypatch.setattr(_engine, "_walk_halves", counted_walk)
-    return taken
 
 
 @pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))

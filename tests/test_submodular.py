@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (all_digraphs, dense_values, is_finite, oracle_is_lower_half,
-                      random_digraph)
-from hopfdg import (Digraph, ExtBool, INF, SizeLimitError, check_low_morphism,
-                    WorkLimitError, direct_sum, disjoint_union, kernels,
-                    lower_half_function)
+from conftest import (all_digraphs, count_halves_taken, dense_values, is_finite,
+                      oracle_is_lower_half, random_digraph, tabulate)
+from hopfdg import (Digraph, ExtBool, INF, check_low_morphism, WorkLimitError,
+                    direct_sum, disjoint_union, limits, lower_half_function)
+from hopfdg.cli import main
 
 
 def test_infinity_arithmetic():
@@ -43,7 +43,7 @@ def test_extbool_validation():
 
 
 def test_tabulate_and_restrict():
-    z = ExtBool.tabulate("ab", lambda s: len(s) ** 2)
+    z = tabulate("ab", lambda s: len(s) ** 2)
     assert z.value({"a", "b"}) == 4
     r = z.restrict({"a"})
     assert r.ground == ("a",)
@@ -51,7 +51,7 @@ def test_tabulate_and_restrict():
 
 
 def test_contract_shifts_by_base():
-    z = ExtBool.tabulate("abc", lambda s: len(s) ** 2)
+    z = tabulate("abc", lambda s: len(s) ** 2)
     c = z.contract({"a"})
     assert c is not None
     assert c.ground == ("b", "c")
@@ -70,8 +70,8 @@ def test_contract_shifts_by_base():
 
 
 def test_direct_sum_adds_blockwise():
-    za = ExtBool.tabulate("ab", lambda s: len(s))
-    zb = ExtBool.tabulate("xy", lambda s: 2 * len(s))
+    za = tabulate("ab", lambda s: len(s))
+    zb = tabulate("xy", lambda s: 2 * len(s))
     z = direct_sum(za, zb)
     assert z.ground == ("a", "b", "x", "y")
     assert z.value({"a", "x", "y"}) == 1 + 4
@@ -81,10 +81,10 @@ def test_direct_sum_adds_blockwise():
 
 def test_submodularity_checker():
     # rank-like function: submodular
-    good = ExtBool.tabulate("abc", lambda s: min(len(s), 2))
+    good = tabulate("abc", lambda s: min(len(s), 2))
     assert good.is_submodular()
     # size squared: strictly supermodular once sets overlap
-    bad = ExtBool.tabulate("abc", lambda s: len(s) ** 2)
+    bad = tabulate("abc", lambda s: len(s) ** 2)
     assert not bad.is_submodular()
 
 
@@ -125,22 +125,48 @@ def test_submodularity_check_is_gated_on_the_pairs_of_its_support(monkeypatch):
     assert "needs about 105 steps" in str(exc.value)
 
 
-def test_subset_tables_refuse_past_twenty_labels_before_scanning(monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("scan started past the subset bound")
+def directed_cycle(nv: int) -> Digraph:
+    labels = [f"v{i:02d}" for i in range(nv)]
+    return Digraph(labels, zip(labels, labels[1:] + labels[:1]))
 
-    monkeypatch.setattr(kernels, "lower_half_masks", no_scan)
-    labels = [f"v{i:02d}" for i in range(21)]
-    g = Digraph(labels, [("v00", "v20")])
-    with pytest.raises(SizeLimitError):
-        g.lower_halves()
-    with pytest.raises(SizeLimitError):
-        lower_half_function(g)
-    with pytest.raises(SizeLimitError):
-        ExtBool.tabulate(labels, no_scan)
-    left, right = (ExtBool([f"{side}{i}" for i in range(11)], [0] * 2048) for side in "ab")
-    with pytest.raises(SizeLimitError):
-        direct_sum(left, right)
+
+def test_cut_function_of_a_twenty_four_vertex_cycle_answers(monkeypatch, tmp_path, capsys):
+    # only the empty and the full set are lower halves; no bound on the
+    # vertex count stands in the way
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    g = directed_cycle(24)
+    z = lower_half_function(g)
+    assert z.finite == {0: 0, (1 << 24) - 1: 0}
+    assert g.lower_halves() == [frozenset(), frozenset(g.vertices)]
+    checks = check_low_morphism(g, [(), g.vertices, g.vertices[:1], g.vertices[:12]])
+    assert all(check.passed for check in checks)
+    path = tmp_path / "cycle.txt"
+    path.write_text("vertices: " + " ".join(g.vertices) + "\n"
+                    + "".join(f"{u} -> {v}\n" for u, v in g.edges))
+    assert main(["verify", "theorem1", str(path)]) == 0
+    assert "polytope/cone agreement (200 vectors)" in capsys.readouterr().out
+
+
+def test_cut_function_of_twenty_isolated_vertices_is_refused_by_the_meter(monkeypatch):
+    # 2^20 lower halves, each charged 20 probes: the walk stops one half
+    # past what the budget admits
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    taken = count_halves_taken(monkeypatch)
+    with pytest.raises(WorkLimitError):
+        lower_half_function(Digraph([f"v{i:02d}" for i in range(20)], []))
+    assert taken[0] == limits.work_budget() // 20 + 1
+
+
+def test_direct_sum_is_gated_on_the_entries_it_builds(monkeypatch):
+    u = lower_half_function(Digraph("abc", [("a", "b"), ("b", "c")]))
+    v = lower_half_function(Digraph("xy", [("x", "y")]))
+    assert (len(u.finite), len(v.finite)) == (4, 3)
+    monkeypatch.setenv("HOPFDG_MAX_WORK", "11")
+    with pytest.raises(WorkLimitError) as exc:
+        direct_sum(u, v)
+    assert "direct sum of 4 and 3 finite values needs about 12 steps" in str(exc.value)
+    monkeypatch.setenv("HOPFDG_MAX_WORK", "12")
+    assert len(direct_sum(u, v).finite) == 12
 
 
 def test_morphism_checks_exhaustive_small():
