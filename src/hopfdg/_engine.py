@@ -78,12 +78,13 @@ def _walk_halves(downs: set[int]) -> Iterator[int]:
                 yield high
 
 
-def _lattice(nv: int, tails: list[int],
-             heads: list[int]) -> tuple[list[int], int, int]:
+def _lattice(nv: int, tails: list[int], heads: list[int],
+             what: str) -> tuple[list[int], int, int]:
     """The lower halves in increasing order, the work budget and the walk's work.
 
     Each half taken is charged one probe per distinct down-set, so the
-    walk stops one half past what the budget admits.
+    walk stops one half past what the budget admits; its refusal names
+    the caller's work, `what` over at least N lower halves.
     """
     downs = set(_down_sets(nv, tails, heads))
     probes = max(len(downs), 1)   # the empty graph has no down-sets
@@ -91,7 +92,7 @@ def _lattice(nv: int, tails: list[int],
     halves = list(islice(_walk_halves(downs), max(budget // probes + 1, 0)))
     work = len(halves) * probes
     if work > budget:
-        limits.refuse_work(f"composition sum over at least {len(halves)} lower halves",
+        limits.refuse_work(f"{what} over at least {len(halves)} lower halves",
                            work, budget)
     halves.sort()
     return halves, budget, work
@@ -170,7 +171,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     Key (k, kept) counts such compositions into k blocks that keep `kept`
     edges inside single blocks.  The empty graph gives {(0, 0): 1}.
     """
-    halves, budget, work = _lattice(nv, tails, heads)
+    halves, budget, work = _lattice(nv, tails, heads, "composition sum")
     out, into = _edge_masks(nv, tails, heads, halves)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
@@ -194,7 +195,7 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     A composition into k blocks adds (-1)^k at the mask of the edges inside
     its blocks.  Zero coefficients are dropped; the empty graph gives {0: 1}.
     """
-    halves, budget, work = _lattice(nv, tails, heads)
+    halves, budget, work = _lattice(nv, tails, heads, "composition sum")
     out, into = _edge_masks(nv, tails, heads, halves)
 
     def step(target: dict, source: dict, low: int, block: int) -> None:
@@ -219,7 +220,7 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
     order.
     block_value is called once per block.  The empty graph gives {0: 1}.
     """
-    halves, budget, work = _lattice(nv, tails, heads)
+    halves, budget, work = _lattice(nv, tails, heads, "composition sum")
     values: dict[int, Any] = {}
 
     def step(target: dict, source: dict, low: int, block: int) -> None:

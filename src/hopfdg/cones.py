@@ -11,6 +11,14 @@ Arithmetic is exact in the numbers given (ints stay ints, anything else
 becomes a Fraction), every max-flow result carries its own min-cut
 certificate, and the sampled agreement check clears its denominators
 once and runs in ints.
+
+One augmenting-path routine (_augment) and one audit (_audit) work on
+networks in index form: nodes 0..nn-1 and arcs as tail, head and
+capacity arrays.  max_flow and audit_flow map a FlowNetwork of labelled
+nodes onto them.  The sampled agreement check builds no FlowNetwork: it
+takes the graph's index arrays once (vertices 0..n-1, source n, sink n+1,
+one INF arc per edge), and each sample appends only its terminal arcs
+before its one max flow, its full audit and its witness check.
 """
 
 from __future__ import annotations
@@ -67,6 +75,8 @@ class FlowNetwork:
         nodeset = set(self.nodes)
         if self.source not in nodeset or self.sink not in nodeset:
             raise ValueError("source and sink must be nodes")
+        if self.source == self.sink:
+            raise ValueError("source and sink must differ")
         for arc in self.arcs:
             if arc.tail not in nodeset or arc.head not in nodeset:
                 raise ValueError(f"arc {arc!r} leaves the node set")
@@ -84,6 +94,7 @@ class FlowResult:
     flows[i] is the value pushed through arcs[i]; cut is the set of nodes
     reachable from the source in the residual graph, and cut_capacity
     (the total capacity leaving the cut) equals value by construction.
+    From the index-form routines the nodes of the cut are indices.
     """
 
     value: int | Fraction
@@ -92,28 +103,27 @@ class FlowResult:
     cut_capacity: int | Fraction
 
 
-def max_flow(net: FlowNetwork) -> FlowResult:
-    """Shortest-augmenting-path max flow in the capacities' own exact numbers.
+def _augment(nn: int, tails: list[int], heads: list[int], caps: list,
+             s: int, t: int) -> FlowResult:
+    """Shortest-augmenting-path max flow on an index-form network.
 
-    INF capacities are replaced by one more than the finite total, which
-    caps any finite cut; if the computed value still reaches that stand-in
-    no finite cut exists and UnboundedFlowError is raised.
+    The nodes are 0..nn-1, arc e runs tails[e] -> heads[e] with capacity
+    caps[e] (a non-negative number or INF), and s and t are the source
+    and the sink.  INF capacities are replaced by one more than the
+    finite total, which caps any finite cut; if the computed value still
+    reaches that stand-in no finite cut exists and UnboundedFlowError is
+    raised.
     """
-    arcs = net.arcs
-    stand_in = sum(a.capacity for a in arcs if a.capacity is not INF) + 1
+    stand_in = sum(c for c in caps if c is not INF) + 1
 
-    index = {node: i for i, node in enumerate(net.nodes)}
-    s, t = index[net.source], index[net.sink]
-    nn = len(net.nodes)
-
-    # paired residual arcs: 2e forward with capacity, 2e+1 backward with 0
+    # paired residual arcs: 2e forward with capacity, 2e+1 backward with 0;
+    # residual arc r runs from to[r ^ 1] to to[r]
     res = []
-    ends = []
+    to = []
     adj: list[list[int]] = [[] for _ in range(nn)]
-    for e, arc in enumerate(arcs):
-        u, v = index[arc.tail], index[arc.head]
-        res.extend((stand_in if arc.capacity is INF else arc.capacity, 0))
-        ends.extend(((u, v), (v, u)))
+    for e, (u, v, c) in enumerate(zip(tails, heads, caps)):
+        res += (stand_in if c is INF else c, 0)
+        to += (v, u)
         adj[u].append(2 * e)
         adj[v].append(2 * e + 1)
 
@@ -123,25 +133,30 @@ def max_flow(net: FlowNetwork) -> FlowResult:
         parent[s] = -2
         queue = [s]
         for node in queue:
-            if node == t:
-                break
             for ridx in adj[node]:
                 if res[ridx] > 0:
-                    nxt = ends[ridx][1]
+                    nxt = to[ridx]
                     if parent[nxt] == -1:
                         parent[nxt] = ridx
                         queue.append(nxt)
-        if parent[t] == -1:
+            if parent[t] != -1:
+                break   # the path to t is fixed once t is reached
+        else:
             break
-        path = []
+        ridx = parent[t]
+        bottleneck = res[ridx]
+        node = to[ridx ^ 1]
+        while node != s:
+            ridx = parent[node]
+            if res[ridx] < bottleneck:
+                bottleneck = res[ridx]
+            node = to[ridx ^ 1]
         node = t
         while node != s:
-            path.append(parent[node])
-            node = ends[parent[node]][0]
-        bottleneck = min(res[ridx] for ridx in path)
-        for ridx in path:
+            ridx = parent[node]
             res[ridx] -= bottleneck
             res[ridx ^ 1] += bottleneck
+            node = to[ridx ^ 1]
         total += bottleneck
 
     if total >= stand_in:
@@ -149,50 +164,84 @@ def max_flow(net: FlowNetwork) -> FlowResult:
 
     # the last search found no path, so it ran until it had reached every
     # node the residual graph reaches from the source
-    reach = [p != -1 for p in parent]
-    cut = frozenset(net.nodes[i] for i in range(nn) if reach[i])
     cut_capacity = 0
-    for arc in arcs:
-        if reach[index[arc.tail]] and not reach[index[arc.head]]:
+    for u, v, c in zip(tails, heads, caps):
+        if parent[u] != -1 and parent[v] == -1:
             # a crossing INF arc would have forced total >= stand_in
-            cut_capacity += arc.capacity
+            cut_capacity += c
+    return FlowResult(total, tuple(res[1::2]),
+                      frozenset(i for i in range(nn) if parent[i] != -1), cut_capacity)
 
-    flows = tuple(res[2 * e + 1] for e in range(len(arcs)))
-    return FlowResult(total, flows, cut, cut_capacity)
 
+def _audit(nodes: tuple, tails: list[int], heads: list[int], caps: list,
+           s: int, t: int, result: FlowResult) -> list[str]:
+    """All the ways an index-form flow result could be wrong; empty means certified.
 
-def audit_flow(net: FlowNetwork, result: FlowResult) -> list[str]:
-    """All the ways a flow result could be wrong; empty means certified."""
+    nodes[i] names node i in the problems reported.
+    """
+    def arc(e: int) -> Arc:
+        return Arc(nodes[tails[e]], nodes[heads[e]], caps[e])
+
     problems = []
-    excess = dict.fromkeys(net.nodes, 0)
-    for arc, f in zip(net.arcs, result.flows):
+    excess = [0] * len(nodes)
+    for e, (u, v, c, f) in enumerate(zip(tails, heads, caps, result.flows)):
         if f < 0:
-            problems.append(f"negative flow {f} on {arc!r}")
-        if arc.capacity is not INF and f > arc.capacity:
-            problems.append(f"flow {f} exceeds capacity on {arc!r}")
-        excess[arc.head] += f
-        excess[arc.tail] -= f
-    for node in net.nodes:
-        if excess[node] != 0 and node is not net.source and node is not net.sink:
-            problems.append(f"conservation fails at {node!r} by {excess[node]}")
-    if -excess[net.source] != result.value:
-        problems.append(f"source sends {-excess[net.source]}, claimed {result.value}")
-    if excess[net.sink] != result.value:
-        problems.append(f"sink receives {excess[net.sink]}, claimed {result.value}")
-    if net.source not in result.cut or net.sink in result.cut:
+            problems.append(f"negative flow {f} on {arc(e)!r}")
+        if c is not INF and f > c:
+            problems.append(f"flow {f} exceeds capacity on {arc(e)!r}")
+        excess[v] += f
+        excess[u] -= f
+    for i, ex in enumerate(excess):
+        if ex != 0 and i != s and i != t:
+            problems.append(f"conservation fails at {nodes[i]!r} by {ex}")
+    if -excess[s] != result.value:
+        problems.append(f"source sends {-excess[s]}, claimed {result.value}")
+    if excess[t] != result.value:
+        problems.append(f"sink receives {excess[t]}, claimed {result.value}")
+    cut = result.cut
+    if s not in cut or t in cut:
         problems.append("cut does not separate source from sink")
     cap = 0
-    for arc in net.arcs:
-        if arc.tail in result.cut and arc.head not in result.cut:
-            if arc.capacity is INF:
-                problems.append(f"INF arc {arc!r} crosses the cut")
+    for e, (u, v, c) in enumerate(zip(tails, heads, caps)):
+        if u in cut and v not in cut:
+            if c is INF:
+                problems.append(f"INF arc {arc(e)!r} crosses the cut")
                 continue
-            cap += arc.capacity
+            cap += c
     if cap != result.cut_capacity:
         problems.append(f"cut capacity {cap} mismatches recorded {result.cut_capacity}")
     if cap != result.value:
         problems.append(f"cut capacity {cap} does not certify value {result.value}")
     return problems
+
+
+def _index_form(net: FlowNetwork) -> tuple[dict, list[int], list[int], list, int, int]:
+    """Node indices of net, its arcs as tails, heads and capacities, then s and t."""
+    index = {node: i for i, node in enumerate(net.nodes)}
+    arcs = net.arcs
+    return (index, [index[a.tail] for a in arcs], [index[a.head] for a in arcs],
+            [a.capacity for a in arcs], index[net.source], index[net.sink])
+
+
+def max_flow(net: FlowNetwork) -> FlowResult:
+    """Shortest-augmenting-path max flow in the capacities' own exact numbers.
+
+    INF capacities are replaced by one more than the finite total, which
+    caps any finite cut; if the computed value still reaches that stand-in
+    no finite cut exists and UnboundedFlowError is raised.
+    """
+    _, tails, heads, caps, s, t = _index_form(net)
+    result = _augment(len(net.nodes), tails, heads, caps, s, t)
+    return FlowResult(result.value, result.flows,
+                      frozenset(net.nodes[i] for i in result.cut), result.cut_capacity)
+
+
+def audit_flow(net: FlowNetwork, result: FlowResult) -> list[str]:
+    """All the ways a flow result could be wrong; empty means certified."""
+    index, tails, heads, caps, s, t = _index_form(net)
+    cut = frozenset(index[node] for node in result.cut if node in index)
+    return _audit(net.nodes, tails, heads, caps, s, t,
+                  FlowResult(result.value, result.flows, cut, result.cut_capacity))
 
 
 def _exact(c) -> int | Fraction:
@@ -243,25 +292,36 @@ def build_flow_network(g: Digraph, x: Mapping[str, object]) -> FlowNetwork:
     Vertices with positive x feed the sink with capacity x(v); negative
     ones are fed from the source with capacity -x(v).  x must sum to zero.
     """
-    return _network(g, _normalize_vector(g, x), _edge_arcs(g))
+    return _network(g, _normalize_vector(g, x))
 
 
-def _edge_arcs(g: Digraph) -> tuple[Arc, ...]:
-    """The INF arc of each graph edge, in edge_list order."""
-    return tuple(Arc(u, v, INF) for u, v in g.edge_list)
-
-
-def _network(g: Digraph, vec: dict[str, int | Fraction],
-             edge_arcs: tuple[Arc, ...]) -> FlowNetwork:
+def _network(g: Digraph, vec: dict[str, int | Fraction]) -> FlowNetwork:
     if sum(vec.values()) != 0:
         raise ValueError("membership network needs a vector summing to zero")
-    arcs = list(edge_arcs)
+    arcs = [Arc(u, v, INF) for u, v in g.edge_list]
     for v in g.vertices:
         if vec[v] > 0:
             arcs.append(Arc(v, SINK, vec[v]))
         elif vec[v] < 0:
             arcs.append(Arc(SOURCE, v, -vec[v]))
     return FlowNetwork((SOURCE, *g.vertices, SINK), tuple(arcs))
+
+
+def _check_witness(names: tuple, tails: list[int], heads: list[int], flows,
+                   coords: list) -> None:
+    """Raise unless the flows on the edges are non-negative and rebuild coords.
+
+    Edge e runs tails[e] -> heads[e] between vertices named by names;
+    flows past the last edge are ignored.
+    """
+    rebuilt = [0] * len(coords)
+    for u, v, w in zip(tails, heads, flows):
+        if w < 0:
+            raise RuntimeError(f"negative witness weight {w} on {(names[u], names[v])}")
+        rebuilt[v] += w
+        rebuilt[u] -= w
+    if rebuilt != coords:
+        raise RuntimeError("flow certificate does not rebuild the vector")
 
 
 Witness = dict[tuple[str, str], int | Fraction]
@@ -273,29 +333,18 @@ def membership_flow(g: Digraph, x: Mapping[str, object]
 
     One max flow decides membership; callers audit or report that flow.
     """
-    return _membership_flow(g, _normalize_vector(g, x), _edge_arcs(g))
+    return _membership_flow(g, _normalize_vector(g, x))
 
 
-def _membership_flow(g: Digraph, vec: dict[str, int | Fraction],
-                     edge_arcs: tuple[Arc, ...]
+def _membership_flow(g: Digraph, vec: dict[str, int | Fraction]
                      ) -> tuple[FlowNetwork, FlowResult, Witness | None]:
-    net = _network(g, vec, edge_arcs)
+    net = _network(g, vec)
     result = max_flow(net)
-    demand = sum(c for c in vec.values() if c > 0)
-    if result.value != demand:
+    if result.value != sum(c for c in vec.values() if c > 0):
         return net, result, None
-
-    edge_list = g.edge_list
-    witness = {edge_list[e]: result.flows[e] for e in range(len(edge_list))}
-    rebuilt = dict.fromkeys(g.vertices, 0)
-    for (u, v), w in witness.items():
-        if w < 0:
-            raise RuntimeError(f"negative witness weight {w} on {(u, v)}")
-        rebuilt[v] += w
-        rebuilt[u] -= w
-    if rebuilt != vec:
-        raise RuntimeError("flow certificate does not rebuild the vector")
-    return net, result, witness
+    _, tails, heads = g.edge_arrays()
+    _check_witness(g.vertices, tails, heads, result.flows, [vec[v] for v in g.vertices])
+    return net, result, dict(zip(g.edge_list, result.flows))
 
 
 def cone_member(g: Digraph, x: Mapping[str, object]) -> Witness | None:
@@ -305,7 +354,7 @@ def cone_member(g: Digraph, x: Mapping[str, object]) -> Witness | None:
     when x is outside the cone.  The witness is re-checked before return.
     """
     vec = _normalize_vector(g, x)
-    return _membership_flow(g, vec, _edge_arcs(g))[2] if sum(vec.values()) == 0 else None
+    return _membership_flow(g, vec)[2] if sum(vec.values()) == 0 else None
 
 
 @dataclass(frozen=True)
@@ -365,33 +414,68 @@ def check_agreement_work(g: Digraph, samples: int) -> ExtBool:
     return z
 
 
+def _sample_flow(nodes: tuple, tails: list[int], heads: list[int],
+                 coords: list[int]) -> tuple[FlowResult, list[str], bool]:
+    """One sum-zero sample's max flow, that flow's audit, and its membership verdict.
+
+    The graph comes in index form, vertices 0..n-1 with edge e running
+    tails[e] -> heads[e]; nodes names the vertices, then the source and the
+    sink, which are nodes n and n+1.  The edges get INF arcs, the sample's
+    coords the terminal arcs after them, as in build_flow_network.  A
+    member's witness is checked as cone_member checks it.
+    """
+    nv = len(coords)
+    s, t = nv, nv + 1
+    arc_tails, arc_heads, caps = tails[:], heads[:], [INF] * len(tails)
+    demand = 0
+    for v, c in enumerate(coords):
+        if c > 0:
+            arc_tails.append(v)
+            arc_heads.append(t)
+            caps.append(c)
+            demand += c
+        elif c < 0:
+            arc_tails.append(s)
+            arc_heads.append(v)
+            caps.append(-c)
+    result = _augment(nv + 2, arc_tails, arc_heads, caps, s, t)
+    problems = _audit(nodes, arc_tails, arc_heads, caps, s, t, result)
+    member = result.value == demand
+    if member:
+        _check_witness(nodes, tails, heads, result.flows, coords)
+    return result, problems, member
+
+
 def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
                                   seed: int = 0) -> EquivalenceReport:
     """Sampled agreement of base polytope and edge cone membership.
 
     Every sampled vector must land the same way under both tests, and
     every max-flow run must pass its audit.  Deterministic in the seed.
-    Gated by check_agreement_work.
+    Gated by check_agreement_work.  The graph's index form is built once
+    and each sum-zero sample adds only its terminal arcs (_sample_flow).
     """
     if samples < 0:
         raise ValueError(f"need samples >= 0, got {samples}")
     z = check_agreement_work(g, samples)
     rng = random.Random(seed)
     vectors = _sample_vectors(g, samples, rng)
-    edge_arcs = _edge_arcs(g)
+    _, tails, heads = g.edge_arrays()
+    verts = g.vertices
+    nodes = (*verts, SOURCE, SINK)
     mismatches = []
     audit_problems = []
     agreements = 0
     for vec in vectors:
         in_base = base_member(z, vec)
-        witness = None
-        if sum(vec.values()) == 0:
-            net, result, witness = _membership_flow(g, vec, edge_arcs)
-            problems = audit_flow(net, result)
+        in_cone = False
+        coords = [vec[v] for v in verts]
+        if sum(coords) == 0:
+            _, problems, in_cone = _sample_flow(nodes, tails, heads, coords)
             if problems:
                 audit_problems.append((vec, tuple(problems)))
-        if in_base != (witness is not None):
-            mismatches.append((vec, in_base, witness is not None))
+        if in_base != in_cone:
+            mismatches.append((vec, in_base, in_cone))
         else:
             agreements += 1
     return EquivalenceReport(len(vectors), agreements,

@@ -23,12 +23,13 @@ def lower_half_masks(nv: int, tails: list[int], heads: list[int]) -> list[int]:
     """Masks S with no edge entering S from outside, in increasing order.
 
     The walk is the composition sums' own, metered the same way: it stops
-    one half past what the work budget admits.
+    one half past what the work budget admits, refused as a lower-half
+    search.
     """
     # a def, not an alias of an _engine function, so that wrapping this
     # public name (as perfbench's tracer does) leaves the engine's own calls
     # unwrapped
-    return _engine._lattice(nv, tails, heads)[0]
+    return _engine._lattice(nv, tails, heads, "lower-half search")[0]
 
 
 def count_strict_colorings(nv: int, tails: list[int], heads: list[int], n: int) -> int:

@@ -302,6 +302,23 @@ def test_verify_all_refuses_before_any_suite_runs(capsys, tmp_path, monkeypatch,
     assert rounds == []
 
 
+def test_verify_reports_a_broken_unit_law_once(capsys, g3_file, monkeypatch):
+    # the unit laws are checked once, ahead of the seeded rounds, which
+    # merge no graph with the EMPTY constant itself
+    import hopfdg.cli as cli
+    from hopfdg import EMPTY
+    real_union = cli.disjoint_union
+    monkeypatch.setattr(cli, "disjoint_union", lambda g1, g2: EMPTY
+                        if g1 is EMPTY or g2 is EMPTY else real_union(g1, g2))
+    code, out, err = run(capsys, "verify", "hopf-axioms", g3_file, "--format", "json")
+    assert code == 1 and err == ""
+    [check] = json.loads(out)["checks"]
+    assert not check["passed"]
+    assert check["detail"] == "unit: merging with the empty graph changed the graph"
+    code, out, _ = run(capsys, "verify", "hopf-axioms", g3_file)
+    assert code == 1 and out.count("unit:") == 1 and "round " not in out
+
+
 def test_verify_hopf_axioms_refuses_a_huge_sample_count(capsys, g3_file):
     code, out, err = run(capsys, "verify", "hopf-axioms", g3_file,
                          "--samples", "1000000000")

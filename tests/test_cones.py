@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,8 @@ def test_network_validation():
         FlowNetwork(nodes=("a", SINK), arcs=())  # no source
     with pytest.raises(ValueError):
         FlowNetwork(nodes=(SOURCE, SINK), arcs=(Arc(SINK, SOURCE, 1),))
+    with pytest.raises(ValueError, match="differ"):
+        FlowNetwork(nodes=(SOURCE,), arcs=(), sink=SOURCE)
 
 
 def test_audit_catches_tampering():
@@ -89,6 +92,37 @@ def test_audit_catches_tampering():
     broken = result.__class__(result.value + 1, result.flows, result.cut,
                               result.cut_capacity)
     assert audit_flow(net, broken)
+
+
+def diamond_arrays():
+    """diamond_network in index form: u, v, source, sink are nodes 0..3."""
+    return ("u", "v", SOURCE, SINK), [2, 2, 0, 0, 1], [0, 1, 1, 3, 3], [4, 2, 1, 3, 2], 2, 3
+
+
+def test_index_audit_catches_tampering():
+    nodes, tails, heads, caps, s, t = diamond_arrays()
+    result = cones._augment(len(nodes), tails, heads, caps, s, t)
+    assert result.value == 5 and result.cut == {0, 1, 2}
+    assert cones._audit(nodes, tails, heads, caps, s, t, result) == []
+
+    def flows_with(e, f):
+        return result.flows[:e] + (f,) + result.flows[e + 1:]
+
+    u_to_sink = result.flows[3]
+    tampered = (
+        (replace(result, value=6), "source sends 5, claimed 6"),
+        (replace(result, flows=flows_with(3, 4)),
+         "flow 4 exceeds capacity on Arc(tail='u', head=sink, capacity=3)"),
+        (replace(result, flows=flows_with(3, u_to_sink - 1)),
+         "conservation fails at 'u' by 1"),
+    )
+    net = diamond_network()
+    for broken, problem in tampered:
+        problems = cones._audit(nodes, tails, heads, caps, s, t, broken)
+        assert problem in problems
+        # the public audit names the same problems, in the same order
+        cut = frozenset(nodes[i] for i in broken.cut)
+        assert audit_flow(net, replace(broken, cut=cut)) == problems
 
 
 def test_cone_generators_order(g3):
@@ -145,17 +179,18 @@ def test_agreement_report(g3):
 
 def test_agreement_audits_the_one_flow_that_decided(g3, monkeypatch):
     flows, audited = [], []
+    real_augment, real_audit = cones._augment, cones._audit
 
-    def counting_max_flow(net):
-        flows.append(max_flow(net))
+    def counting_augment(*network):
+        flows.append(real_augment(*network))
         return flows[-1]
 
-    def recording_audit(net, result):
-        audited.append(result)
-        return audit_flow(net, result)
+    def recording_audit(*network_and_result):
+        audited.append(network_and_result[-1])
+        return real_audit(*network_and_result)
 
-    monkeypatch.setattr(cones, "max_flow", counting_max_flow)
-    monkeypatch.setattr(cones, "audit_flow", recording_audit)
+    monkeypatch.setattr(cones, "_augment", counting_augment)
+    monkeypatch.setattr(cones, "_audit", recording_audit)
     vectors = cones._sample_vectors(g3, 90, random.Random(4))
     report = check_cone_polytope_agreement(g3, samples=90, seed=4)
     assert report.passed
@@ -271,6 +306,35 @@ def test_max_flow_matches_old_route_on_seeded_graphs():
     for i, g in enumerate(_seeded_graphs(211)):
         for vec in cones._sample_vectors(g, 30, random.Random(i)):
             _assert_flows_match(g, vec)
+
+
+def _assert_index_route_matches(g, vec):
+    # the agreement check's per-sample flow against the cone-member route
+    _, tails, heads = g.edge_arrays()
+    nodes = (*g.vertices, SOURCE, SINK)
+    result, problems, member = cones._sample_flow(nodes, tails, heads,
+                                                  [vec[v] for v in g.vertices])
+    _, public, witness = cones.membership_flow(g, vec)
+    assert problems == [], (g, vec)
+    assert result.value == public.value, (g, vec)
+    assert result.flows == public.flows, (g, vec)
+    assert frozenset(nodes[i] for i in result.cut) == public.cut, (g, vec)
+    assert result.cut_capacity == public.cut_capacity, (g, vec)
+    assert member == (witness is not None), (g, vec)
+    if member:
+        assert witness == dict(zip(g.edge_list, result.flows)), (g, vec)
+
+
+def test_index_route_matches_membership_flow_on_all_small_digraphs():
+    for i, g in enumerate(_small_digraphs()):
+        for vec in cones._sample_vectors(g, 6, random.Random(i)):
+            _assert_index_route_matches(g, vec)
+
+
+def test_index_route_matches_membership_flow_on_seeded_graphs():
+    for i, g in enumerate(_seeded_graphs(239)):
+        for vec in cones._sample_vectors(g, 30, random.Random(i)):
+            _assert_index_route_matches(g, vec)
 
 
 def test_sampled_vectors_are_twelve_times_the_old_ones():

@@ -157,6 +157,19 @@ def test_cut_function_of_twenty_isolated_vertices_is_refused_by_the_meter(monkey
     assert taken[0] == limits.work_budget() // 20 + 1
 
 
+def test_lower_half_searches_are_refused_in_their_own_words(monkeypatch):
+    # the walk sums nothing here, so its refusal names a search, not a
+    # composition sum: 1000 // 20 + 1 halves taken, 20 probes each
+    monkeypatch.setenv("HOPFDG_MAX_WORK", "1000")
+    g = Digraph([f"v{i:02d}" for i in range(20)], [])
+    for search in (lower_half_function, Digraph.lower_halves):
+        with pytest.raises(WorkLimitError) as exc:
+            search(g)
+        assert str(exc.value).startswith(
+            "lower-half search over at least 51 lower halves needs at least 1020 steps, "
+            "over the work budget 1000")
+
+
 def test_direct_sum_is_gated_on_the_entries_it_builds(monkeypatch):
     u = lower_half_function(Digraph("abc", [("a", "b"), ("b", "c")]))
     v = lower_half_function(Digraph("xy", [("x", "y")]))
