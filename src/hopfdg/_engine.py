@@ -11,7 +11,9 @@ folds a value along such chains:
       the states are all subsets, 3^n steps, and the lower halves play no
       part.  Only the b-polynomial needs it: every other invariant of the
       colorings reads chain_stats, since a coloring weakly increasing
-      along the edges is exactly a chain of lower halves.
+      along the edges is exactly a chain of lower halves.  Its entries
+      are keyed (k, asc + desc), each one int holding the counts of every
+      asc in fixed-width slots, so a step moves them all in one shift.
 
 A lower half is a union of down-sets, the down-set of v being v and
 every vertex with a path to v.  _walk_halves yields each lower half once,
@@ -23,24 +25,29 @@ table over all subsets.
 
 The fold visits the states in order of size.  A state's accumulator is
 complete once every state below it has been visited; it is then pushed
-into every state nested above it and dropped, since no later state reads
-it.  Only the accumulators of states not yet visited are alive.
+into every state nested above it, in one call to the sum's push, and
+dropped, since no later state reads it.  Only the accumulators of states
+not yet visited are alive.
 
 One meter gates every sum: the work is counted while it is done, and
 hopfdg.limits refuses the sum once the count passes the work budget, so
 a refusal comes after at most one budget of work and before any output.
 The walk is charged its probes and stops one half past what the budget
 admits.  The fold charges each state, before it pushes, the states its
-row scans plus one per push and one per entry each push walks.  The last
+row scans plus one per push and one per entry each push walks, one
+entry per key (for surjection_stats, per (k, asc + desc)).  The last
 accumulator is the output, so the meter caps the antipode's terms too.
-Up front only what a lower bound proves is refused: the 3^n - 2^n steps
-of surjection_stats each walk an entry, so that count against the budget
-also bounds its 2^n states and their edge masks.
+Up front only what a lower bound proves is refused, both in
+surjection_stats: its 3^n - 2^n steps each walk an entry, so that count
+against the budget also bounds its 2^n states and their edge masks; and
+each state S carries at least max(|S|, 1) entries, one per block count,
+so the fold's charge with that floor is a lower bound of its work.
 """
 
 from __future__ import annotations
 
 from itertools import islice
+from math import comb
 from typing import Any, Callable, Iterable, Iterator
 
 from . import limits
@@ -121,17 +128,19 @@ def _edge_masks(nv: int, tails: list[int], heads: list[int],
     return out, into
 
 
-def _fold(nv: int, states: Iterable[int], step: Callable[[dict, dict, int, int], None],
+def _fold(nv: int, states: Iterable[int],
+          push: Callable[[dict, dict, int, list[int]], None],
           budget: int, work: int = 0) -> tuple[dict, int]:
     """Accumulator of the full set, from the unit {0: 1} at the empty set, and the work.
 
     states lists every state in increasing order, the empty and the full
-    set included; the fold visits them by size.  step(target, source,
-    low, block) adds to target the contribution of source, the accumulator
-    of state low, extended by the block that leads to the state low | block.
-    The count starts at work: before a state pushes, it is charged the
-    states its row scans, plus one per push and one per entry of source
-    per push.  Once the count passes budget, hopfdg.limits refuses the sum.
+    set included; the fold visits them by size.  push(acc, source, low,
+    highs) adds source, the accumulator of state low, to the accumulator
+    acc[high] of every state high in highs, each extended by the block
+    high ^ low; a state not yet in acc starts empty.  The count starts at
+    work: before a state pushes, it is charged the states its row scans,
+    plus one per push and one per entry of source per push.  Once the
+    count passes budget, hopfdg.limits refuses the sum.
     """
     states = sorted(states, key=int.bit_count)
     full = (1 << nv) - 1
@@ -157,11 +166,7 @@ def _fold(nv: int, states: Iterable[int], step: Callable[[dict, dict, int, int],
         work += scan + len(highs) * (1 + len(source))
         if work > budget:
             limits.refuse_work(f"composition sum over {nv} vertices", work, budget)
-        for high in highs:
-            target = acc.get(high)
-            if target is None:
-                target = acc[high] = {}
-            step(target, source, low, high ^ low)
+        push(acc, source, low, highs)
     return acc.pop(full), work
 
 
@@ -175,16 +180,21 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     out, into = _edge_masks(nv, tails, heads, halves)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
-    def step(target: dict, source: dict, low: int, block: int) -> None:
-        high = low | block
-        kept = (out[high] ^ out[low]) & (into[high] ^ into[low])
-        delta = 1 + (kept.bit_count() << shift)
-        get = target.get
-        for key, cnt in source.items():
-            key += delta
-            target[key] = get(key, 0) + cnt
+    def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
+        out_low, into_low = out[low], into[low]
+        for high in highs:
+            kept = (out[high] ^ out_low) & (into[high] ^ into_low)
+            delta = 1 + (kept.bit_count() << shift)
+            target = acc.get(high)
+            if target is None:
+                acc[high] = {key + delta: cnt for key, cnt in source.items()}
+                continue
+            get = target.get
+            for key, cnt in source.items():
+                key += delta
+                target[key] = get(key, 0) + cnt
 
-    packed, _ = _fold(nv, halves, step, budget, work)
+    packed, _ = _fold(nv, halves, push, budget, work)
     mask = (1 << shift) - 1
     return {(key & mask, key >> shift): cnt for key, cnt in packed.items()}
 
@@ -198,16 +208,22 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     halves, budget, work = _lattice(nv, tails, heads, "composition sum")
     out, into = _edge_masks(nv, tails, heads, halves)
 
-    def step(target: dict, source: dict, low: int, block: int) -> None:
-        high = low | block
-        kept = (out[high] ^ out[low]) & (into[high] ^ into[low])
-        get = target.get
-        for mask, coeff in source.items():
-            if coeff:
+    def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
+        out_low, into_low = out[low], into[low]
+        live = [(mask, coeff) for mask, coeff in source.items() if coeff]
+        for high in highs:
+            # distinct masks may meet once the kept edges are added, so the
+            # target is summed into even when it starts empty
+            kept = (out[high] ^ out_low) & (into[high] ^ into_low)
+            target = acc.get(high)
+            if target is None:
+                target = acc[high] = {}
+            get = target.get
+            for mask, coeff in live:
                 mask |= kept
                 target[mask] = get(mask, 0) - coeff
 
-    terms, _ = _fold(nv, halves, step, budget, work)
+    terms, _ = _fold(nv, halves, push, budget, work)
     return {mask: coeff for mask, coeff in terms.items() if coeff}
 
 
@@ -223,14 +239,20 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
     halves, budget, work = _lattice(nv, tails, heads, "composition sum")
     values: dict[int, Any] = {}
 
-    def step(target: dict, source: dict, low: int, block: int) -> None:
-        if block not in values:
-            values[block] = block_value(block)
-        z = values[block]
-        for k, val in source.items():
-            target[k + 1] = target.get(k + 1, 0) + val * z
+    def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
+        for high in highs:
+            block = high ^ low
+            if block not in values:
+                values[block] = block_value(block)
+            z = values[block]
+            target = acc.get(high)
+            if target is None:
+                acc[high] = {k + 1: val * z for k, val in source.items()}
+                continue
+            for k, val in source.items():
+                target[k + 1] = target.get(k + 1, 0) + val * z
 
-    return _fold(nv, halves, step, budget, work)[0]
+    return _fold(nv, halves, push, budget, work)[0]
 
 
 def surjection_stats(nv: int, tails: list[int],
@@ -242,27 +264,56 @@ def surjection_stats(nv: int, tails: list[int],
     edges are level.  k ranges over 1..nv (empty for nv = 0).  The value
     classes, in increasing order, are the blocks of an ordered composition
     into arbitrary subsets.
+
+    The fold keys its entries by (k, asc + desc), the block count and the
+    crossing edges, and packs the counts of every asc under one key into
+    one int, slot asc of `slot` bits each; a push shifts the int left by
+    the block's rising edges, moving every asc at once.
     """
     # each of the 3^n - 2^n steps walks at least one entry, which also
     # bounds the 2^n states and their edge masks
     budget = limits.check_work(f"surjection scan over {nv} vertices", 3 ** nv - 2 ** nv)
+    # each state S scans the 2^(n - |S|) subsets of its complement, pushes
+    # into all but the empty one and carries an entry for every block count
+    # 1..|S|: the fold's own charge on that floor is a lower bound of its work
+    floor = 0
+    for size in range(nv):
+        above = 1 << nv - size
+        floor += comb(nv, size) * (above + (above - 1) * (1 + max(size, 1)))
+    if floor > budget:
+        limits.refuse_work(f"composition sum over {nv} vertices", floor, budget)
     if nv == 0:
         return {}
-    states = range(1 << nv)
-    out, into = _edge_masks(nv, tails, heads, states)
-    width = max(nv, len(tails)).bit_length()   # keys pack k, asc, desc
+    out, into = _edge_masks(nv, tails, heads, range(1 << nv))
+    shift = nv.bit_length()             # keys pack k + (crossing << shift)
+    slot = (nv ** nv).bit_length()      # no count reaches n^n
 
-    def step(target: dict, source: dict, low: int, block: int) -> None:
-        # edges from the earlier values into the block rise; those back out of it fall
-        asc = (out[low] & into[block]).bit_count()
-        desc = (out[block] & into[low]).bit_count()
-        delta = 1 + (asc << width) + (desc << 2 * width)
-        get = target.get
-        for key, cnt in source.items():
-            key += delta
-            target[key] = get(key, 0) + cnt
+    def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
+        out_low, into_low = out[low], into[low]
+        for high in highs:
+            # edges from the earlier values into the block rise; those back out of it fall
+            block = high ^ low
+            asc = (out_low & into[block]).bit_count()
+            delta = 1 + ((asc + (out[block] & into_low).bit_count()) << shift)
+            up = asc * slot
+            target = acc.get(high)
+            if target is None:
+                acc[high] = {key + delta: val << up for key, val in source.items()}
+                continue
+            get = target.get
+            for key, val in source.items():
+                key += delta
+                target[key] = get(key, 0) + (val << up)
 
-    packed, _ = _fold(nv, states, step, budget)
-    mask = (1 << width) - 1
-    return {(key & mask, key >> width & mask, key >> 2 * width): cnt
-            for key, cnt in packed.items()}
+    packed, _ = _fold(nv, range(1 << nv), push, budget)
+    mask, ones = (1 << shift) - 1, (1 << slot) - 1
+    stats = {}
+    for key, val in packed.items():
+        k, crossing = key & mask, key >> shift
+        asc = 0
+        while val:
+            if val & ones:
+                stats[k, asc, crossing - asc] = val & ones
+            val >>= slot
+            asc += 1
+    return stats

@@ -60,7 +60,9 @@ def _project(g: Digraph, max_vertices: int | None,
         if e is not None:
             terms = sums[key[0]]
             terms[e] = terms.get(e, 0) + cnt
-    return BinPoly(tuple(Poly(terms) for terms in sums))
+    # the counts are positive ints on exponent tuples built here, so the
+    # per-term checks of Poly(...) are skipped
+    return BinPoly(tuple(Poly._of(terms) for terms in sums))
 
 
 def strict_chromatic(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:

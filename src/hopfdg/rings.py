@@ -9,6 +9,7 @@ C(-n, k) = (-1)^k C(n + k - 1, k), so no floating point ever appears.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -35,6 +36,17 @@ class Poly:
             if coeff:
                 data[e] = data.get(e, 0) + coeff
         self.terms: dict[Expt, int] = {e: c for e, c in data.items() if c}
+
+    @classmethod
+    def _of(cls, terms: dict[Expt, int]) -> "Poly":
+        """A Poly of terms already checked: exponent tuples of three
+        non-negative ints, each with a non-zero int coefficient, as when
+        summed from a kernel histogram.  Skips __init__'s per-term checks;
+        input from outside goes through Poly(...).
+        """
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def constant(cls, c: int) -> "Poly":
@@ -190,12 +202,30 @@ def falling_coeffs(k: int) -> list[int]:
     return coeffs
 
 
+@functools.lru_cache(maxsize=4096)
+def _factors(e: Expt) -> str:
+    """The text of q^e[0] * y^e[1] * z^e[2]; "" for the constant monomial."""
+    return "*".join(name if x == 1 else f"{name}^{x}" for name, x in zip(VARS, e) if x)
+
+
 def _monomial(e: Expt, c: int) -> tuple[str, str]:
     """Sign and magnitude text of c * q^e[0] * y^e[1] * z^e[2]."""
-    factors = [name if x == 1 else f"{name}^{x}" for name, x in zip(VARS, e) if x]
+    factors = _factors(e)
     mag = abs(c)
-    body = "*".join(factors if mag == 1 and factors else [str(mag)] + factors)
+    if not factors:
+        body = str(mag)
+    elif mag == 1:
+        body = factors
+    else:
+        body = f"{mag}*{factors}"
     return ("-" if c < 0 else "+"), body
+
+
+def _terms(c: Any) -> Mapping[Expt, int]:
+    """The terms of a BinPoly coefficient; an int c reads as {(0, 0, 0): c}."""
+    if isinstance(c, Poly):
+        return c.terms
+    return {(0, 0, 0): c} if c else {}
 
 
 def _join(pieces: list[tuple[str, str]]) -> str:
@@ -278,7 +308,7 @@ class BinPoly:
         return BinPoly(tuple(factor * c for c in self.coeffs))
 
     def binomial_str(self, var: str = "n") -> str:
-        return _join([_signed_body(Poly._coerce(c).terms, f"C({var},{k})" if k else "")
+        return _join([_signed_body(_terms(c), f"C({var},{k})" if k else "")
                       for k, c in enumerate(self.coeffs) if c != 0])
 
     def monomial_str(self, var: str = "n") -> str:
@@ -293,7 +323,7 @@ class BinPoly:
         denom = math.factorial(d)
         numer: list[dict[Expt, int]] = [{} for _ in range(d + 1)]
         for k, c in enumerate(self.coeffs):
-            terms = Poly._coerce(c).terms
+            terms = _terms(c)
             scale = denom // math.factorial(k)
             for j, fc in enumerate(falling_coeffs(k)):
                 row = numer[j]

@@ -292,7 +292,7 @@ def test_verify_all_refuses_before_any_suite_runs(capsys, tmp_path, monkeypatch,
     rounds = []
     real_instance = cli._axiom_instance
     monkeypatch.setattr(cli, "_axiom_instance",
-                        lambda g, rng: rounds.append(1) or real_instance(g, rng))
+                        lambda g, rng, *pools: rounds.append(1) or real_instance(g, rng, *pools))
     path = tmp_path / "path6.txt"
     path.write_text("vertices: a b c d e f\na -> b\nb -> c\nd -> e\n")
     monkeypatch.setenv("HOPFDG_MAX_WORK", budget)
@@ -463,7 +463,8 @@ def test_bpoly_answers_on_nine_vertices_meters_thirteen_and_refuses_fifteen_at_o
     assert code == 0 and err == ""
     assert out.startswith("graph: 9 vertices, 36 edges\ninvariant: bpoly\n")
     # on 13 vertices the 3^13 - 2^13 steps fit the budget, but the entries
-    # they walk do not: the meter stops the fold within one budget of work
+    # they walk do not: the fold's charge on one entry per block count
+    # refuses it before the fold starts
     path = _tournament_file(tmp_path, 13)
     code, out, err = run(capsys, "invariant", "bpoly", path, "--max-vertices", "13")
     assert code == 3 and out == ""

@@ -137,8 +137,13 @@ def test_fold_steps_once_per_nested_pair_of_lower_halves():
         nv, tails, heads = g.edge_arrays()
         halves = kernels.lower_half_masks(nv, tails, heads)
         seen = []
-        _fold(nv, halves, lambda target, source, low, block: seen.append((low, block)),
-              budget=10 ** 9)
+
+        def push(acc, source, low, highs):
+            for high in highs:
+                seen.append((low, high ^ low))
+                acc.setdefault(high, {})
+
+        _fold(nv, halves, push, budget=10 ** 9)
         want = sorted((low, high ^ low) for low in halves for high in halves
                       if low != high and not low & ~high)
         assert sorted(seen) == want
@@ -287,6 +292,68 @@ def test_surjections_of_complete_digraphs_answer_under_the_default_budget(monkey
     assert sum(stats.values()) == {9: 7087261, 10: 102247563}[nv]
     assert all(asc == desc for _, asc, desc in stats)
     assert stats[nv, nv * (nv - 1) // 2, nv * (nv - 1) // 2] == math.factorial(nv)
+
+
+def transitive_arrays(nv: int) -> tuple[int, list[int], list[int]]:
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    return nv, [u for u, _ in pairs], [v for _, v in pairs]
+
+
+@pytest.mark.parametrize("arrays", [complete_arrays(nv) for nv in range(1, 7)]
+                         + [transitive_arrays(nv) for nv in range(1, 8)])
+def test_packed_counts_match_the_walk_at_their_widest(arrays):
+    # the fold keys by (k, asc + desc) with one slot per asc: on complete
+    # digraphs asc = desc, so no two counts share a key and the shifts are
+    # the largest; on transitive tournaments many asc share each key
+    assert kernels.surjection_stats(*arrays) == oracle_surjection_walk(*arrays)
+
+
+def test_edgeless_counts_sit_in_slot_zero():
+    # k! S(n, k) surjections onto k values, every edge statistic 0
+    stirling = [[1]]
+    for n in range(1, 11):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+        want = {(k, 0, 0): math.factorial(k) * stirling[n][k] for k in range(1, n + 1)}
+        assert kernels.surjection_stats(n, [], []) == want
+
+
+def test_reversing_a_composition_swaps_ascents_and_descents():
+    rng = random.Random(20)
+    for _ in range(30):
+        g = random_digraph(rng, "abcdefgh"[:rng.randint(2, 8)], p=rng.choice([0.2, 0.4, 0.7]))
+        hist = kernels.surjection_stats(*g.edge_arrays())
+        assert all(hist[k, desc, asc] == cnt for (k, asc, desc), cnt in hist.items()), g
+
+
+def test_surjections_past_their_floor_are_refused_before_the_fold(monkeypatch):
+    # each state carries an entry per block count: on 14 vertices the
+    # 3^14 - 2^14 steps fit the default budget, but the fold's charge on
+    # that floor does not, and no edge mask is built
+    def no_masks(*args):
+        raise AssertionError("the edge masks were built before the refusal")
+
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    monkeypatch.setattr(_engine, "_edge_masks", no_masks)
+    with pytest.raises(WorkLimitError) as exc:
+        kernels.surjection_stats(*transitive_arrays(14))
+    assert str(exc.value).startswith(
+        "composition sum over 14 vertices needs at least 31771770 steps, over the work "
+        "budget 10000000")
+
+
+@pytest.mark.parametrize("nv", range(1, 9))
+def test_the_floor_is_the_charge_on_edgeless_graphs(monkeypatch, nv):
+    # an edgeless state S carries exactly max(|S|, 1) entries, so the
+    # floor refuses one step below the fold's charge, before the fold
+    work = charged_work(monkeypatch, kernels.surjection_stats, nv, [], [])
+    monkeypatch.setenv("HOPFDG_MAX_WORK", str(work))
+    assert len(kernels.surjection_stats(nv, [], [])) == nv
+    monkeypatch.setenv("HOPFDG_MAX_WORK", str(work - 1))
+    monkeypatch.setattr(_engine, "_fold", None)
+    with pytest.raises(WorkLimitError) as exc:
+        kernels.surjection_stats(nv, [], [])
+    assert f"needs at least {work} steps" in str(exc.value)
 
 
 def test_seventeen_vertex_cycle_has_two_lower_halves_and_an_answer():

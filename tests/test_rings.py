@@ -44,6 +44,16 @@ def test_poly_rejects_bad_exponents():
         Q * 1.5
 
 
+def test_poly_constructor_checks_every_term():
+    # the internal constructor the invariants use skips these checks
+    for bad in ({(0, -1, 0): 1}, {(0, 0): 1}, {(0, 1.0, 0): 1}):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Poly(bad)
+    for bad in (1.5, Fraction(1, 2), "1"):
+        with pytest.raises(ValueError, match="coefficients must be ints"):
+            Poly({(0, 1, 0): bad})
+
+
 def test_binomial_matches_comb_and_reflects():
     for n in range(0, 8):
         for k in range(0, 8):
