@@ -29,28 +29,63 @@ into every state nested above it, in one call to the sum's push, and
 dropped, since no later state reads it.  Only the accumulators of states
 not yet visited are alive.
 
-One meter gates every sum: the work is counted while it is done, and
-hopfdg.limits refuses the sum once the count passes the work budget, so
-a refusal comes after at most one budget of work and before any output.
-The walk is charged its probes and stops one half past what the budget
-admits.  The fold charges each state, before it pushes, the states its
-row scans plus one per push and one per entry each push walks, one
-entry per key (for surjection_stats, per (k, asc + desc)).  The last
-accumulator is the output, so the meter caps the antipode's terms too.
-Up front only what a lower bound proves is refused, both in
-surjection_stats: its 3^n - 2^n steps each walk an entry, so that count
-against the budget also bounds its 2^n states and their edge masks; and
-each state S carries at least max(|S|, 1) entries, one per block count,
-so the fold's charge with that floor is a lower bound of its work.
+A disjoint union factors.  The lower halves of g1 + g2 are the unions of
+a lower half of each part, and the edges of a block are those of its two
+parts, so chain_stats, surjection_stats and takeuchi_terms fold each
+weakly connected component on its own, in the graph's own vertex and
+edge numbering, and combine the results (_merge, _product).  A connected
+graph is one component and takes one fold.  character_sum keeps one fold
+over the whole lattice, since its block_value need not be multiplicative.
+
+One meter gates every sum (_Meter): it reads the work budget once, the
+work is counted while it is done, and hopfdg.limits refuses the sum once
+the count passes the budget, so a refusal comes after at most one budget
+of work and before any output.  Each walk is charged its probes and
+stops one half past what the budget leaves it.  The fold charges each
+state, before it pushes, the states its row scans plus one per push and
+one per entry each push walks, one entry per key (for surjection_stats,
+per (k, asc + desc)).  Each merge of two histograms is charged its pairs
+of entries, and the product of the components' antipodes its partial
+products' terms, before the work is done; so the meter caps the
+antipode's terms too.  Up front only what a lower bound proves is
+refused: in surjection_stats each state S of a component carries at
+least max(|S|, 1) entries, one per block count, and a histogram over N
+vertices at least N, so the folds' and merges' charges with that floor
+bound the sum's work from below.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from functools import lru_cache
+from itertools import chain, islice
 from math import comb
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NoReturn
 
 from . import limits
+
+
+class _Meter:
+    """The work of one composition sum over nv vertices, against one budget.
+
+    The budget is read once, when the sum starts; count is the work
+    charged so far.
+    """
+
+    __slots__ = ("nv", "budget", "count")
+
+    def __init__(self, nv: int) -> None:
+        self.nv = nv
+        self.budget = limits.work_budget()
+        self.count = 0
+
+    def charge(self, work: int) -> None:
+        """Count work about to be done; refuse the sum once the count passes the budget."""
+        self.count += work
+        if self.count > self.budget:
+            self.refuse(self.count)
+
+    def refuse(self, work: int) -> NoReturn:
+        limits.refuse_work(f"composition sum over {self.nv} vertices", work, self.budget)
 
 
 def _down_sets(nv: int, tails: list[int], heads: list[int]) -> list[int]:
@@ -64,6 +99,30 @@ def _down_sets(nv: int, tails: list[int], heads: list[int]) -> list[int]:
             if down[v] & bit:
                 down[v] |= row
     return down
+
+
+def _components(nv: int, downs: set[int]) -> list[int]:
+    """The weakly connected components, as vertex masks, from the distinct down-sets.
+
+    Each edge lies inside the down-set of its head, and each down-set is
+    weakly connected, all of it reaching one vertex; so a component is a
+    union of down-sets linked by overlaps.  A full down-set shows a
+    connected graph at once.
+    """
+    full = (1 << nv) - 1
+    if full in downs:
+        return [full]
+    comps: list[int] = []
+    for down in downs:
+        apart = []
+        for comp in comps:
+            if comp & down:
+                down |= comp
+            else:
+                apart.append(comp)
+        apart.append(down)
+        comps = apart
+    return comps
 
 
 def _walk_halves(downs: set[int]) -> Iterator[int]:
@@ -85,24 +144,45 @@ def _walk_halves(downs: set[int]) -> Iterator[int]:
                 yield high
 
 
-def _lattice(nv: int, tails: list[int], heads: list[int],
-             what: str) -> tuple[list[int], int, int]:
-    """The lower halves in increasing order, the work budget and the walk's work.
+def _walk(meter: _Meter, downs: set[int], what: str) -> list[int]:
+    """The unions of downs in increasing order, the walk charged to meter.
 
     Each half taken is charged one probe per distinct down-set, so the
-    walk stops one half past what the budget admits; its refusal names
+    walk stops one half past what the budget leaves it; its refusal names
     the caller's work, `what` over at least N lower halves.
     """
-    downs = set(_down_sets(nv, tails, heads))
     probes = max(len(downs), 1)   # the empty graph has no down-sets
-    budget = limits.work_budget()
-    halves = list(islice(_walk_halves(downs), max(budget // probes + 1, 0)))
-    work = len(halves) * probes
-    if work > budget:
+    room = meter.budget - meter.count
+    halves = list(islice(_walk_halves(downs), max(room // probes + 1, 0)))
+    meter.count += len(halves) * probes
+    if meter.count > meter.budget:
         limits.refuse_work(f"{what} over at least {len(halves)} lower halves",
-                           work, budget)
+                           meter.count, meter.budget)
     halves.sort()
-    return halves, budget, work
+    return halves
+
+
+def _lattice(nv: int, tails: list[int], heads: list[int], what: str,
+             meter: _Meter | None = None) -> list[int]:
+    """The lower halves in increasing order, walked on meter (default: one of its own)."""
+    return _walk(meter or _Meter(nv), set(_down_sets(nv, tails, heads)), what)
+
+
+def _lattices(nv: int, tails: list[int], heads: list[int], meter: _Meter
+              ) -> tuple[list[tuple[int, list[int]]], dict[int, int], dict[int, int]]:
+    """(component, its lower halves) per weakly connected component, and their edge masks.
+
+    A connected graph, or one with no vertices, is one component, the
+    full set.
+    """
+    downs = set(_down_sets(nv, tails, heads))
+    comps = _components(nv, downs)
+    if len(comps) < 2:
+        halves = _walk(meter, downs, "composition sum")
+        return [((1 << nv) - 1, halves)], *_edge_masks(nv, tails, heads, halves)
+    parts = [(comp, _walk(meter, {down for down in downs if down & comp}, "composition sum"))
+             for comp in comps]
+    return parts, *_edge_masks(nv, tails, heads, chain.from_iterable(h for _, h in parts))
 
 
 def _edge_masks(nv: int, tails: list[int], heads: list[int],
@@ -128,31 +208,38 @@ def _edge_masks(nv: int, tails: list[int], heads: list[int],
     return out, into
 
 
-def _fold(nv: int, states: Iterable[int],
-          push: Callable[[dict, dict, int, list[int]], None],
-          budget: int, work: int = 0) -> tuple[dict, int]:
-    """Accumulator of the full set, from the unit {0: 1} at the empty set, and the work.
+def _fold(full: int, states: Iterable[int],
+          push: Callable[[dict, dict, int, list[int]], None], meter: _Meter) -> dict:
+    """Accumulator of full, from the unit {0: 1} at the empty set.
 
-    states lists every state in increasing order, the empty and the full
-    set included; the fold visits them by size.  push(acc, source, low,
+    states lists every state, subsets of full, the empty set and full
+    included; the fold visits them by size.  push(acc, source, low,
     highs) adds source, the accumulator of state low, to the accumulator
     acc[high] of every state high in highs, each extended by the block
-    high ^ low; a state not yet in acc starts empty.  The count starts at
-    work: before a state pushes, it is charged the states its row scans,
-    plus one per push and one per entry of source per push.  Once the
-    count passes budget, hopfdg.limits refuses the sum.
+    high ^ low; a state not yet in acc starts empty.  Before a state
+    pushes, meter is charged the states its row scans, plus one per push
+    and one per entry of source per push, and refuses the sum once its
+    count passes the budget.
     """
     states = sorted(states, key=int.bit_count)
-    full = (1 << nv) - 1
-    member = set(states)
-    acc: dict[int, dict] = {0: {0: 1}}
     count = len(states)
-    for i in range(count - 1):   # the full set, last, pushes nothing
+    # when every subset of full is a state, each row is the subsets of
+    # the complement, with nothing to probe
+    member = None if count == 1 << full.bit_count() else set(states)
+    acc: dict[int, dict] = {0: {0: 1}}
+    budget, work = meter.budget, meter.count
+    for i in range(count - 1):   # full, last, pushes nothing
         low = states[i]
         source = acc.pop(low)
         rest = full ^ low
         scan = 1 << rest.bit_count()
-        if scan <= count - i:
+        if member is None:
+            highs = []
+            block = rest
+            while block:
+                highs.append(low | block)
+                block = (block - 1) & rest
+        elif scan <= count - i:
             # fewer subsets of the complement than states still to visit
             highs = []
             block = rest
@@ -165,9 +252,69 @@ def _fold(nv: int, states: Iterable[int],
             highs = [high for high in states[i + 1:] if not low & ~high]
         work += scan + len(highs) * (1 + len(source))
         if work > budget:
-            limits.refuse_work(f"composition sum over {nv} vertices", work, budget)
+            meter.count = work
+            meter.refuse(work)
         push(acc, source, low, highs)
-    return acc.pop(full), work
+    meter.count = work
+    return acc.pop(full)
+
+
+@lru_cache(maxsize=None)
+def _interleavings(a: int, b: int) -> tuple[int, ...]:
+    """Entry j: the ways a composition into a blocks and one into b blocks
+    interleave into k = a + b - j blocks, j of which hold a block of each:
+    C(k, a) C(a, j)."""
+    return tuple(comb(a + b - j, a) * comb(a, j) for j in range(min(a, b) + 1))
+
+
+def _merge(left: dict[int, int], right: dict[int, int], mask: int,
+           meter: _Meter) -> dict[int, int]:
+    """The histogram of a disjoint union from those of its two parts.
+
+    Keys pack the block count k in key & mask and a statistic that adds
+    over the parts above it; values are counts, or packed counts whose
+    product convolves a statistic that adds.  Charged one step per pair
+    of entries.
+    """
+    meter.charge(len(left) * len(right))
+    merged: dict[int, int] = {}
+    get = merged.get
+    for key_a, val_a in left.items():
+        a = key_a & mask
+        for key_b, val_b in right.items():
+            key, val = key_a + key_b, val_a * val_b
+            for j, ways in enumerate(_interleavings(a, key_b & mask)):
+                merged[key - j] = get(key - j, 0) + val * ways
+    return merged
+
+
+def _merged(parts: list[dict[int, int]], mask: int, meter: _Meter) -> dict[int, int]:
+    """The histogram of the disjoint union of the parts, merged left to right."""
+    merged = parts[0]
+    for part in parts[1:]:
+        merged = _merge(merged, part, mask, meter)
+    return merged
+
+
+def _product(factors: list[dict[int, int]], meter: _Meter) -> dict[int, int]:
+    """The antipode of a disjoint union from those of its parts.
+
+    A term of each part gives one term: the edge masks, disjoint, OR and
+    the coefficients multiply.  Charged, before any is built, the terms
+    of every partial product, smallest factors first.
+    """
+    factors = sorted(factors, key=len)
+    size = len(factors[0])
+    work = 0
+    for factor in factors[1:]:
+        size *= len(factor)
+        work += size
+    meter.charge(work)
+    terms = factors[0]
+    for factor in factors[1:]:
+        terms = {mask | other: coeff * c for mask, coeff in terms.items()
+                 for other, c in factor.items()}
+    return terms
 
 
 def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, int], int]:
@@ -176,8 +323,8 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     Key (k, kept) counts such compositions into k blocks that keep `kept`
     edges inside single blocks.  The empty graph gives {(0, 0): 1}.
     """
-    halves, budget, work = _lattice(nv, tails, heads, "composition sum")
-    out, into = _edge_masks(nv, tails, heads, halves)
+    meter = _Meter(nv)
+    parts, out, into = _lattices(nv, tails, heads, meter)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
     def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
@@ -194,8 +341,9 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
                 key += delta
                 target[key] = get(key, 0) + cnt
 
-    packed, _ = _fold(nv, halves, push, budget, work)
     mask = (1 << shift) - 1
+    packed = _merged([_fold(comp, halves, push, meter) for comp, halves in parts],
+                     mask, meter)
     return {(key & mask, key >> shift): cnt for key, cnt in packed.items()}
 
 
@@ -205,8 +353,8 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     A composition into k blocks adds (-1)^k at the mask of the edges inside
     its blocks.  Zero coefficients are dropped; the empty graph gives {0: 1}.
     """
-    halves, budget, work = _lattice(nv, tails, heads, "composition sum")
-    out, into = _edge_masks(nv, tails, heads, halves)
+    meter = _Meter(nv)
+    parts, out, into = _lattices(nv, tails, heads, meter)
 
     def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
         out_low, into_low = out[low], into[low]
@@ -223,8 +371,9 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
                 mask |= kept
                 target[mask] = get(mask, 0) - coeff
 
-    terms, _ = _fold(nv, halves, push, budget, work)
-    return {mask: coeff for mask, coeff in terms.items() if coeff}
+    factors = [{mask: coeff for mask, coeff in _fold(comp, halves, push, meter).items()
+                if coeff} for comp, halves in parts]
+    return factors[0] if len(factors) == 1 else _product(factors, meter)
 
 
 def character_sum(nv: int, tails: list[int], heads: list[int],
@@ -236,7 +385,8 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
     order.
     block_value is called once per block.  The empty graph gives {0: 1}.
     """
-    halves, budget, work = _lattice(nv, tails, heads, "composition sum")
+    meter = _Meter(nv)
+    halves = _lattice(nv, tails, heads, "composition sum", meter)
     values: dict[int, Any] = {}
 
     def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
@@ -252,7 +402,31 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
             for k, val in source.items():
                 target[k + 1] = target.get(k + 1, 0) + val * z
 
-    return _fold(nv, halves, push, budget, work)[0]
+    return _fold((1 << nv) - 1, halves, push, meter)
+
+
+def _surjection_floor(n: int) -> int:
+    """A lower bound of the fold's charge over all subsets of n vertices.
+
+    Each state S scans the 2^(n - |S|) subsets of its complement, pushes
+    into all but the empty one and carries an entry for every block count
+    1..|S|.
+    """
+    floor = 0
+    for size in range(n):
+        above = 1 << n - size
+        floor += comb(n, size) * (above + (above - 1) * (1 + max(size, 1)))
+    return floor
+
+
+def _subsets(comp: int) -> list[int]:
+    """Every subset of the vertex mask comp."""
+    subsets = [0]
+    while comp:
+        bit = comp & -comp
+        subsets += [s | bit for s in subsets]
+        comp ^= bit
+    return subsets
 
 
 def surjection_stats(nv: int, tails: list[int],
@@ -268,23 +442,24 @@ def surjection_stats(nv: int, tails: list[int],
     The fold keys its entries by (k, asc + desc), the block count and the
     crossing edges, and packs the counts of every asc under one key into
     one int, slot asc of `slot` bits each; a push shifts the int left by
-    the block's rising edges, moving every asc at once.
+    the block's rising edges, moving every asc at once.  The components'
+    histograms merge with the same slots: a product of packed ints adds
+    the parts' ascents.
     """
-    # each of the 3^n - 2^n steps walks at least one entry, which also
-    # bounds the 2^n states and their edge masks
-    budget = limits.check_work(f"surjection scan over {nv} vertices", 3 ** nv - 2 ** nv)
-    # each state S scans the 2^(n - |S|) subsets of its complement, pushes
-    # into all but the empty one and carries an entry for every block count
-    # 1..|S|: the fold's own charge on that floor is a lower bound of its work
-    floor = 0
-    for size in range(nv):
-        above = 1 << nv - size
-        floor += comb(nv, size) * (above + (above - 1) * (1 + max(size, 1)))
-    if floor > budget:
-        limits.refuse_work(f"composition sum over {nv} vertices", floor, budget)
+    meter = _Meter(nv)
+    comps = _components(nv, set(_down_sets(nv, tails, heads)))
+    # a histogram over N vertices holds an entry for every block count
+    # 1..N, so merging one over N vertices with one over n is charged at
+    # least N n, and the merges together the products of pairs of sizes
+    sizes = [comp.bit_count() for comp in comps]
+    floor = sum(map(_surjection_floor, sizes)) + (nv * nv - sum(n * n for n in sizes)) // 2
+    if floor > meter.budget:
+        meter.refuse(floor)
     if nv == 0:
         return {}
-    out, into = _edge_masks(nv, tails, heads, range(1 << nv))
+    states = [range(1 << nv)] if len(comps) == 1 else [_subsets(comp) for comp in comps]
+    out, into = _edge_masks(nv, tails, heads,
+                            states[0] if len(states) == 1 else chain.from_iterable(states))
     shift = nv.bit_length()             # keys pack k + (crossing << shift)
     slot = (nv ** nv).bit_length()      # no count reaches n^n
 
@@ -305,8 +480,9 @@ def surjection_stats(nv: int, tails: list[int],
                 key += delta
                 target[key] = get(key, 0) + (val << up)
 
-    packed, _ = _fold(nv, range(1 << nv), push, budget)
     mask, ones = (1 << shift) - 1, (1 << slot) - 1
+    packed = _merged([_fold(comp, subsets, push, meter) for comp, subsets in zip(comps, states)],
+                     mask, meter)
     stats = {}
     for key, val in packed.items():
         k, crossing = key & mask, key >> shift

@@ -15,6 +15,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from . import limits
@@ -24,7 +25,7 @@ from .digraph import EMPTY, Digraph, disjoint_union, parse_graph
 from .errors import GraphParseError, ResourceLimitError, UnboundedFlowError
 # antipode itself stays bound here: perfbench's tracer tests look it up on
 # this module among its binding sites
-from .hopf import _kept, antipode, antipode_masks  # noqa: F401
+from .hopf import _BIT_FLAGS, antipode, antipode_masks  # noqa: F401
 from .invariants import (b_polynomial, check_edge_reciprocity,
                          check_reciprocity, check_reciprocity_work,
                          edge_invariant, strict_chromatic, weak_chromatic)
@@ -70,19 +71,32 @@ def _print_invariant(g: Digraph, which: str, poly: BinPoly, fmt: str) -> None:
     print(f"monomial: {poly.monomial_str()}")
 
 
+_SIGNED = {1: "+1 * [", -1: "-1 * ["}
+
+
 def _print_antipode(g: Digraph, edge_list: Sequence[tuple[str, str]],
                     terms: list[tuple[int, int]], fmt: str) -> None:
     """Print the terms of antipode_masks; json output is byte for byte
-    json.dumps of {"graph": ..., "terms": [{"coefficient", "edges"}, ...]}."""
+    json.dumps of {"graph": ..., "terms": [{"coefficient", "edges"}, ...]}.
+
+    Each mask's kept edges are read from its binary digits in one pass:
+    bin(mask | top) spells bit m - 1 - i of mask as character 3 + i.
+    """
+    top = 1 << len(edge_list)
     if fmt == "json":
         edges = [json.dumps([u, v]) for u, v in edge_list]
-        body = ", ".join(f'{{"coefficient": {c}, "edges": [{", ".join(_kept(edges, mask))}]}}'
-                         for mask, c in terms)
+        body = ", ".join(
+            f'{{"coefficient": {c}, "edges": ['
+            f'{", ".join(compress(edges, bin(mask | top).encode()[3:].translate(_BIT_FLAGS)))}]}}'
+            for mask, c in terms)
         print(f'{{"graph": {json.dumps(_graph_json(g))}, "terms": [{body}]}}')
         return
     edges = [f"{u}->{v}" for u, v in edge_list]
-    print("\n".join([f"antipode: {len(terms)} terms on {len(g.vertices)} vertices",
-                     *(f"{c:+d} * [{', '.join(_kept(edges, mask))}]" for mask, c in terms)]))
+    lines = [f"antipode: {len(terms)} terms on {len(g.vertices)} vertices"]
+    for mask, c in terms:
+        kept = ", ".join(compress(edges, bin(mask | top).encode()[3:].translate(_BIT_FLAGS)))
+        lines.append(f"{_SIGNED.get(c) or f'{c:+d} * ['}{kept}]")
+    print("\n".join(lines))
 
 
 def _parse_vector(g: Digraph, text: str) -> dict[str, Fraction]:
@@ -456,7 +470,8 @@ _PARSER = build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.fn(args)
+        with limits.read_budget_once():
+            return args.fn(args)
     except GraphParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,14 @@ Every such sum runs through the one dynamic program of the kernels.  For
 the built-in characters it only depends on how many edges each
 composition keeps; any other character is evaluated on the blocks
 themselves.  Both paths are exact.
+
+Disjoint union is the monoid's product, and the antipode and the
+histogram of kept edges are multiplicative, so the kernels compute them
+per weakly connected component and combine the parts: a term of
+antipode(g) is a disjoint union of its blocks, so
+character_polynomial_of_sum folds each term block by block.  Any other
+character's sum runs over the whole graph at once, since its values on
+the blocks need not multiply.
 """
 
 from __future__ import annotations
@@ -101,7 +109,7 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 def _kept(items: Sequence, mask: int) -> Iterator:
     """items[i] for each bit len(items)-1-i set in mask, in the order of items."""
-    return compress(items, f"{mask:0{len(items)}b}".encode().translate(_BIT_FLAGS))
+    return compress(items, bin(mask | 1 << len(items)).encode()[3:].translate(_BIT_FLAGS))
 
 
 def antipode_masks(g: Digraph, *, max_vertices: int | None = None

@@ -29,7 +29,7 @@ def lower_half_masks(nv: int, tails: list[int], heads: list[int]) -> list[int]:
     # a def, not an alias of an _engine function, so that wrapping this
     # public name (as perfbench's tracer does) leaves the engine's own calls
     # unwrapped
-    return _engine._lattice(nv, tails, heads, "lower-half search")[0]
+    return _engine._lattice(nv, tails, heads, "lower-half search")
 
 
 def count_strict_colorings(nv: int, tails: list[int], heads: list[int], n: int) -> int:

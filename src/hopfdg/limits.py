@@ -11,11 +11,16 @@ The command line reports each refusal as "resource limit" with exit code
   refuse_work  the meter: the composition sums count their work while
                they do it and call this once the count passes the
                budget, so they stop within one budget of work.
+
+Inside read_budget_once() (the command line runs each command in one)
+the budget is read from the environment at its first use and kept until
+the block ends.
 """
 
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
 from typing import NoReturn
 
 from .errors import SizeLimitError, WorkLimitError
@@ -32,13 +37,35 @@ def check_size(what: str, nv: int, limit: int | None) -> None:
         raise SizeLimitError(f"{what} over {nv} vertices exceeds bound {limit}")
 
 
+# inside read_budget_once(): a list holding the budget once it is read
+_held: ContextVar[list[int] | None] = ContextVar("hopfdg_work_budget", default=None)
+
+
 def work_budget() -> int:
     """The work budget: HOPFDG_MAX_WORK when set, else DEFAULT_MAX_WORK."""
+    held = _held.get()
+    if held:
+        return held[0]
     raw = os.environ.get(ENV_MAX_WORK, DEFAULT_MAX_WORK)
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"{ENV_MAX_WORK} must be an integer, got {raw!r}")
+    if held is not None:
+        held.append(budget)
+    return budget
+
+
+class read_budget_once:
+    """Within the block, work_budget reads the environment at most once."""
+
+    __slots__ = ("_token",)
+
+    def __enter__(self) -> None:
+        self._token = _held.set([])
+
+    def __exit__(self, *exc: object) -> None:
+        _held.reset(self._token)
 
 
 def check_work(what: str, estimate: int) -> int:

@@ -251,13 +251,34 @@ def test_resource_limit_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
 def test_kernel_size_limit_exits_with_resource_limit(capsys, tmp_path, argv):
-    # over the work budget even when --max-vertices allows it
-    path = tmp_path / "big.txt"
-    verts = " ".join(f"v{i:02d}" for i in range(17))
-    path.write_text(f"vertices: {verts}\nv00 -> v16\n")
-    code, out, err = run(capsys, *argv, str(path), "--max-vertices", "20")
+    # over the work budget even when --max-vertices allows it: 19 sources
+    # into one sink have 2^19 + 1 lower halves, and the walk stops at
+    # 10^7 / 20 + 1 of them
+    path = _graph_file(tmp_path, "big.txt", 20, [(i, 19) for i in range(19)])
+    code, out, err = run(capsys, *argv, path, "--max-vertices", "20")
     assert code == 3 and out == ""
     assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("nv, edges", ((17, [(0, 16)]), (20, [])))
+def test_near_edgeless_graphs_answer_by_components(capsys, tmp_path, monkeypatch, nv, edges):
+    # 17 vertices with one edge, and 20 isolated vertices, were refused
+    # after seconds of metering; each component now folds on its own.  The
+    # antipode multiplies the parts' antipodes: -(v) per isolated vertex
+    # and [v00->v16] - [] for the edge
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    path = _graph_file(tmp_path, "sparse.txt", nv, edges)
+    want = {"antipode": "antipode: 2 terms on 17 vertices\n+1 * [v00->v16]\n-1 * []\n"
+            if edges else "antipode: 1 terms on 20 vertices\n+1 * []\n"}
+    for argv in (("antipode",), ("invariant", "strict"), ("invariant", "bpoly")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, path, "--max-vertices", "20")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and err == ""
+        if argv[0] == "antipode":
+            assert out == want["antipode"]
+        else:
+            assert out.startswith(f"graph: {nv} vertices, {len(edges)} edges\n")
 
 
 @pytest.mark.parametrize("suite", ("morphism", "theorem1"))
@@ -470,14 +491,14 @@ def test_bpoly_answers_on_nine_vertices_meters_thirteen_and_refuses_fifteen_at_o
     assert code == 3 and out == ""
     assert err.startswith("resource limit: composition sum over 13 vertices needs at least ")
     assert "work budget 10000000; set HOPFDG_MAX_WORK" in err and err.count("\n") == 1
-    # on 15 vertices the steps alone are past the budget
+    # on 15 vertices the same floor refuses it at once
     path = _tournament_file(tmp_path, 15)
     start = time.perf_counter()
     code, out, err = run(capsys, "invariant", "bpoly", path, "--max-vertices", "15")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
-    assert err.startswith("resource limit: surjection scan over 15 vertices needs about "
-                          f"{3 ** 15 - 2 ** 15} steps")
+    assert err.startswith("resource limit: composition sum over 15 vertices needs at least "
+                          "100196587 steps")
     assert err.count("\n") == 1
 
 

@@ -11,14 +11,15 @@ import tracemalloc
 
 import pytest
 
-from conftest import (all_digraphs, count_halves_taken, oracle_character_sum,
-                      oracle_chain_stats, oracle_edge_tables, oracle_is_lower_half,
-                      oracle_lower_halves, oracle_surjection_walk, oracle_takeuchi_terms,
-                      random_digraph)
-from hopfdg import (EDGE, Character, Digraph, WorkLimitError, antipode,
-                    character_polynomial, kernels)
+from conftest import (all_digraphs, count_halves_taken, oracle_antipode_output,
+                      oracle_character_sum, oracle_chain_stats, oracle_edge_tables,
+                      oracle_is_lower_half, oracle_lower_halves, oracle_surjection_walk,
+                      oracle_takeuchi_terms, random_digraph)
+from hopfdg import (EDGE, BinPoly, Character, Digraph, WorkLimitError, antipode,
+                    b_polynomial, character_polynomial, disjoint_union, kernels,
+                    strict_chromatic)
 from hopfdg import _engine, limits
-from hopfdg._engine import _down_sets, _edge_masks, _fold
+from hopfdg._engine import _Meter, _down_sets, _edge_masks, _fold
 from hopfdg.cli import main
 from hopfdg.rings import Q, Y, Z
 
@@ -71,6 +72,52 @@ def test_engine_matches_oracles_on_random_digraphs(n, count):
     for _ in range(count):
         g = random_digraph(rng, "abcdefg"[:n], p=rng.choice([0.1, 0.25, 0.4, 0.7]))
         assert_engine_matches_oracles(g, ring_value)
+
+
+def seeded_disjoint_unions() -> list[Digraph]:
+    """Disconnected digraphs of up to 7 vertices: isolated vertices, disjoint
+    edges, and two random parts on interleaved labels."""
+    graphs = [Digraph("abcdefg"[:n]) for n in range(2, 8)]
+    graphs += [Digraph("abcdefg"[:n], [("a", "b"), ("d", "c"), ("e", "f"), ("f", "e")][:n // 2])
+               for n in range(4, 8)]
+    rng = random.Random(57)
+    for _ in range(30):
+        labels = list("abcdefg"[:rng.randint(2, 7)])
+        rng.shuffle(labels)
+        cut = rng.randint(1, len(labels) - 1)
+        graphs.append(disjoint_union(
+            random_digraph(rng, labels[:cut], p=rng.choice([0.3, 0.6, 0.9])),
+            random_digraph(rng, labels[cut:], p=rng.choice([0.3, 0.6, 0.9]))))
+    return graphs
+
+
+def test_factored_route_matches_oracles_on_disjoint_unions():
+    for g in seeded_disjoint_unions():
+        nv, tails, heads = g.edge_arrays()
+        assert len(_engine._components(nv, set(_down_sets(nv, tails, heads)))) > 1
+        assert_engine_matches_oracles(g, ring_value)
+
+
+def test_components_are_the_weakly_connected_ones():
+    for g in [*all_digraphs("abcd"), *seeded_disjoint_unions()]:
+        nv, tails, heads = g.edge_arrays()
+        owner = list(range(nv))   # a label per vertex, joined along each edge
+        for _ in range(nv):
+            for t, h in zip(tails, heads):
+                owner[t] = owner[h] = min(owner[t], owner[h])
+        want = {sum(1 << v for v in range(nv) if owner[v] == o) for o in set(owner)}
+        got = _engine._components(nv, set(_down_sets(nv, tails, heads)))
+        assert sorted(got) == sorted(want) and len(got) == len(want)
+
+
+def test_factored_route_matches_the_single_fold(monkeypatch):
+    graphs = [g for labels in ("", "a", "ab", "abc", "abcd") for g in all_digraphs(labels)]
+    graphs += seeded_disjoint_unions()
+    sums = (kernels.chain_stats, kernels.takeuchi_terms, kernels.surjection_stats)
+    factored = [[fn(*g.edge_arrays()) for fn in sums] for g in graphs]
+    # every graph as one component: the whole lattice in one fold
+    monkeypatch.setattr(_engine, "_components", lambda nv, downs: [(1 << nv) - 1] if nv else [])
+    assert [[fn(*g.edge_arrays()) for fn in sums] for g in graphs] == factored
 
 
 def test_ring_valued_character_without_edge_count_rule():
@@ -132,7 +179,8 @@ def test_down_sets_are_the_vertices_with_a_path_in():
             assert _down_sets(nv, tails, heads) == [sum(1 << u for u in r) for r in reach]
 
 
-def test_fold_steps_once_per_nested_pair_of_lower_halves():
+def test_fold_steps_once_per_nested_pair_of_lower_halves(monkeypatch):
+    monkeypatch.setenv("HOPFDG_MAX_WORK", str(10 ** 9))
     for g in seeded_six_vertex_digraphs():
         nv, tails, heads = g.edge_arrays()
         halves = kernels.lower_half_masks(nv, tails, heads)
@@ -143,7 +191,7 @@ def test_fold_steps_once_per_nested_pair_of_lower_halves():
                 seen.append((low, high ^ low))
                 acc.setdefault(high, {})
 
-        _fold(nv, halves, push, budget=10 ** 9)
+        _fold((1 << nv) - 1, halves, push, _Meter(nv))
         want = sorted((low, high ^ low) for low in halves for high in halves
                       if low != high and not low & ~high)
         assert sorted(seen) == want
@@ -203,18 +251,20 @@ def test_lattice_sums_allocate_nothing_per_subset(monkeypatch):
 
 
 def charged_work(monkeypatch, fn, *args) -> int:
-    """The work fn charged to the meter: the count the last fold it ran returned."""
-    work = [0]   # a sum that never folds (surjections of no vertices) charges nothing
+    """The work fn charged to the meter: the count of the one meter it ran."""
+    meters = []
 
-    def fold(*fold_args):
-        acc, work[0] = _fold(*fold_args)
-        return acc, work[0]
+    class Recorded(_Meter):
+        def __init__(self, nv):
+            super().__init__(nv)
+            meters.append(self)
 
     with monkeypatch.context() as patch:
         patch.setenv("HOPFDG_MAX_WORK", str(10 ** 12))
-        patch.setattr(_engine, "_fold", fold)
+        patch.setattr(_engine, "_Meter", Recorded)
         fn(*args)
-    return work[0]
+    assert len(meters) == 1
+    return meters[0].count
 
 
 def assert_the_meter_is_exact(monkeypatch, g: Digraph) -> None:
@@ -252,6 +302,11 @@ def test_the_meter_is_exact_on_random_digraphs(monkeypatch, n, count):
             monkeypatch, random_digraph(rng, "abcdefg"[:n], p=rng.choice([0.1, 0.3, 0.6])))
 
 
+def test_the_meter_is_exact_on_disjoint_unions(monkeypatch):
+    for g in seeded_disjoint_unions():
+        assert_the_meter_is_exact(monkeypatch, g)
+
+
 def star_arrays():
     """16 sources into one sink: 2^16 + 1 lower halves, 17 distinct down-sets."""
     return 17, list(range(16)), [16] * 16
@@ -259,8 +314,8 @@ def star_arrays():
 
 def test_engine_refuses_work_past_the_budget(monkeypatch):
     # the lattice sums walk all 2^16 + 1 lower halves of the star, charged
-    # 17 probes each, and the fold passes the budget; the surjections'
-    # 3^17 - 2^17 steps are refused before any of them
+    # 17 probes each, and the fold passes the budget; the surjections are
+    # refused before any step, on the floor of their fold's charge
     monkeypatch.setenv("HOPFDG_MAX_WORK", "2000000")
     nv, tails, heads = star_arrays()
     for fn, extra in ((kernels.chain_stats, ()), (kernels.takeuchi_terms, ()),
@@ -274,7 +329,7 @@ def test_engine_refuses_work_past_the_budget(monkeypatch):
     with pytest.raises(WorkLimitError) as exc:
         kernels.surjection_stats(nv, tails, heads)
     message = str(exc.value)
-    assert message.startswith(f"surjection scan over 17 vertices needs about {3**17 - 2**17} ")
+    assert message.startswith("composition sum over 17 vertices needs at least 988960469 ")
     assert "work budget 10000000" in message and "HOPFDG_MAX_WORK" in message
 
 
@@ -363,7 +418,7 @@ def test_seventeen_vertex_cycle_has_two_lower_halves_and_an_answer():
     assert character_polynomial(g, EDGE, max_vertices=17).coeffs == (0, Q ** 17)
 
 
-def run_refused(capsys, monkeypatch, tmp_path, argv, text, budget):
+def run_refused(capsys, monkeypatch, tmp_path, argv, text, budget, max_vertices=20):
     """Run argv on text under the budget: exit 3, empty stdout; the refusal."""
     if budget is None:
         monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
@@ -371,7 +426,7 @@ def run_refused(capsys, monkeypatch, tmp_path, argv, text, budget):
         monkeypatch.setenv("HOPFDG_MAX_WORK", budget)
     path = tmp_path / "graph.txt"
     path.write_text(text)
-    code = main([*argv, str(path), "--max-vertices", "20"])
+    code = main([*argv, str(path), "--max-vertices", str(max_vertices)])
     out = capsys.readouterr()
     assert code == 3 and out.out == ""
     assert out.err.count("\n") == 1
@@ -379,33 +434,94 @@ def run_refused(capsys, monkeypatch, tmp_path, argv, text, budget):
     return out.err
 
 
+def graph_text(nv: int, tails: list[int], heads: list[int]) -> str:
+    text = "vertices: " + " ".join(f"v{i:02d}" for i in range(nv)) + "\n"
+    return text + "".join(f"v{t:02d} -> v{h:02d}\n" for t, h in zip(tails, heads))
+
+
 @pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
 @pytest.mark.parametrize("nv, budget", ((20, None), (8, "1000")))
-def test_isolated_vertices_are_refused_before_the_scan(capsys, monkeypatch, tmp_path,
-                                                       argv, nv, budget):
-    # 2^nv lower halves, each charged nv probes: the walk stops one half
+def test_out_stars_are_refused_in_the_walk(capsys, monkeypatch, tmp_path, argv, nv, budget):
+    # one source into nv - 1 sinks: 2^(nv - 1) + 1 lower halves, each
+    # charged nv probes, one per distinct down-set; the walk stops one half
     # past what the budget admits, before any edge mask is built
     def no_masks(*args):
         raise AssertionError("the edge masks were built before the refusal")
 
     monkeypatch.setattr(_engine, "_edge_masks", no_masks)
     taken = count_halves_taken(monkeypatch)
-    text = "vertices: " + " ".join(f"v{i:02d}" for i in range(nv)) + "\n"
+    text = graph_text(nv, [0] * (nv - 1), list(range(1, nv)))
     err = run_refused(capsys, monkeypatch, tmp_path, argv, text, budget)
     seen = limits.work_budget() // nv + 1
-    assert seen < 1 << nv and taken[0] == seen
+    assert seen < (1 << nv - 1) + 1 and taken[0] == seen
     assert err.startswith(f"resource limit: composition sum over at least {seen} "
                           f"lower halves needs at least {seen * nv} steps")
+
+
+@pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
+def test_isolated_vertices_answer_by_components_under_a_small_budget(capsys, monkeypatch,
+                                                                     tmp_path, argv):
+    # 8 isolated vertices were refused in the walk at a budget of 1000; as
+    # components, each walks 2 halves and folds one step
+    monkeypatch.setenv("HOPFDG_MAX_WORK", "1000")
+    g = Digraph([f"v{i:02d}" for i in range(8)])
+    path = tmp_path / "graph.txt"
+    path.write_text(graph_text(8, [], []))
+    assert main([*argv, str(path), "--max-vertices", "20"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    if argv == ("antipode",):
+        assert out.out == oracle_antipode_output(g, "text")
+    else:
+        nv, tails, heads = g.edge_arrays()
+        strict = [0] * (nv + 1)
+        for (k, kept), cnt in oracle_chain_stats(nv, tails, heads).items():
+            strict[k] += cnt if kept == 0 else 0
+        assert f"binomial: {BinPoly(tuple(strict)).binomial_str()}\n" in out.out
+
+
+@pytest.mark.parametrize("nv, edges", ((17, [(0, 16)]), (20, [])))
+def test_near_edgeless_graphs_match_their_closed_forms(nv, edges):
+    # maps into {1..n}: the edge, if any, rises in C(n, 2) of its n^2
+    # colourings, falls in C(n, 2) and is level in n; each other vertex
+    # takes any of n values
+    tails, heads = [t for t, _ in edges], [h for _, h in edges]
+    g = Digraph([f"v{i:02d}" for i in range(nv)],
+                [(f"v{t:02d}", f"v{h:02d}") for t, h in edges])
+    rest = nv - 2 * len(edges)
+    strict = strict_chromatic(g, max_vertices=nv)
+    bpoly = b_polynomial(g, max_vertices=nv)
+    for n in range(nv + 2):
+        pair = math.comb(n, 2) * (Y + Z) + n if edges else 1
+        assert strict.eval(n) == (math.comb(n, 2) if edges else 1) * n ** rest
+        assert bpoly.eval(n) == pair * n ** rest
+    # the antipode multiplies -v per isolated vertex and [e] - [] per edge
+    sign = (-1) ** rest
+    want = {1: -sign, 0: sign} if edges else {0: sign}
+    assert kernels.takeuchi_terms(nv, tails, heads) == want
+
+
+def test_antipode_of_disjoint_edges_is_refused_before_its_product(capsys, monkeypatch,
+                                                                  tmp_path):
+    # 12 disjoint edges, 2 antipode terms each: the components' walks (3
+    # halves, 2 probes each) and folds (11 steps each) fit the budget, and
+    # the partial products' 4 + 8 + ... + 2^12 terms are charged before
+    # any of them is built
+    nv = 24
+    err = run_refused(capsys, monkeypatch, tmp_path, ["antipode"],
+                      graph_text(nv, list(range(0, nv, 2)), list(range(1, nv, 2))), "5000",
+                      max_vertices=nv)
+    charge = 12 * 6 + 12 * 11 + (1 << 13) - 4
+    assert err.startswith(f"resource limit: composition sum over {nv} vertices needs at least "
+                          f"{charge} steps")
 
 
 @pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict")))
 def test_star_is_refused_in_the_fold(capsys, monkeypatch, tmp_path, argv):
     # the walk's 17 (2^16 + 1) probes fit the budget; the fold passes it
     taken = count_halves_taken(monkeypatch)
-    nv, tails, heads = star_arrays()
-    text = "vertices: " + " ".join(f"v{i:02d}" for i in range(nv)) + "\n"
-    text += "".join(f"v{t:02d} -> v{h:02d}\n" for t, h in zip(tails, heads))
-    err = run_refused(capsys, monkeypatch, tmp_path, argv, text, "2000000")
+    err = run_refused(capsys, monkeypatch, tmp_path, argv, graph_text(*star_arrays()),
+                      "2000000")
     assert taken[0] == (1 << 16) + 1
     assert err.startswith("resource limit: composition sum over 17 vertices needs at least ")
 

@@ -129,6 +129,26 @@ def test_character_polynomial_is_multiplicative():
                 assert pu.eval(n) == pg.eval(n) * ph.eval(n)
 
 
+def test_character_polynomials_of_a_product_are_the_products():
+    # the product axiom on parts of up to four vertices each, the parts
+    # disconnected or not, labels interleaved; deg + 2 values pin a
+    # polynomial of degree deg
+    rng = random.Random(37)
+    for _ in range(30):
+        labels = list("abcdefg")
+        rng.shuffle(labels)
+        cut = rng.randint(1, 4)
+        g = random_digraph(rng, labels[:cut], p=rng.choice([0.2, 0.5, 0.8]))
+        h = random_digraph(rng, labels[cut:rng.randint(cut + 1, min(cut + 4, 7))],
+                           p=rng.choice([0.2, 0.5, 0.8]))
+        u = disjoint_union(g, h)
+        for char in (BASIC, EDGE):
+            pg, ph = character_polynomial(g, char), character_polynomial(h, char)
+            pu = character_polynomial(u, char)
+            for n in range(pu.degree() + 2):
+                assert pu.eval(n) == pg.eval(n) * ph.eval(n)
+
+
 def test_character_polynomial_degree_and_unit():
     assert character_polynomial(EMPTY, BASIC) == BinPoly((1,))
     g = Digraph("abcd")

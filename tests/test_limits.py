@@ -3,8 +3,11 @@
 import ast
 import pathlib
 import re
+from types import SimpleNamespace
 
 import hopfdg
+from hopfdg import limits
+from hopfdg.cli import main
 
 PACKAGE = pathlib.Path(hopfdg.__file__).parent
 
@@ -31,3 +34,23 @@ def test_the_only_size_bound_is_the_callers_vertex_cap():
     offenders = [f"{name}:{node.lineno}: {ast.unparse(node)}" for name, node in calls
                  if ast.unparse(node.args[-1]) != "max_vertices"]
     assert offenders == []
+
+
+def test_a_command_reads_the_budget_once(monkeypatch, tmp_path, capsys):
+    # verify all runs hundreds of composition sums and direct sums
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(limits, "os", SimpleNamespace(environ=Environ(HOPFDG_MAX_WORK="123456")))
+    path = tmp_path / "g.txt"
+    path.write_text("vertices: a b c d e f\na -> b\nb -> c\nc -> a\nd -> e\n")
+    assert main(["verify", "all", str(path)]) == 0
+    assert "all passed" in capsys.readouterr().out
+    assert reads == [limits.ENV_MAX_WORK]
+    # outside a command every call reads the environment as it is then
+    assert limits.work_budget() == limits.work_budget() == 123456
+    assert len(reads) == 3
