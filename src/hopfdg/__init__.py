@@ -17,8 +17,7 @@ from .digraph import (Digraph, EMPTY, disjoint_union, format_graph,
 from .errors import (GraphParseError, ResourceLimitError, SizeLimitError,
                      UnboundedFlowError, WorkLimitError)
 from .hopf import (BASIC, Character, EDGE, FormalSum, antipode,
-                   antipode_masks, antipode_of_sum, basic_char,
-                   character_of_sum, character_polynomial,
+                   antipode_masks, basic_char, character_polynomial,
                    character_polynomial_of_sum, edge_char)
 from .invariants import (ReciprocityCheck, b_polynomial, brute_strict,
                          brute_weak, check_edge_reciprocity,
@@ -36,14 +35,13 @@ __all__ = [
     "FormalSum", "GraphParseError", "INF", "Infinity", "MorphismCheck",
     "Poly", "ReciprocityCheck", "ResourceLimitError", "SINK", "SOURCE",
     "SizeLimitError", "UnboundedFlowError", "WorkLimitError",
-    "antipode", "antipode_masks", "antipode_of_sum", "ascent_polytope_points",
-    "audit_flow", "b_polynomial", "base_member", "basic_char", "binomial",
-    "brute_strict", "brute_weak", "build_flow_network", "character_of_sum",
-    "character_polynomial", "character_polynomial_of_sum",
-    "check_cone_polytope_agreement", "check_edge_reciprocity",
-    "check_low_morphism", "check_reciprocity", "cone_generators",
-    "cone_member", "direct_sum", "disjoint_union", "edge_char",
-    "edge_invariant", "format_graph", "generic_direction_count",
+    "antipode", "antipode_masks", "ascent_polytope_points", "audit_flow",
+    "b_polynomial", "base_member", "basic_char", "binomial", "brute_strict",
+    "brute_weak", "build_flow_network", "character_polynomial",
+    "character_polynomial_of_sum", "check_cone_polytope_agreement",
+    "check_edge_reciprocity", "check_low_morphism", "check_reciprocity",
+    "cone_generators", "cone_member", "direct_sum", "disjoint_union",
+    "edge_char", "edge_invariant", "format_graph", "generic_direction_count",
     "lower_half_function", "max_flow", "parse_graph", "strict_chromatic",
     "vertex_sum_count", "weak_chromatic",
 ]

@@ -378,8 +378,7 @@ def _cmd_cone_member(args: argparse.Namespace) -> int:
     total = sum(vec.values(), start=Fraction(0))
     witness = flow_value = None
     if total == 0:
-        _, result, witness = membership_flow(g, vec)
-        flow_value = result.value
+        flow_value, witness = membership_flow(g, vec)
 
     if args.format == "json":
         payload = {

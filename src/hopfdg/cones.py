@@ -328,23 +328,16 @@ Witness = dict[tuple[str, str], int | Fraction]
 
 
 def membership_flow(g: Digraph, x: Mapping[str, object]
-                    ) -> tuple[FlowNetwork, FlowResult, Witness | None]:
-    """The network, maximum flow and cone_member witness of a sum-zero x.
-
-    One max flow decides membership; callers audit or report that flow.
-    """
-    return _membership_flow(g, _normalize_vector(g, x))
-
-
-def _membership_flow(g: Digraph, vec: dict[str, int | Fraction]
-                     ) -> tuple[FlowNetwork, FlowResult, Witness | None]:
-    net = _network(g, vec)
-    result = max_flow(net)
+                    ) -> tuple[int | Fraction, Witness | None]:
+    """The value of the membership network's maximum flow for a sum-zero x,
+    and cone_member's witness, or None when x is outside the cone."""
+    vec = _normalize_vector(g, x)
+    result = max_flow(_network(g, vec))
     if result.value != sum(c for c in vec.values() if c > 0):
-        return net, result, None
+        return result.value, None
     _, tails, heads = g.edge_arrays()
     _check_witness(g.vertices, tails, heads, result.flows, [vec[v] for v in g.vertices])
-    return net, result, dict(zip(g.edge_list, result.flows))
+    return result.value, dict(zip(g.edge_list, result.flows))
 
 
 def cone_member(g: Digraph, x: Mapping[str, object]) -> Witness | None:
@@ -354,7 +347,7 @@ def cone_member(g: Digraph, x: Mapping[str, object]) -> Witness | None:
     when x is outside the cone.  The witness is re-checked before return.
     """
     vec = _normalize_vector(g, x)
-    return _membership_flow(g, vec)[2] if sum(vec.values()) == 0 else None
+    return membership_flow(g, vec)[1] if sum(vec.values()) == 0 else None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from . import kernels
 from .errors import GraphParseError
 
 _FORBIDDEN = re.compile(r"[\s#]|->")
@@ -128,15 +127,6 @@ class Digraph:
         if extra:
             raise ValueError(f"subset contains non-vertices {sorted(extra)}")
         return not any(u not in sub and v in sub for u, v in self.edges)
-
-    def lower_halves(self) -> list[frozenset[str]]:
-        """All lower halves, from the empty set up to the full vertex set."""
-        nv, tails, heads = self.edge_arrays()
-        verts = self.vertices
-        out = []
-        for mask in kernels.lower_half_masks(nv, tails, heads):
-            out.append(frozenset(verts[i] for i in range(nv) if mask >> i & 1))
-        return out
 
     def coproduct(self, subset: Iterable[str]) -> tuple["Digraph", "Digraph"] | None:
         """Split into (inside, outside) when the subset is a lower half, else None.

@@ -6,43 +6,52 @@ prefixes are all lower halves; a composition contributes its kept edges
 the product of character values of its blocks to the coefficient of
 C(n, k) in the character polynomial.
 
-Every such sum runs through the one dynamic program of the kernels.  For
-the built-in characters it only depends on how many edges each
-composition keeps; any other character is evaluated on the blocks
-themselves.  Both paths are exact.
+Every such sum runs through the one dynamic program of the kernels.  A
+character whose value on a graph is one monomial fixed by its edge
+count (Character.edge_monomial, as for BASIC and EDGE) only needs how
+many edges each composition keeps: its polynomial is the projection of
+the kernels' (k, kept) histogram, _project, the one route from a kernel
+histogram to a BinPoly.  The polynomial invariants of the invariants
+module project through it too, with the same weights for strict and
+psi that BASIC and EDGE carry, so the strict invariant and the basic
+character polynomial are one code path.  Any other character is
+evaluated on the blocks themselves.  Both paths are exact.
 
 Disjoint union is the monoid's product, and the antipode and the
 histogram of kept edges are multiplicative, so the kernels compute them
 per weakly connected component and combine the parts: a term of
 antipode(g) is a disjoint union of its blocks, so
-character_polynomial_of_sum folds each term block by block.  Any other
-character's sum runs over the whole graph at once, since its values on
-the blocks need not multiply.
+character_polynomial_of_sum folds each term block by block, adds the
+terms' histograms weighted by their coefficients and projects the total
+once.  Any other character's sum runs over the whole graph at once,
+since its values on the blocks need not multiply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import kernels, limits
 from .digraph import Digraph
-from .rings import BinPoly, Poly, Q
+from .rings import BinPoly, Expt, Poly, Q
 
 
 @dataclass(frozen=True)
 class Character:
     """A named multiplicative graph invariant with values in a ring.
 
-    of_edge_count, when set, must satisfy of_graph(g) == of_edge_count(|edges of g|)
-    for every g; it lets the composition sum count kept edges instead of
-    evaluating the character on every block.
+    edge_monomial, when set, says that the character's value on a graph
+    with m edges is one monomial q^e[0] * y^e[1] * z^e[2] with coefficient
+    1, e = edge_monomial(m), or 0 where edge_monomial(m) is None; e must
+    be a tuple of three non-negative ints.  It lets the composition sum
+    count kept edges instead of evaluating the character on every block.
     """
 
     name: str
     of_graph: Callable[[Digraph], Any]
-    of_edge_count: Callable[[int], Any] | None = None
+    edge_monomial: Callable[[int], Expt | None] | None = None
 
     def __call__(self, g: Digraph) -> Any:
         return self.of_graph(g)
@@ -58,8 +67,19 @@ def edge_char(g: Digraph) -> Poly:
     return Q ** len(g.edges)
 
 
-BASIC = Character("basic", basic_char, lambda m: 0 if m else 1)
-EDGE = Character("edge", edge_char, lambda m: Q ** m)
+# BASIC's and EDGE's edge monomials, which strict_chromatic and
+# edge_invariant project with too; private, so that rebinding the public
+# characters (as perfbench's tracer does) never reaches them
+def _basic_weight(kept: int) -> Expt | None:
+    return None if kept else (0, 0, 0)
+
+
+def _edge_weight(kept: int) -> Expt:
+    return (kept, 0, 0)
+
+
+BASIC = Character("basic", basic_char, _basic_weight)
+EDGE = Character("edge", edge_char, _edge_weight)
 
 
 @dataclass(frozen=True, eq=True)
@@ -86,22 +106,8 @@ class FormalSum:
         for g in sorted(self.terms, key=lambda g: (-len(g.edges), g.edge_list)):
             yield g, self.terms[g]
 
-    def coefficient(self, g: Digraph) -> int:
-        return self.terms.get(g, 0)
-
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        if not isinstance(other, FormalSum):
-            return NotImplemented
-        if self.vertices != other.vertices:
-            raise ValueError("formal sums live on different vertex sets")
-        return FormalSum.of(self.vertices,
-                            list(self.terms.items()) + list(other.terms.items()))
-
-    def scale(self, c: int) -> "FormalSum":
-        return FormalSum.of(self.vertices, ((g, c * k) for g, k in self.terms.items()))
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -150,6 +156,28 @@ def antipode(g: Digraph, *, max_vertices: int | None = None) -> FormalSum:
                              for mask, c in terms})
 
 
+def _project(nv: int, histogram: Mapping[tuple, int],
+             weight: Callable[[tuple], Expt | None]) -> BinPoly:
+    """The one route from a kernel histogram to a BinPoly.
+
+    An entry with key (k, ...) and count c adds c at the exponent vector
+    weight(key) in the coefficient of C(n, k), or nothing where that
+    weight is None.  The counts may be signed, as when the histograms of
+    a formal sum's terms are added, so exponents whose counts cancel are
+    dropped.
+    """
+    sums: list[dict[Expt, int]] = [{} for _ in range(nv + 1)]
+    for key, cnt in histogram.items():
+        e = weight(key)
+        if e is not None:
+            terms = sums[key[0]]
+            terms[e] = terms.get(e, 0) + cnt
+    # non-zero int counts on exponent tuples, so the per-term checks of
+    # Poly(...) are skipped
+    return BinPoly(tuple(Poly._of(terms if all(terms.values()) else
+                                  {e: c for e, c in terms.items() if c}) for terms in sums))
+
+
 def character_polynomial(g: Digraph, character: Character | Callable[[Digraph], Any],
                          *, max_vertices: int | None = None) -> BinPoly:
     """The polynomial invariant of g attached to a character.
@@ -164,8 +192,9 @@ def character_polynomial(g: Digraph, character: Character | Callable[[Digraph], 
         return BinPoly((1,))
 
     _, tails, heads = g.edge_arrays()
-    if _counts_edges(character):
-        return _edge_count_polynomial(kernels.chain_stats(nv, tails, heads), nv, character)
+    weight = _weight_of(character)
+    if weight is not None:
+        return _project(nv, kernels.chain_stats(nv, tails, heads), weight)
     verts = g.vertices
 
     def block_value(mask: int) -> Any:
@@ -177,57 +206,51 @@ def character_polynomial(g: Digraph, character: Character | Callable[[Digraph], 
     return BinPoly(tuple(coeffs))
 
 
-def _counts_edges(character: Character | Callable[[Digraph], Any]) -> bool:
-    return isinstance(character, Character) and character.of_edge_count is not None
+def _weight_of(character: Character | Callable[[Digraph], Any]
+               ) -> Callable[[tuple[int, int]], Expt | None] | None:
+    """The weight of a (k, kept) entry under a Character's edge monomial,
+    checked on every value it gives, since _project builds its Polys
+    unchecked; None for a character without one."""
+    monomial = character.edge_monomial if isinstance(character, Character) else None
+    if monomial is None:
+        return None
 
-
-def _edge_count_polynomial(stats: dict[tuple[int, int], Any], nv: int,
-                           character: Character) -> BinPoly:
-    """The polynomial of a (k, kept) -> count histogram: each entry adds
-    count * of_edge_count(kept) to the coefficient of C(n, k)."""
-    coeffs: list[Any] = [0] * (nv + 1)
-    values: dict[int, Any] = {}
-    for (k, kept), cnt in stats.items():
-        if kept not in values:
-            values[kept] = character.of_edge_count(kept)
-        coeffs[k] = coeffs[k] + cnt * values[kept]
-    return BinPoly(tuple(coeffs))
-
-
-def character_of_sum(s: FormalSum, character: Callable[[Digraph], Any]) -> Any:
-    """Linear extension of a character to a formal sum."""
-    total: Any = 0
-    for g, c in s.items():
-        total = total + c * character(g)
-    return total
+    def weight(key: tuple[int, int]) -> Expt | None:
+        kept = key[1]
+        e = monomial(kept)
+        if e is not None and (type(e) is not tuple or len(e) != 3
+                              or any(type(x) is not int or x < 0 for x in e)):
+            raise ValueError(f"edge monomial of {character.name!r} at {kept} edges "
+                             f"is {e!r}, not three non-negative ints")
+        return e
+    return weight
 
 
 def character_polynomial_of_sum(s: FormalSum, character: Character | Callable[[Digraph], Any],
                                 *, max_vertices: int | None = None) -> BinPoly:
     """Linear extension of character_polynomial to a formal sum.
 
-    For a character with of_edge_count, the terms' chain_stats histograms
-    are added, weighted by their coefficients, and one polynomial is
-    built from the total.
+    For a character with an edge monomial, the terms' chain_stats
+    histograms are added, weighted by their coefficients, and projected
+    once (_sum_polynomial).
     """
-    nv = len(s.vertices)
-    if s.terms and nv and _counts_edges(character):
-        limits.check_size("composition enumeration", nv, max_vertices)
-        stats: dict[tuple[int, int], int] = {}
-        for g, c in s.items():
-            _, tails, heads = g.edge_arrays()
-            for key, cnt in kernels.chain_stats(nv, tails, heads).items():
-                stats[key] = stats.get(key, 0) + c * cnt
-        return _edge_count_polynomial(stats, nv, character)
+    weight = _weight_of(character)
+    if weight is not None:
+        return _sum_polynomial(s, weight, max_vertices)
     total = BinPoly(())
-    for g, c in s.items():
+    for g, c in s.terms.items():
         total = total + character_polynomial(g, character, max_vertices=max_vertices).scale(c)
     return total
 
 
-def antipode_of_sum(s: FormalSum, *, max_vertices: int | None = None) -> FormalSum:
-    """Linear extension of the antipode to a formal sum."""
-    total = FormalSum.of(s.vertices, ())
-    for g, c in s.items():
-        total = total + antipode(g, max_vertices=max_vertices).scale(c)
-    return total
+def _sum_polynomial(s: FormalSum, weight: Callable[[tuple[int, int]], Expt | None],
+                    max_vertices: int | None) -> BinPoly:
+    """The polynomial of s for a character whose (k, kept) entries weigh weight(key)."""
+    nv = len(s.vertices)
+    limits.check_size("composition enumeration", nv, max_vertices)
+    stats: dict[tuple[int, int], int] = {}
+    for g, c in s.terms.items():
+        _, tails, heads = g.edge_arrays()
+        for key, cnt in kernels.chain_stats(nv, tails, heads).items():
+            stats[key] = stats.get(key, 0) + c * cnt
+    return _project(nv, stats, weight)

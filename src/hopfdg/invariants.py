@@ -9,17 +9,22 @@ composition.  f is weakly increasing along every edge exactly when every
 prefix of that composition is a lower half, and the edges f leaves level
 are then the edges kept inside single blocks.  So strict, weak and psi
 are projections of kernels.chain_stats, the (k, kept) histogram over the
-lattice of lower halves, and strict_chromatic is the basic character
-polynomial, as the paper's theorem says.  An entry (k, kept) goes to
+lattice of lower halves, through hopf._project, the one route from a
+kernel histogram to a BinPoly.  An entry (k, kept) goes to
 
   strict_chromatic   1 when kept = 0 (f strictly increasing)
   weak_chromatic     1 (f weakly increasing)
   edge_invariant     q^kept (level edges of f)
 
+strict's and psi's weights are the edge monomials of the characters
+BASIC and EDGE, so strict_chromatic is the basic character polynomial
+by the same code, as the paper's theorem says, and edge_invariant the
+edge one.  They are shared under private names: this module never reads
+the public characters, which may be rebound.
+
 b_polynomial alone needs every map: it walks all surjections through
-kernels.surjection_stats, whose key (k, asc, desc) goes to y^asc * z^desc.
-Each walk adds each entry it keeps into an integer exponent dict for
-C(n, k), and each coefficient Poly is built once from its dict.
+kernels.surjection_stats, whose key (k, asc, desc) goes to y^asc * z^desc
+by the same projection.
 
 The routes the tests compare these against share no code with them:
 brute_strict and brute_weak scan all n^|vertices| maps directly, and the
@@ -33,8 +38,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import kernels, limits
 from .digraph import Digraph
-from .hopf import EDGE, antipode, character_polynomial_of_sum
-from .rings import BinPoly, Expt, Poly
+from .hopf import _basic_weight, _edge_weight, _project, _sum_polynomial, antipode
+from .rings import BinPoly, Expt
 
 
 def _check_scan_size(g: Digraph, max_vertices: int | None) -> None:
@@ -44,47 +49,44 @@ def _check_scan_size(g: Digraph, max_vertices: int | None) -> None:
     limits.check_size("surjection scan", len(g.vertices), max_vertices)
 
 
-def _project(g: Digraph, max_vertices: int | None,
-             histogram: Callable[[int, list[int], list[int]], dict[tuple, int]],
-             weight: Callable[[tuple], Expt | None]) -> BinPoly:
-    """One walk of a kernel histogram keyed (k, ...): an entry whose key
-    weight maps to an exponent vector adds its count there, in the
-    coefficient of C(n, k)."""
+# an entry (k, kept) weighs BASIC's and EDGE's edge monomial at kept
+def _strict_weight(key: tuple[int, int]) -> Expt | None:
+    return _basic_weight(key[1])
+
+
+def _psi_weight(key: tuple[int, int]) -> Expt:
+    return _edge_weight(key[1])
+
+
+def _invariant(g: Digraph, max_vertices: int | None,
+               histogram: Callable[[int, list[int], list[int]], dict[tuple, int]],
+               weight: Callable[[tuple], Expt | None]) -> BinPoly:
     nv, tails, heads = g.edge_arrays()
     if nv == 0:
         return BinPoly((1,))
     _check_scan_size(g, max_vertices)
-    sums: list[dict[Expt, int]] = [{} for _ in range(nv + 1)]
-    for key, cnt in histogram(nv, tails, heads).items():
-        e = weight(key)
-        if e is not None:
-            terms = sums[key[0]]
-            terms[e] = terms.get(e, 0) + cnt
-    # the counts are positive ints on exponent tuples built here, so the
-    # per-term checks of Poly(...) are skipped
-    return BinPoly(tuple(Poly._of(terms) for terms in sums))
+    return _project(nv, histogram(nv, tails, heads), weight)
 
 
 def strict_chromatic(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:
     """Counts maps strictly increasing along every edge."""
-    return _project(g, max_vertices, kernels.chain_stats,
-                    lambda key: None if key[1] else (0, 0, 0))
+    return _invariant(g, max_vertices, kernels.chain_stats, _strict_weight)
 
 
 def weak_chromatic(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:
     """Counts maps weakly increasing along every edge."""
-    return _project(g, max_vertices, kernels.chain_stats, lambda key: (0, 0, 0))
+    return _invariant(g, max_vertices, kernels.chain_stats, lambda key: (0, 0, 0))
 
 
 def b_polynomial(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:
     """All maps, each weighted y^(rising edges) * z^(falling edges)."""
-    return _project(g, max_vertices, kernels.surjection_stats,
-                    lambda key: (0, key[1], key[2]))
+    return _invariant(g, max_vertices, kernels.surjection_stats,
+                      lambda key: (0, key[1], key[2]))
 
 
 def edge_invariant(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:
     """Maps with no falling edge, each weighted q^(level edges)."""
-    return _project(g, max_vertices, kernels.chain_stats, lambda key: (key[1], 0, 0))
+    return _invariant(g, max_vertices, kernels.chain_stats, _psi_weight)
 
 
 def _work_gate(g: Digraph, n: int) -> None:
@@ -160,6 +162,6 @@ def check_edge_reciprocity(g: Digraph, ns: Iterable[int], *,
     polynomials in q, and each is built once.
     """
     psi = edge_invariant(g, max_vertices=max_vertices)
-    flipped = character_polynomial_of_sum(
-        antipode(g, max_vertices=max_vertices), EDGE, max_vertices=max_vertices)
+    flipped = _sum_polynomial(antipode(g, max_vertices=max_vertices), _psi_weight,
+                              max_vertices)
     return [ReciprocityCheck(True, n, psi.eval(-n), flipped.eval(n)) for n in ns]

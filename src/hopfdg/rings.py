@@ -136,39 +136,6 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def substitute(self, values: Mapping[str, int]) -> "Poly":
-        """Replace some variables by integers."""
-        repl = []
-        for name, val in values.items():
-            if name not in _VAR_INDEX:
-                raise ValueError(f"unknown variable {name!r}")
-            if not isinstance(val, int):
-                raise ValueError(f"substitution values must be ints, got {val!r}")
-            repl.append((_VAR_INDEX[name], val))
-        out: dict[Expt, int] = {}
-        for e, c in self.terms.items():
-            exps = list(e)
-            for i, val in repl:
-                c *= val ** exps[i]
-                exps[i] = 0
-            key = tuple(exps)
-            out[key] = out.get(key, 0) + c
-        return Poly(out)
-
-    def coefficient_of(self, name: str, power: int) -> "Poly":
-        """Coefficient of name**power, viewed as a polynomial in that variable."""
-        i = _VAR_INDEX[name]
-        out: dict[Expt, int] = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                key = tuple(0 if j == i else x for j, x in enumerate(e))
-                out[key] = c
-        return Poly(out)
-
-    def content(self) -> int:
-        """Gcd of the integer coefficients; 0 for the zero polynomial."""
-        return math.gcd(*self.terms.values()) if self.terms else 0
-
     def __str__(self) -> str:
         return _poly_str(self.terms)
 

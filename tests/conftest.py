@@ -17,11 +17,13 @@ from math import lcm
 
 import pytest
 
-from hopfdg import (INF, BinPoly, Digraph, ExtBool, UnboundedFlowError,
-                    character_polynomial, cone_generators)
-from hopfdg import _engine
+from hopfdg import (INF, BinPoly, Digraph, ExtBool, FormalSum, Poly,
+                    UnboundedFlowError, antipode, character_polynomial,
+                    cone_generators)
+from hopfdg import _engine, kernels
 from hopfdg.cones import FlowResult
 from hopfdg.digraph import canonical_labels
+from hopfdg.rings import VARS
 
 LABELS = "abcdefghij"
 
@@ -63,6 +65,39 @@ def random_digraph(rng: random.Random, labels, p: float = 0.4) -> Digraph:
     labels = tuple(labels)
     edges = [(u, v) for u in labels for v in labels if u != v and rng.random() < p]
     return Digraph(labels, edges)
+
+
+def lower_halves(g: Digraph) -> list[frozenset[str]]:
+    """All lower halves of g as label sets, by the engine's metered walk."""
+    nv, tails, heads = g.edge_arrays()
+    return [frozenset(g.vertices[i] for i in range(nv) if mask >> i & 1)
+            for mask in kernels.lower_half_masks(nv, tails, heads)]
+
+
+def antipode_of_sum(s: FormalSum) -> FormalSum:
+    """The antipode extended linearly to a formal sum."""
+    return FormalSum.of(s.vertices, ((t, c * ct) for g, c in s.terms.items()
+                                     for t, ct in antipode(g).terms.items()))
+
+
+def substitute(c, values: dict[str, int]) -> Poly:
+    """A coefficient (an int or a Poly) with some of q, y, z set to integers."""
+    c = c if isinstance(c, Poly) else Poly.constant(c)
+    out: dict = {}
+    for e, coeff in c.terms.items():
+        for var, x in zip(VARS, e):
+            if var in values:
+                coeff *= values[var] ** x
+        key = tuple(0 if var in values else x for var, x in zip(VARS, e))
+        out[key] = out.get(key, 0) + coeff
+    return Poly(out)
+
+
+def coefficient_of(c, name: str, power: int) -> Poly:
+    """The coefficient of name^power in c, a polynomial in the other variables."""
+    c = c if isinstance(c, Poly) else Poly.constant(c)
+    i = VARS.index(name)
+    return Poly({e[:i] + (0,) + e[i + 1:]: v for e, v in c.terms.items() if e[i] == power})
 
 
 def compositions(labels, k: int):
@@ -444,7 +479,7 @@ def oracle_monomial_str(p: BinPoly, var: str = "n") -> str:
         for j, fc in enumerate(falling_coeffs(k)):
             if fc:
                 numer[j] = numer[j] + c * (scale * fc)
-    ints = [c.content() if isinstance(c, Poly) else abs(c) for c in numer]
+    ints = [math.gcd(*c.terms.values()) if isinstance(c, Poly) else abs(c) for c in numer]
     g = math.gcd(denom, *ints)
     if g > 1:
         denom //= g

@@ -368,13 +368,12 @@ def test_verify_reciprocity_builds_each_polynomial_once(capsys, g3_file, monkeyp
             return real(*args, **kwargs)
         monkeypatch.setattr(inv, name, wrapper)
 
-    for name in ("strict_chromatic", "edge_invariant", "antipode",
-                 "character_polynomial_of_sum"):
+    for name in ("strict_chromatic", "edge_invariant", "antipode", "_sum_polynomial"):
         counted(name)
     code, out, _ = run(capsys, "verify", "reciprocity", g3_file, "--format", "json")
     assert code == 0
     assert calls == dict.fromkeys(("strict_chromatic", "edge_invariant", "antipode",
-                                   "character_polynomial_of_sum"), 1)
+                                   "_sum_polynomial"), 1)
     checks = json.loads(out)["checks"]
     assert [c["name"] for c in checks] == (
         [f"strict/weak reciprocity at n={n}" for n in range(1, 6)]

@@ -308,21 +308,23 @@ def test_max_flow_matches_old_route_on_seeded_graphs():
             _assert_flows_match(g, vec)
 
 
-def _assert_index_route_matches(g, vec):
-    # the agreement check's per-sample flow against the cone-member route
+def _assert_index_route_matches(g, x):
+    # the agreement check's per-sample flow against the FlowNetwork route
+    # of criterion 8, which cone-member and cone_member take
     _, tails, heads = g.edge_arrays()
     nodes = (*g.vertices, SOURCE, SINK)
-    result, problems, member = cones._sample_flow(nodes, tails, heads,
-                                                  [vec[v] for v in g.vertices])
-    _, public, witness = cones.membership_flow(g, vec)
-    assert problems == [], (g, vec)
-    assert result.value == public.value, (g, vec)
-    assert result.flows == public.flows, (g, vec)
-    assert frozenset(nodes[i] for i in result.cut) == public.cut, (g, vec)
-    assert result.cut_capacity == public.cut_capacity, (g, vec)
-    assert member == (witness is not None), (g, vec)
-    if member:
-        assert witness == dict(zip(g.edge_list, result.flows)), (g, vec)
+    coords = [x[v] for v in g.vertices]
+    result, problems, member = cones._sample_flow(nodes, tails, heads, coords)
+    net = build_flow_network(g, x)
+    public = max_flow(net)
+    assert problems == [] and audit_flow(net, public) == [], (g, x)
+    assert result.value == public.value, (g, x)
+    assert result.flows == public.flows, (g, x)
+    assert frozenset(nodes[i] for i in result.cut) == public.cut, (g, x)
+    assert result.cut_capacity == public.cut_capacity, (g, x)
+    witness = dict(zip(g.edge_list, result.flows)) if member else None
+    assert cones.membership_flow(g, x) == (public.value, witness), (g, x)
+    assert cone_member(g, x) == witness, (g, x)
 
 
 def test_index_route_matches_membership_flow_on_all_small_digraphs():
@@ -332,9 +334,11 @@ def test_index_route_matches_membership_flow_on_all_small_digraphs():
 
 
 def test_index_route_matches_membership_flow_on_seeded_graphs():
+    # the sampled integer vectors and the same vectors over 12, in Fractions
     for i, g in enumerate(_seeded_graphs(239)):
         for vec in cones._sample_vectors(g, 30, random.Random(i)):
             _assert_index_route_matches(g, vec)
+            _assert_index_route_matches(g, {v: Fraction(c, 12) for v, c in vec.items()})
 
 
 def test_sampled_vectors_are_twelve_times_the_old_ones():

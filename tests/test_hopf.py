@@ -1,14 +1,18 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import (all_digraphs, oracle_antipode_terms,
-                      oracle_character_polynomial, random_digraph)
+from conftest import (all_digraphs, antipode_of_sum, oracle_antipode_terms,
+                      oracle_character_polynomial,
+                      oracle_character_polynomial_of_sum, random_digraph)
 from hopfdg import (BASIC, BinPoly, Character, Digraph, EDGE, EMPTY,
-                    FormalSum, SizeLimitError, antipode, antipode_of_sum,
-                    basic_char, character_of_sum, character_polynomial,
-                    character_polynomial_of_sum, disjoint_union, edge_char)
-from hopfdg.rings import Q
+                    FormalSum, SizeLimitError, antipode, basic_char,
+                    character_polynomial, character_polynomial_of_sum,
+                    disjoint_union, edge_char, kernels)
+from hopfdg.rings import Poly, Q
 
 
 def as_term_dict(s: FormalSum) -> dict:
@@ -106,13 +110,73 @@ def test_character_polynomial_matches_oracle():
         assert character_polynomial(g, EDGE) == oracle_character_polynomial(g, edge_char)
 
 
-def test_generic_engine_matches_fast_engine():
+def edge_squared_char(g: Digraph) -> Poly:
+    return Q ** (2 * len(g.edges))
+
+
+# a user character with an edge monomial of its own
+EDGE_SQUARED = Character("edge squared", edge_squared_char, lambda m: (2 * m, 0, 0))
+
+
+def _assert_generic_matches_fast(g):
     # a bare callable skips the edge-count fast path on purpose
+    for char in (BASIC, EDGE, EDGE_SQUARED):
+        assert character_polynomial(g, char.of_graph) == character_polynomial(g, char), \
+            (char.name, g)
+
+
+def test_generic_engine_matches_fast_engine():
+    for labels in ("", "a", "ab", "abc", "abcd"):
+        for g in all_digraphs(labels):
+            _assert_generic_matches_fast(g)
     rng = random.Random(23)
-    for _ in range(25):
-        g = random_digraph(rng, "abcd")
-        assert character_polynomial(g, basic_char) == character_polynomial(g, BASIC)
-        assert character_polynomial(g, edge_char) == character_polynomial(g, EDGE)
+    for labels, count in (("abcde", 12), ("abcdef", 6), ("abcdefg", 3)):
+        for _ in range(count):
+            g = random_digraph(rng, labels)
+            _assert_generic_matches_fast(g)
+            if len(labels) == 5:
+                s = antipode(g)
+                assert character_polynomial_of_sum(s, EDGE_SQUARED) \
+                    == character_polynomial_of_sum(s, edge_squared_char), g
+
+
+def _verify_corpus_graphs(seed: int) -> list[Digraph]:
+    """The graphs of the benchmark's `verify` workload at a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus   # its dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    label = corpus.label
+    return [Digraph([label(i) for i in range(n)], [(label(t), label(h)) for t, h in edges])
+            for n, edges in (job.graph for job in corpus.build("verify", seed, "").jobs
+                             if job.kind == "verify")]
+
+
+def test_polynomial_of_an_antipode_builds_one_poly_per_kept_count(monkeypatch):
+    # the projection sums integer counts into exponent dicts, so the Polys
+    # built through Poly(...) are no more than the distinct kept counts
+    calls = [0]
+    init = Poly.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    graphs = _verify_corpus_graphs(0)
+    assert len(graphs) == 8
+    for g in graphs:
+        s = antipode(g)
+        nv = len(g.vertices)
+        kept = {key[1] for t in s.terms
+                for key in kernels.chain_stats(nv, *t.edge_arrays()[1:])}
+        want = oracle_character_polynomial_of_sum(s, edge_char)
+        with monkeypatch.context() as patch:
+            patch.setattr(Poly, "__init__", counted_init)
+            calls[0] = 0
+            got = character_polynomial_of_sum(s, EDGE)
+            assert calls[0] <= len(kept), (g, calls[0], len(kept))
+        assert got == want
 
 
 def test_character_polynomial_is_multiplicative():
@@ -169,9 +233,17 @@ def test_custom_character_through_generic_engine(g3):
     assert poly == base.scale(8)
 
 
+@pytest.mark.parametrize("bad", [[1, 0, 0], (1, 0), (0, -1, 0), (0.0, 0, 0), 1])
+def test_an_edge_monomial_must_be_an_exponent_vector(g3, bad):
+    char = Character("bad", edge_char, lambda m: bad)
+    with pytest.raises(ValueError, match="edge monomial of 'bad' at"):
+        character_polynomial(g3, char)
+    with pytest.raises(ValueError, match="edge monomial of 'bad' at"):
+        character_polynomial_of_sum(antipode(g3), char)
+
+
 def test_formal_sum_linearity(g3):
     s = FormalSum.of(g3.vertices, [(g3, 2), (g3.composition_minor([{"0"}, {"1", "2"}]), -1)])
-    assert character_of_sum(s, edge_char) == 2 * Q ** 3 - Q
     lhs = character_polynomial_of_sum(s, EDGE)
     rhs = character_polynomial(g3, EDGE).scale(2) \
         + character_polynomial(g3.composition_minor([{"0"}, {"1", "2"}]), EDGE).scale(-1)
@@ -183,7 +255,7 @@ def test_formal_sum_validates_and_merges(g3):
         FormalSum.of(("0", "1"), [(g3, 1)])
     merged = FormalSum.of(g3.vertices, [(g3, 1), (g3, -1)])
     assert len(merged) == 0
-    assert merged.coefficient(g3) == 0
+    assert merged.terms == {}
 
 
 def test_polynomial_endpoints_match_the_character():

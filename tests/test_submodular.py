@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (all_digraphs, count_halves_taken, dense_values, is_finite,
-                      oracle_is_lower_half, random_digraph, tabulate)
+                      lower_halves, oracle_is_lower_half, random_digraph, tabulate)
 from hopfdg import (Digraph, ExtBool, INF, check_low_morphism, WorkLimitError,
                     direct_sum, disjoint_union, limits, lower_half_function)
 from hopfdg.cli import main
@@ -137,7 +137,7 @@ def test_cut_function_of_a_twenty_four_vertex_cycle_answers(monkeypatch, tmp_pat
     g = directed_cycle(24)
     z = lower_half_function(g)
     assert z.finite == {0: 0, (1 << 24) - 1: 0}
-    assert g.lower_halves() == [frozenset(), frozenset(g.vertices)]
+    assert lower_halves(g) == [frozenset(), frozenset(g.vertices)]
     checks = check_low_morphism(g, [(), g.vertices, g.vertices[:1], g.vertices[:12]])
     assert all(check.passed for check in checks)
     path = tmp_path / "cycle.txt"
@@ -162,7 +162,7 @@ def test_lower_half_searches_are_refused_in_their_own_words(monkeypatch):
     # composition sum: 1000 // 20 + 1 halves taken, 20 probes each
     monkeypatch.setenv("HOPFDG_MAX_WORK", "1000")
     g = Digraph([f"v{i:02d}" for i in range(20)], [])
-    for search in (lower_half_function, Digraph.lower_halves):
+    for search in (lower_half_function, lower_halves):
         with pytest.raises(WorkLimitError) as exc:
             search(g)
         assert str(exc.value).startswith(
