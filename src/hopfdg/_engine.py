@@ -34,7 +34,10 @@ a lower half of each part, and the edges of a block are those of its two
 parts, so chain_stats, surjection_stats and takeuchi_terms fold each
 weakly connected component on its own, in the graph's own vertex and
 edge numbering, and combine the results (_merge, _product).  A connected
-graph is one component and takes one fold.  character_sum keeps one fold
+graph is one component and takes one fold.  chain_stats folds no
+isolated vertex: j of them are one block of known histogram, k! S(j, k)
+compositions into k blocks keeping no edge (_surjection_counts), charged
+one step per entry and merged once.  character_sum keeps one fold
 over the whole lattice, since its block_value need not be multiplicative.
 
 One meter gates every sum (_Meter): it reads the work budget once, the
@@ -168,21 +171,26 @@ def _lattice(nv: int, tails: list[int], heads: list[int], what: str,
     return _walk(meter or _Meter(nv), set(_down_sets(nv, tails, heads)), what)
 
 
-def _lattices(nv: int, tails: list[int], heads: list[int], meter: _Meter
-              ) -> tuple[list[tuple[int, list[int]]], dict[int, int], dict[int, int]]:
-    """(component, its lower halves) per weakly connected component, and their edge masks.
+def _lattices(nv: int, tails: list[int], heads: list[int], meter: _Meter,
+              pool: bool = False) -> tuple[list[tuple[int, list[int]]], int,
+                                           dict[int, int], dict[int, int]]:
+    """(component, its lower halves) per weakly connected component, a pool, and edge masks.
 
     A connected graph, or one with no vertices, is one component, the
-    full set.
+    full set.  With pool, the isolated vertices of a graph with two or
+    more components are not walked: they come back as one vertex mask,
+    the pool, and are left out of the components.  Otherwise the pool is 0.
     """
     downs = set(_down_sets(nv, tails, heads))
     comps = _components(nv, downs)
     if len(comps) < 2:
         halves = _walk(meter, downs, "composition sum")
-        return [((1 << nv) - 1, halves)], *_edge_masks(nv, tails, heads, halves)
+        return [((1 << nv) - 1, halves)], 0, *_edge_masks(nv, tails, heads, halves)
+    lone = sum(comp for comp in comps if comp & (comp - 1) == 0) if pool else 0
     parts = [(comp, _walk(meter, {down for down in downs if down & comp}, "composition sum"))
-             for comp in comps]
-    return parts, *_edge_masks(nv, tails, heads, chain.from_iterable(h for _, h in parts))
+             for comp in comps if not comp & lone]
+    return (parts, lone,
+            *_edge_masks(nv, tails, heads, chain.from_iterable(h for _, h in parts)))
 
 
 def _edge_masks(nv: int, tails: list[int], heads: list[int],
@@ -267,6 +275,21 @@ def _interleavings(a: int, b: int) -> tuple[int, ...]:
     return tuple(comb(a + b - j, a) * comb(a, j) for j in range(min(a, b) + 1))
 
 
+@lru_cache(maxsize=None)
+def _surjection_counts(j: int) -> tuple[int, ...]:
+    """Entry k: the compositions of a j-set into k blocks, k! S(j, k).
+
+    A composition of j elements into k blocks puts the last element in
+    one of the k blocks of a composition of the rest, or alone in one of
+    k places between the blocks of one into k - 1.
+    """
+    counts = (1,)
+    for _ in range(j):
+        counts = (0, *(k * (counts[k - 1] + (counts[k] if k < len(counts) else 0))
+                       for k in range(1, len(counts) + 1)))
+    return counts
+
+
 def _merge(left: dict[int, int], right: dict[int, int], mask: int,
            meter: _Meter) -> dict[int, int]:
     """The histogram of a disjoint union from those of its two parts.
@@ -324,7 +347,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     edges inside single blocks.  The empty graph gives {(0, 0): 1}.
     """
     meter = _Meter(nv)
-    parts, out, into = _lattices(nv, tails, heads, meter)
+    parts, lone, out, into = _lattices(nv, tails, heads, meter, pool=True)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
     def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
@@ -342,8 +365,13 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
                 target[key] = get(key, 0) + cnt
 
     mask = (1 << shift) - 1
-    packed = _merged([_fold(comp, halves, push, meter) for comp, halves in parts],
-                     mask, meter)
+    histograms = [_fold(comp, halves, push, meter) for comp, halves in parts]
+    if lone:
+        # j isolated vertices, no edge kept: k! S(j, k) compositions into k blocks
+        surjections = _surjection_counts(lone.bit_count())
+        meter.charge(len(surjections) - 1)
+        histograms.append({k: cnt for k, cnt in enumerate(surjections) if cnt})
+    packed = _merged(histograms, mask, meter)
     return {(key & mask, key >> shift): cnt for key, cnt in packed.items()}
 
 
@@ -354,7 +382,7 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     its blocks.  Zero coefficients are dropped; the empty graph gives {0: 1}.
     """
     meter = _Meter(nv)
-    parts, out, into = _lattices(nv, tails, heads, meter)
+    parts, _, out, into = _lattices(nv, tails, heads, meter)
 
     def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
         out_low, into_low = out[low], into[low]

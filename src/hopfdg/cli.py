@@ -160,14 +160,14 @@ def _random_graph(rng: random.Random, labels: Sequence[str], p: float = 0.4) -> 
     return Digraph(labels, edges)
 
 
-def _axiom_instance(g: Digraph, rng: random.Random, spare: list[str],
-                    renames: list[str]) -> list[str]:
+def _axiom_instance(g: Digraph, rng: random.Random, vset: frozenset[str],
+                    spare: list[str], renames: list[str]) -> list[str]:
     """One seeded round of coassociativity, compatibility and naturality.
 
-    spare holds three labels not in g, the bystander graph's pool, and
-    renames len(g.vertices) fresh labels, shuffled for the relabeling;
-    both are built once per graph and left unchanged.  Returns failure
-    notes.
+    vset is g's vertex set, spare holds three labels not in g, the
+    bystander graph's pool, and renames len(g.vertices) fresh labels,
+    shuffled for the relabeling; all three are built once per graph and
+    left unchanged.  Returns failure notes.
     """
     problems = []
     verts = g.vertices
@@ -189,7 +189,7 @@ def _axiom_instance(g: Digraph, rng: random.Random, spare: list[str],
             two = (split2[0], inner2[0], inner2[1])
     if one != two:
         problems.append(f"coassociativity: orders differ at S={sorted(s_set)}, R={sorted(r_set)}")
-    blocks = (r_set, s_set - r_set, frozenset(verts) - s_set)
+    blocks = (r_set, s_set - r_set, vset - s_set)
     if all(blocks):
         minor = g.composition_minor(blocks)
         if (minor is not None) != (one is not None):
@@ -204,7 +204,7 @@ def _axiom_instance(g: Digraph, rng: random.Random, spare: list[str],
     merged = disjoint_union(g, aux)
     mixed = _random_subset(rng, merged.vertices)
     whole = merged.coproduct(mixed)
-    left = g.coproduct(mixed & set(verts))
+    left = g.coproduct(mixed & vset)
     right = aux.coproduct(mixed & set(aux.vertices))
     if (whole is None) != (left is None or right is None):
         problems.append("compatibility: zero cases disagree")
@@ -220,12 +220,12 @@ def _axiom_instance(g: Digraph, rng: random.Random, spare: list[str],
     sigma = dict(zip(verts, fresh))
     moved = g.relabel(sigma)
     s_img = frozenset(sigma[v] for v in s_set)
-    if moved.is_lower_half(s_img) != g.is_lower_half(s_set):
+    lower = g.is_lower_half(s_set)
+    if moved.is_lower_half(s_img) != lower:
         problems.append("naturality: relabeling changed a lower half")
-    if g.is_lower_half(s_set):
-        a = g.coproduct(s_set)
+    if lower:
         b = moved.coproduct(s_img)
-        if (a[0].relabel(sigma), a[1].relabel(sigma)) != b:
+        if (split[0].relabel(sigma), split[1].relabel(sigma)) != b:
             problems.append("naturality: relabeling does not commute with splitting")
     return problems
 
@@ -249,10 +249,11 @@ def _suite_hopf_axioms(g: Digraph, args: argparse.Namespace) -> _Suite:
     rng = random.Random(args.seed)
     samples = args.samples
     bad = _unit_laws(g)
+    vset = frozenset(g.vertices)
     spare = _fresh_labels(g.vertices, 3)
     renames = _fresh_labels((), len(g.vertices))
     for i in range(samples):
-        for note in _axiom_instance(g, rng, spare, renames):
+        for note in _axiom_instance(g, rng, vset, spare, renames):
             bad.append(f"round {i}: {note}")
     suite.record(f"hopf-axioms ({samples} seeded rounds)", not bad,
                  "; ".join(bad[:3]))

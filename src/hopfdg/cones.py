@@ -15,10 +15,25 @@ once and runs in ints.
 One augmenting-path routine (_augment) and one audit (_audit) work on
 networks in index form: nodes 0..nn-1 and arcs as tail, head and
 capacity arrays.  max_flow and audit_flow map a FlowNetwork of labelled
-nodes onto them.  The sampled agreement check builds no FlowNetwork: it
-takes the graph's index arrays once (vertices 0..n-1, source n, sink n+1,
-one INF arc per edge), and each sample appends only its terminal arcs
-before its one max flow, its full audit and its witness check.
+nodes onto them, and max_flow computes in the capacities' own numbers.
+membership_flow, the route of cone_member and the cone-member command,
+scales a rational vector by the lcm of its denominators, runs max_flow
+on ints and scales the value and the witness back.  The augmenting
+paths compare residual capacities only with each other and with 0, and
+an INF arc's stand-in never decides a bottleneck (each path leaves the
+source by an arc with less room), so the paths, and the flows, are
+those of the unscaled network.
+
+The sampled agreement check builds no FlowNetwork and no dict per
+sample.  Per graph it builds the index arrays (vertices 0..n-1, source
+n, sink n+1, one INF arc per edge), the residual arcs of those INF arcs
+(_residual_arcs), and the cut function's support as steps of running
+sums (_base_plan).  Each sample is a list of coordinates in vertex
+order, drawn from the seeded stream as random.randint would draw it
+(_sample_coords); it is decided by the running sums (_in_base, which
+base_member shares) and by one max flow on a copy of the graph's arcs
+plus its own terminal arcs, then its full audit and its witness check.
+A sample becomes a dict only when a mismatch or an audit reports it.
 """
 
 from __future__ import annotations
@@ -26,7 +41,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from math import lcm
+from typing import Iterator, Mapping
 
 from .digraph import Digraph
 from .errors import UnboundedFlowError
@@ -103,8 +119,26 @@ class FlowResult:
     cut_capacity: int | Fraction
 
 
+# residual targets and adjacency lists of a network's first arcs (_residual_arcs)
+_InfArcs = tuple[list[int], list[list[int]]]
+
+
+def _residual_arcs(tails: list[int], heads: list[int], first: int,
+                   to: list[int], adj: list[list[int]]) -> None:
+    """Add arcs first, first+1, ... to the residual targets to and the adjacency adj.
+
+    Arc e gives residual arc 2e, tails[e] -> heads[e], and its reverse
+    2e+1, each listed at the node it leaves.
+    """
+    for e in range(first, len(tails)):
+        u, v = tails[e], heads[e]
+        to += (v, u)
+        adj[u].append(2 * e)
+        adj[v].append(2 * e + 1)
+
+
 def _augment(nn: int, tails: list[int], heads: list[int], caps: list,
-             s: int, t: int) -> FlowResult:
+             s: int, t: int, inf_arcs: _InfArcs | None = None) -> FlowResult:
     """Shortest-augmenting-path max flow on an index-form network.
 
     The nodes are 0..nn-1, arc e runs tails[e] -> heads[e] with capacity
@@ -113,19 +147,24 @@ def _augment(nn: int, tails: list[int], heads: list[int], caps: list,
     finite total, which caps any finite cut; if the computed value still
     reaches that stand-in no finite cut exists and UnboundedFlowError is
     raised.
-    """
-    stand_in = sum(c for c in caps if c is not INF) + 1
 
+    inf_arcs, when given, is _residual_arcs' (to, adj) for the network's
+    first arcs, all of capacity INF; they are copied, not rebuilt, so
+    the flows of one graph share its arcs.
+    """
     # paired residual arcs: 2e forward with capacity, 2e+1 backward with 0;
     # residual arc r runs from to[r ^ 1] to to[r]
-    res = []
-    to = []
-    adj: list[list[int]] = [[] for _ in range(nn)]
-    for e, (u, v, c) in enumerate(zip(tails, heads, caps)):
+    if inf_arcs is None:
+        first, to, adj = 0, [], [[] for _ in range(nn)]
+    else:
+        to, adj = inf_arcs
+        first, to, adj = len(to) >> 1, to[:], list(map(list.copy, adj))
+    rest = caps[first:]
+    stand_in = sum(c for c in rest if c is not INF) + 1
+    res = [stand_in, 0] * first
+    for c in rest:
         res += (stand_in if c is INF else c, 0)
-        to += (v, u)
-        adj[u].append(2 * e)
-        adj[v].append(2 * e + 1)
+    _residual_arcs(tails, heads, first, to, adj)
 
     total = 0
     while True:
@@ -259,25 +298,50 @@ def base_member(z: ExtBool, x: Mapping[str, object]) -> bool:
 
     Requires the coordinate sum to hit the full-set value and x(A) to stay
     at or below z(A) for every subset A; INF constraints are vacuous, so
-    only the support z.finite is read.  Each mask adds its lowest
-    coordinates until it reaches a mask already summed, so a support in
-    increasing order costs one add per mask.
+    only the support z.finite is read (_base_plan, _in_base).
     """
     if set(x) != set(z.ground):
         raise ValueError("vector must assign exactly the ground labels")
-    coords = [_exact(x[lab]) for lab in z.ground]
-    if sum(coords) != z.finite[(1 << len(coords)) - 1]:
-        return False
-    sums = {0: 0}
-    for mask, v in z.finite.items():
-        total, rest = 0, mask
-        while rest not in sums:   # drop lowest bits down to a mask summed before
+    return _in_base(_base_plan(z), [_exact(x[lab]) for lab in z.ground])
+
+
+_BasePlan = tuple[object, list[tuple[int, list[int], object]]]
+
+
+def _base_plan(z: ExtBool) -> _BasePlan:
+    """z's full-set value, and its support as steps of running sums for _in_base.
+
+    Step j (from 1) sums x over the j-th mask of z.finite: the sum of an
+    earlier step (step 0 is the empty set), plus the coordinates of the
+    mask's lowest bits, dropped down to a mask summed before.  A support
+    in increasing order adds one coordinate per mask.
+    """
+    step_of = {0: 0}
+    steps = []
+    for mask, value in z.finite.items():
+        rest, added = mask, []
+        while rest not in step_of:
             low = rest & -rest
-            total += coords[low.bit_length() - 1]
+            added.append(low.bit_length() - 1)
             rest ^= low
-        sums[mask] = total = total + sums[rest]
-        if total > v:
+        steps.append((step_of[rest], added, value))
+        step_of[mask] = len(steps)
+    return z.finite[(1 << len(z.ground)) - 1], steps
+
+
+def _in_base(plan: _BasePlan, coords: list) -> bool:
+    """base_member on exact coordinates in ground order, by z's _base_plan."""
+    full, steps = plan
+    if sum(coords) != full:
+        return False
+    sums = [0]
+    for prior, added, value in steps:
+        total = sums[prior]
+        for i in added:
+            total += coords[i]
+        if total > value:
             return False
+        sums.append(total)
     return True
 
 
@@ -330,14 +394,29 @@ Witness = dict[tuple[str, str], int | Fraction]
 def membership_flow(g: Digraph, x: Mapping[str, object]
                     ) -> tuple[int | Fraction, Witness | None]:
     """The value of the membership network's maximum flow for a sum-zero x,
-    and cone_member's witness, or None when x is outside the cone."""
+    and cone_member's witness, or None when x is outside the cone.
+
+    The flow runs in ints: x is scaled by the lcm of its denominators,
+    and the value and the witness are scaled back.  Every comparison the
+    augmenting paths make holds under positive scaling, and no INF arc is
+    ever a path's bottleneck, so the flows are those of x itself.  An
+    all-int x keeps int weights; any other comes back in Fractions.
+    """
     vec = _normalize_vector(g, x)
-    result = max_flow(_network(g, vec))
-    if result.value != sum(c for c in vec.values() if c > 0):
-        return result.value, None
+    coords = [vec[v] for v in g.vertices]
+    ints = all(type(c) is int for c in coords)
+    scale = lcm(*(c.denominator for c in coords))
+    scaled = [c.numerator * (scale // c.denominator) for c in coords]
+    result = max_flow(_network(g, dict(zip(g.vertices, scaled))))
+
+    def back(c: int) -> int | Fraction:
+        return c if ints else Fraction(c, scale)
+
+    if result.value != sum(c for c in scaled if c > 0):
+        return back(result.value), None
     _, tails, heads = g.edge_arrays()
-    _check_witness(g.vertices, tails, heads, result.flows, [vec[v] for v in g.vertices])
-    return result.value, dict(zip(g.edge_list, result.flows))
+    _check_witness(g.vertices, tails, heads, result.flows, scaled)
+    return back(result.value), dict(zip(g.edge_list, map(back, result.flows)))
 
 
 def cone_member(g: Digraph, x: Mapping[str, object]) -> Witness | None:
@@ -364,34 +443,57 @@ class EquivalenceReport:
         return not self.mismatches and not self.audit_problems
 
 
-def _sample_vectors(g: Digraph, samples: int, rng: random.Random) -> list[dict[str, int]]:
+def _sample_coords(nv: int, tails: list[int], heads: list[int], samples: int,
+                   rng: random.Random) -> Iterator[list[int]]:
     """A deterministic mix: conic combinations, perturbed ones, raw sum-zero.
 
-    Each draw a/b (b in 1..4) is scaled by 12 to an integer.  The cut
-    function's base polytope is a cone, so both membership tests keep
-    their verdicts; a mismatch names the scaled integer vector.
+    The graph is in index form, edge e running tails[e] -> heads[e]; each
+    sample is a list of coordinates in vertex order.  Each draw a/b (b in
+    1..4) is scaled by 12 to an integer.  The cut function's base
+    polytope is a cone, so both membership tests keep their verdicts.
+
+    The draws are those of rng.randint, taken from rng.getrandbits as
+    CPython's Random._randbelow takes them: a draw below n reads
+    n.bit_length() bits and reads again while the result is n or more.
     """
-    verts, edges = g.vertices, g.edge_list
-    out = []
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    edges = list(zip(tails, heads))
+    verts = range(nv)
     for i in range(samples):
         kind = i % 3
-        vec = dict.fromkeys(verts, 0)
-        if kind in (0, 1):
+        coords = [0] * nv
+        if kind != 2:
             for u, v in edges:
-                lam = 12 * rng.randint(0, 6) // rng.randint(1, 4)
-                vec[u] -= lam
-                vec[v] += lam
-        if kind == 1 and len(verts) >= 2:
+                # randint(0, 6) // randint(1, 4): below(7) and below(4) + 1, inlined
+                a = getrandbits(3)
+                while a >= 7:
+                    a = getrandbits(3)
+                b = getrandbits(3)
+                while b >= 4:
+                    b = getrandbits(3)
+                lam = 12 * a // (b + 1)
+                coords[u] -= lam
+                coords[v] += lam
+        if kind == 1 and nv >= 2:
             u, w = rng.sample(verts, 2)
-            delta = 12 * rng.randint(-4, 4) // rng.randint(1, 3)
-            vec[u] += delta
-            vec[w] -= delta
-        if kind == 2 and verts:
-            for v in verts[:-1]:
-                vec[v] = 12 * rng.randint(-5, 5) // rng.randint(1, 4)
-            vec[verts[-1]] = -sum(vec[v] for v in verts[:-1])
-        out.append(vec)
-    return out
+            # randint(-4, 4) // randint(1, 3)
+            delta = 12 * (below(9) - 4) // (below(3) + 1)
+            coords[u] += delta
+            coords[w] -= delta
+        if kind == 2 and nv:
+            for v in range(nv - 1):
+                # randint(-5, 5) // randint(1, 4)
+                coords[v] = 12 * (below(11) - 5) // (below(4) + 1)
+            coords[-1] = -sum(coords[:-1])
+        yield coords
 
 
 def check_agreement_work(g: Digraph, samples: int) -> ExtBool:
@@ -407,15 +509,16 @@ def check_agreement_work(g: Digraph, samples: int) -> ExtBool:
     return z
 
 
-def _sample_flow(nodes: tuple, tails: list[int], heads: list[int],
-                 coords: list[int]) -> tuple[FlowResult, list[str], bool]:
+def _sample_flow(nodes: tuple, tails: list[int], heads: list[int], coords: list[int],
+                 inf_arcs: _InfArcs) -> tuple[FlowResult, list[str], bool]:
     """One sum-zero sample's max flow, that flow's audit, and its membership verdict.
 
     The graph comes in index form, vertices 0..n-1 with edge e running
     tails[e] -> heads[e]; nodes names the vertices, then the source and the
     sink, which are nodes n and n+1.  The edges get INF arcs, the sample's
-    coords the terminal arcs after them, as in build_flow_network.  A
-    member's witness is checked as cone_member checks it.
+    coords the terminal arcs after them, as in build_flow_network;
+    inf_arcs holds the edges' residual arcs (_residual_arcs), built once
+    per graph.  A member's witness is checked as cone_member checks it.
     """
     nv = len(coords)
     s, t = nv, nv + 1
@@ -431,7 +534,7 @@ def _sample_flow(nodes: tuple, tails: list[int], heads: list[int],
             arc_tails.append(s)
             arc_heads.append(v)
             caps.append(-c)
-    result = _augment(nv + 2, arc_tails, arc_heads, caps, s, t)
+    result = _augment(nv + 2, arc_tails, arc_heads, caps, s, t, inf_arcs)
     problems = _audit(nodes, arc_tails, arc_heads, caps, s, t, result)
     member = result.value == demand
     if member:
@@ -445,34 +548,34 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
 
     Every sampled vector must land the same way under both tests, and
     every max-flow run must pass its audit.  Deterministic in the seed.
-    Gated by check_agreement_work.  The graph's index form is built once
-    and each sum-zero sample adds only its terminal arcs (_sample_flow).
+    Gated by check_agreement_work.  The graph's index form and its
+    edges' residual arcs are built once, and each sum-zero sample adds
+    only its terminal arcs (_sample_flow).  A vector is built as a dict
+    only for the report.
     """
     if samples < 0:
         raise ValueError(f"need samples >= 0, got {samples}")
-    z = check_agreement_work(g, samples)
-    rng = random.Random(seed)
-    vectors = _sample_vectors(g, samples, rng)
-    _, tails, heads = g.edge_arrays()
+    plan = _base_plan(check_agreement_work(g, samples))
+    nv, tails, heads = g.edge_arrays()
     verts = g.vertices
     nodes = (*verts, SOURCE, SINK)
+    inf_arcs: _InfArcs = ([], [[] for _ in nodes])
+    _residual_arcs(tails, heads, 0, *inf_arcs)
     mismatches = []
     audit_problems = []
     agreements = 0
-    for vec in vectors:
-        in_base = base_member(z, vec)
+    for coords in _sample_coords(nv, tails, heads, samples, random.Random(seed)):
+        in_base = _in_base(plan, coords)
         in_cone = False
-        coords = [vec[v] for v in verts]
         if sum(coords) == 0:
-            _, problems, in_cone = _sample_flow(nodes, tails, heads, coords)
+            _, problems, in_cone = _sample_flow(nodes, tails, heads, coords, inf_arcs)
             if problems:
-                audit_problems.append((vec, tuple(problems)))
+                audit_problems.append((dict(zip(verts, coords)), tuple(problems)))
         if in_base != in_cone:
-            mismatches.append((vec, in_base, in_cone))
+            mismatches.append((dict(zip(verts, coords)), in_base, in_cone))
         else:
             agreements += 1
-    return EquivalenceReport(len(vectors), agreements,
-                             tuple(mismatches), tuple(audit_problems))
+    return EquivalenceReport(samples, agreements, tuple(mismatches), tuple(audit_problems))
 
 
 def generic_direction_count(g: Digraph, n: int) -> int:

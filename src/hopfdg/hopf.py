@@ -101,11 +101,6 @@ class FormalSum:
             merged[g] = merged.get(g, 0) + c
         return cls(verts, {g: c for g, c in merged.items() if c})
 
-    def items(self) -> Iterator[tuple[Digraph, int]]:
-        """Terms with many-edged graphs first, ties broken by edge list."""
-        for g in sorted(self.terms, key=lambda g: (-len(g.edges), g.edge_list)):
-            yield g, self.terms[g]
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -123,7 +118,7 @@ def antipode_masks(g: Digraph, *, max_vertices: int | None = None
     """The antipode as (edge_list, [(mask, coefficient), ...]).
 
     Bit m-1-i of a mask, m = len(edge_list), stands for edge_list[i].  The
-    pairs come in the order of FormalSum.items: more edges first, ties by
+    pairs come in the antipode command's order: more edges first, ties by
     edge list.  Of two kept sets of one size, the one holding the lowest
     edge index where they differ has the larger mask, so the order is that
     of (-popcount, -mask).
@@ -148,7 +143,7 @@ def antipode(g: Digraph, *, max_vertices: int | None = None) -> FormalSum:
     The empty graph maps to itself with coefficient +1.  Each term keeps
     the edges lying inside a single block of its composition, so the
     result is supported on spanning subgraphs of g.  The terms are stored
-    in the order of FormalSum.items.
+    in antipode_masks' order: more edges first, ties by edge list.
     """
     edge_list, terms = antipode_masks(g, max_vertices=max_vertices)
     verts = g.vertices

@@ -246,9 +246,6 @@ class BinPoly:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
 
-    def coefficient(self, k: int) -> Any:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def degree(self) -> int:
         return len(self.coeffs) - 1
 

@@ -80,6 +80,17 @@ def antipode_of_sum(s: FormalSum) -> FormalSum:
                                      for t, ct in antipode(g).terms.items()))
 
 
+def sorted_terms(s: FormalSum) -> list[tuple[Digraph, int]]:
+    """The terms of s with many-edged graphs first, ties broken by edge list:
+    the order the antipode command prints."""
+    return [(g, s.terms[g]) for g in sorted(s.terms, key=lambda g: (-len(g.edges), g.edge_list))]
+
+
+def coefficient(p: BinPoly, k: int):
+    """The coefficient of C(n, k) in p, 0 past its degree."""
+    return p.coeffs[k] if 0 <= k < len(p.coeffs) else 0
+
+
 def substitute(c, values: dict[str, int]) -> Poly:
     """A coefficient (an int or a Poly) with some of q, y, z set to integers."""
     c = c if isinstance(c, Poly) else Poly.constant(c)
@@ -578,6 +589,36 @@ def oracle_max_flow(net):
     return FlowResult(value, flows, cut, cut_capacity)
 
 
+def sample_vectors(g: Digraph, samples: int, rng: random.Random) -> list[dict[str, int]]:
+    """The agreement check's samples as dicts, drawn with rng.randint.
+
+    The same mix as cones._sample_coords, draw for draw: conic
+    combinations, perturbed ones and raw sum-zero vectors, each draw a/b
+    (b in 1..4) scaled by 12 to an integer.
+    """
+    verts, edges = g.vertices, g.edge_list
+    out = []
+    for i in range(samples):
+        kind = i % 3
+        vec = dict.fromkeys(verts, 0)
+        if kind in (0, 1):
+            for u, v in edges:
+                lam = 12 * rng.randint(0, 6) // rng.randint(1, 4)
+                vec[u] -= lam
+                vec[v] += lam
+        if kind == 1 and len(verts) >= 2:
+            u, w = rng.sample(verts, 2)
+            delta = 12 * rng.randint(-4, 4) // rng.randint(1, 3)
+            vec[u] += delta
+            vec[w] -= delta
+        if kind == 2 and verts:
+            for v in verts[:-1]:
+                vec[v] = 12 * rng.randint(-5, 5) // rng.randint(1, 4)
+            vec[verts[-1]] = -sum(vec[v] for v in verts[:-1])
+        out.append(vec)
+    return out
+
+
 def oracle_sample_vectors(g: Digraph, samples: int, rng: random.Random):
     gens = cone_generators(g)
     verts = g.vertices
@@ -736,6 +777,6 @@ def oracle_direct_sum(u, v):
 def oracle_character_polynomial_of_sum(s, character) -> BinPoly:
     """One character polynomial per term, scaled and added."""
     total = BinPoly(())
-    for g, c in s.items():
+    for g, c in s.terms.items():
         total = total + character_polynomial(g, character).scale(c)
     return total

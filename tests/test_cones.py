@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (LABELS, all_digraphs, dense_values, oracle_base_member,
-                      oracle_max_flow, oracle_sample_vectors, random_digraph)
+                      oracle_max_flow, oracle_sample_vectors, random_digraph,
+                      sample_vectors)
 from hopfdg import cones
 from hopfdg import (Arc, Digraph, FlowNetwork, SINK, SOURCE,
                     UnboundedFlowError, WorkLimitError,
@@ -191,7 +192,7 @@ def test_agreement_audits_the_one_flow_that_decided(g3, monkeypatch):
 
     monkeypatch.setattr(cones, "_augment", counting_augment)
     monkeypatch.setattr(cones, "_audit", recording_audit)
-    vectors = cones._sample_vectors(g3, 90, random.Random(4))
+    vectors = sample_vectors(g3, 90, random.Random(4))
     report = check_cone_polytope_agreement(g3, samples=90, seed=4)
     assert report.passed
     assert len(flows) == sum(1 for vec in vectors if sum(vec.values()) == 0)
@@ -299,13 +300,20 @@ def _assert_flows_match(g, vec):
 def test_max_flow_matches_old_route_on_all_small_digraphs():
     # one vector per graph, the three kinds of sample in turn
     for i, g in enumerate(_small_digraphs()):
-        _assert_flows_match(g, cones._sample_vectors(g, 3, random.Random(i))[i % 3])
+        _assert_flows_match(g, sample_vectors(g, 3, random.Random(i))[i % 3])
 
 
 def test_max_flow_matches_old_route_on_seeded_graphs():
     for i, g in enumerate(_seeded_graphs(211)):
-        for vec in cones._sample_vectors(g, 30, random.Random(i)):
+        for vec in sample_vectors(g, 30, random.Random(i)):
             _assert_flows_match(g, vec)
+
+
+def inf_arcs(tails, heads, nn):
+    """The residual arcs of one graph's INF arcs, as theorem1 builds them once."""
+    arcs = ([], [[] for _ in range(nn)])
+    cones._residual_arcs(tails, heads, 0, *arcs)
+    return arcs
 
 
 def _assert_index_route_matches(g, x):
@@ -314,7 +322,8 @@ def _assert_index_route_matches(g, x):
     _, tails, heads = g.edge_arrays()
     nodes = (*g.vertices, SOURCE, SINK)
     coords = [x[v] for v in g.vertices]
-    result, problems, member = cones._sample_flow(nodes, tails, heads, coords)
+    result, problems, member = cones._sample_flow(nodes, tails, heads, coords,
+                                                  inf_arcs(tails, heads, len(nodes)))
     net = build_flow_network(g, x)
     public = max_flow(net)
     assert problems == [] and audit_flow(net, public) == [], (g, x)
@@ -329,27 +338,101 @@ def _assert_index_route_matches(g, x):
 
 def test_index_route_matches_membership_flow_on_all_small_digraphs():
     for i, g in enumerate(_small_digraphs()):
-        for vec in cones._sample_vectors(g, 6, random.Random(i)):
+        for vec in sample_vectors(g, 6, random.Random(i)):
             _assert_index_route_matches(g, vec)
 
 
 def test_index_route_matches_membership_flow_on_seeded_graphs():
     # the sampled integer vectors and the same vectors over 12, in Fractions
     for i, g in enumerate(_seeded_graphs(239)):
-        for vec in cones._sample_vectors(g, 30, random.Random(i)):
+        for vec in sample_vectors(g, 30, random.Random(i)):
             _assert_index_route_matches(g, vec)
             _assert_index_route_matches(g, {v: Fraction(c, 12) for v, c in vec.items()})
 
 
-def test_sampled_vectors_are_twelve_times_the_old_ones():
-    graphs = [*all_digraphs(LABELS[:3]), *_seeded_graphs(223)]
+def _assert_template_matches_scratch(g, coords, shared):
+    # one sample's flow from the graph's shared INF arcs against _augment
+    # building every arc itself: value, flows, cut and cut capacity
+    nv, tails, heads = g.edge_arrays()
+    s, t = nv, nv + 1
+    arc_tails, arc_heads, caps = tails[:], heads[:], [INF] * len(tails)
+    for v, c in enumerate(coords):
+        if c:
+            arc_tails.append(v if c > 0 else s)
+            arc_heads.append(t if c > 0 else v)
+            caps.append(abs(c))
+    network = (nv + 2, arc_tails, arc_heads, caps, s, t)
+    assert cones._augment(*network, shared) == cones._augment(*network), (g, coords)
+
+
+def test_shared_inf_arcs_give_the_flow_built_from_scratch():
+    graphs = [*_small_digraphs(), *_seeded_graphs(241)]
     for i, g in enumerate(graphs):
-        new_rng, old_rng = random.Random(i), random.Random(i)
-        new = cones._sample_vectors(g, 12, new_rng)
+        nv, tails, heads = g.edge_arrays()
+        shared = inf_arcs(tails, heads, nv + 2)
+        copy = tuple(map(repr, shared))
+        for coords in cones._sample_coords(nv, tails, heads, 12, random.Random(i)):
+            if sum(coords) == 0:
+                _assert_template_matches_scratch(g, coords, shared)
+                _assert_template_matches_scratch(g, [Fraction(c, 7) for c in coords], shared)
+        assert tuple(map(repr, shared)) == copy, "a flow changed the shared arcs"
+
+
+# denominators that differ per coordinate, two of them primes above 10^9
+DENOMINATORS = (1, 2, 3, 4, 7, 12, 10 ** 9 + 7, 10 ** 9 + 9)
+
+
+def _rational_vectors(g, rng):
+    """A cone member, a perturbed one and a raw sum-zero vector, over DENOMINATORS."""
+    verts = g.vertices
+
+    def draw(least):
+        return Fraction(rng.randint(least, 6), rng.choice(DENOMINATORS))
+
+    member = dict.fromkeys(verts, Fraction(0))
+    for u, v in g.edge_list:
+        lam = draw(0)
+        member[u] -= lam
+        member[v] += lam
+    perturbed = dict(member)
+    raw = {v: draw(-6) for v in verts}
+    if verts:
+        u, w = verts[0], verts[-1]
+        delta = draw(-6)
+        perturbed[u] += delta
+        perturbed[w] -= delta
+        raw[w] -= sum(raw.values())
+    return member, perturbed, raw
+
+
+def test_int_scaled_membership_flow_matches_the_flow_in_fractions():
+    graphs = [*_small_digraphs(), *_seeded_graphs(251)]
+    rng = random.Random(257)
+    for g in graphs:
+        for x in _rational_vectors(g, rng):
+            public = max_flow(build_flow_network(g, x))   # in the Fractions themselves
+            demand = sum(c for c in x.values() if c > 0)
+            witness = (dict(zip(g.edge_list, public.flows))
+                       if public.value == demand else None)
+            value, got = cones.membership_flow(g, x)
+            assert value == public.value and got == witness, (g, x)
+
+
+def test_sampled_vectors_are_twelve_times_the_old_ones():
+    # the list draws against the rational oracle, and the dict helper the
+    # flow tests draw from against both
+    graphs = [*_small_digraphs(), *_seeded_graphs(223)]
+    for i, g in enumerate(graphs):
+        nv, tails, heads = g.edge_arrays()
+        new_rng, old_rng, dict_rng = random.Random(i), random.Random(i), random.Random(i)
+        new = [dict(zip(g.vertices, coords))
+               for coords in cones._sample_coords(nv, tails, heads, 12, new_rng)]
         old = oracle_sample_vectors(g, 12, old_rng)
         assert new == [{v: 12 * c for v, c in vec.items()} for vec in old], g
         assert all(type(c) is int for vec in new for c in vec.values())
-        assert new_rng.random() == old_rng.random()  # the same draws, in order
+        assert sample_vectors(g, 12, dict_rng) == new, g
+        # the same draws, in order
+        assert new_rng.random() == old_rng.random() == dict_rng.random()
 
 
 def test_base_member_matches_old_route():
@@ -357,7 +440,7 @@ def test_base_member_matches_old_route():
     graphs = [*all_digraphs(LABELS[:3]), *_seeded_graphs(229, 12)]
     for i, g in enumerate(graphs):
         z = lower_half_function(g)
-        for vec in cones._sample_vectors(g, 12, random.Random(i)):
+        for vec in sample_vectors(g, 12, random.Random(i)):
             for x in (vec, {v: Fraction(c, 12) for v, c in vec.items()}):
                 assert base_member(z, x) == oracle_base_member(z, x), (g, x)
     # tables with finite values beyond 0, on the full set too

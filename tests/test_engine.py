@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import (all_digraphs, count_halves_taken, oracle_antipode_output,
+from conftest import (all_digraphs, coefficient, count_halves_taken, oracle_antipode_output,
                       oracle_character_sum, oracle_chain_stats, oracle_edge_tables,
                       oracle_is_lower_half, oracle_lower_halves, oracle_surjection_walk,
                       oracle_takeuchi_terms, random_digraph)
@@ -128,7 +128,7 @@ def test_ring_valued_character_without_edge_count_rule():
         nv, tails, heads = g.edge_arrays()
         want = oracle_character_sum(nv, tails, heads, block_values(g, ring_value))
         poly = character_polynomial(g, ring)
-        assert [poly.coefficient(k) for k in range(nv + 1)] \
+        assert [coefficient(poly, k) for k in range(nv + 1)] \
             == [want.get(k, 0) for k in range(nv + 1)]
 
 
@@ -305,6 +305,38 @@ def test_the_meter_is_exact_on_random_digraphs(monkeypatch, n, count):
 def test_the_meter_is_exact_on_disjoint_unions(monkeypatch):
     for g in seeded_disjoint_unions():
         assert_the_meter_is_exact(monkeypatch, g)
+
+
+def test_isolated_vertices_fold_as_one_block(monkeypatch):
+    # an edge and j isolated vertices: one fold for the edge, the isolated
+    # vertices' closed form k! S(j, k), and one merge; connected graphs fold
+    # once and never reach the closed form
+    folds, merges = [], []
+    real_fold, real_merge = _engine._fold, _engine._merge
+    monkeypatch.setattr(_engine, "_fold", lambda *a: folds.append(1) or real_fold(*a))
+    monkeypatch.setattr(_engine, "_merge", lambda *a: merges.append(1) or real_merge(*a))
+    for j in range(7):
+        folds.clear(), merges.clear()
+        args = (j + 2, [0], [1])
+        assert kernels.chain_stats(*args) == oracle_chain_stats(*args)
+        assert (len(folds), len(merges)) == (1, 1 if j else 0)
+    for nv in range(2, 8):
+        folds.clear(), merges.clear()
+        assert kernels.chain_stats(nv, [], []) == oracle_chain_stats(nv, [], [])
+        assert (len(folds), len(merges)) == (0, 0)
+        # no walk, fold or merge: one step per entry of the closed form
+        assert charged_work(monkeypatch, kernels.chain_stats, nv, [], []) == nv
+
+    def no_closed_form(j):
+        raise AssertionError("a connected graph took the isolated vertices' closed form")
+
+    monkeypatch.setattr(_engine, "_surjection_counts", no_closed_form)
+    for g in all_digraphs("abcd"):
+        nv, tails, heads = g.edge_arrays()
+        if len(_engine._components(nv, set(_down_sets(nv, tails, heads)))) == 1:
+            folds.clear(), merges.clear()
+            assert kernels.chain_stats(nv, tails, heads) == oracle_chain_stats(nv, tails, heads)
+            assert (len(folds), len(merges)) == (1, 0)
 
 
 def star_arrays():
