@@ -25,9 +25,25 @@ table over all subsets.
 
 The fold visits the states in order of size.  A state's accumulator is
 complete once every state below it has been visited; it is then pushed
-into every state nested above it, in one call to the sum's push, and
-dropped, since no later state reads it.  Only the accumulators of states
-not yet visited are alive.
+into every state nested above it that the sum's select keeps (all of
+them, without one), in one call to the sum's push, and dropped, since
+no later state reads it.  Only the accumulators of states not yet
+visited are alive.
+
+takeuchi_terms folds the antipode without cancellation.  Its terms are
+the partitions of the vertices into weakly connected induced blocks
+with an acyclic quotient, each the edges inside its blocks with sign
+(-1)^blocks (Humpert and Martin; Benedetti and Sagan).  Such a
+partition of a lower half S has a sink block B, and S - B is a lower
+half; a term of S - B with a weakly connected block B added is a term
+of S with the opposite sign.  So the accumulator of S is the antipode
+of the graph induced on S when each state pushes only into the states
+above it whose block is weakly connected.  A block keeping fewer than
+|B| - 1 edges is rejected at once and a single vertex kept; the others
+are searched once each.  A mask reached again, through another sink
+block of the same partition, carries the same sign, so the push
+assigns each entry's sign where the signed sum would add: no
+coefficient cancels and none is 0.
 
 A disjoint union factors.  The lower halves of g1 + g2 are the unions of
 a lower half of each part, and the edges of a block are those of its two
@@ -45,12 +61,14 @@ work is counted while it is done, and hopfdg.limits refuses the sum once
 the count passes the budget, so a refusal comes after at most one budget
 of work and before any output.  Each walk is charged its probes and
 stops one half past what the budget leaves it.  The fold charges each
-state, before it pushes, the states its row scans plus one per push and
-one per entry each push walks, one entry per key (for surjection_stats,
-per (k, asc + desc)).  Each merge of two histograms is charged its pairs
-of entries, and the product of the components' antipodes its partial
-products' terms, before the work is done; so the meter caps the
-antipode's terms too.  Up front only what a lower bound proves is
+state, before it pushes, the states its row scans plus one per push
+made, after select, and one per entry each push walks, one entry per
+key (for surjection_stats, per (k, asc + desc)).  So takeuchi_terms is
+charged its connected blocks alone: each entry it walks is a term of
+some lower half's antipode.  Each merge of two histograms is charged
+its pairs of entries, and the product of the components' antipodes its
+partial products' terms, before the work is done; so the meter caps
+the antipode's terms too.  Up front only what a lower bound proves is
 refused: in surjection_stats each state S of a component carries at
 least max(|S|, 1) entries, one per block count, and a histogram over N
 vertices at least N, so the folds' and merges' charges with that floor
@@ -217,17 +235,19 @@ def _edge_masks(nv: int, tails: list[int], heads: list[int],
 
 
 def _fold(full: int, states: Iterable[int],
-          push: Callable[[dict, dict, int, list[int]], None], meter: _Meter) -> dict:
+          push: Callable[[dict, dict, int, list[int]], None], meter: _Meter,
+          select: Callable[[int, list[int]], list[int]] | None = None) -> dict:
     """Accumulator of full, from the unit {0: 1} at the empty set.
 
     states lists every state, subsets of full, the empty set and full
-    included; the fold visits them by size.  push(acc, source, low,
-    highs) adds source, the accumulator of state low, to the accumulator
-    acc[high] of every state high in highs, each extended by the block
-    high ^ low; a state not yet in acc starts empty.  Before a state
-    pushes, meter is charged the states its row scans, plus one per push
-    and one per entry of source per push, and refuses the sum once its
-    count passes the budget.
+    included; the fold visits them by size.  select(low, highs), when
+    given, keeps the states above low that low pushes into, in order.
+    push(acc, source, low, highs) adds source, the accumulator of state
+    low, to the accumulator acc[high] of every state high in highs, each
+    extended by the block high ^ low; a state not yet in acc starts
+    empty.  Before a state pushes, meter is charged the states its row
+    scans, plus one per push kept and one per entry of source per push
+    kept, and refuses the sum once its count passes the budget.
     """
     states = sorted(states, key=int.bit_count)
     count = len(states)
@@ -258,6 +278,8 @@ def _fold(full: int, states: Iterable[int],
         else:
             scan = count - i
             highs = [high for high in states[i + 1:] if not low & ~high]
+        if select is not None:
+            highs = select(low, highs)
         work += scan + len(highs) * (1 + len(source))
         if work > budget:
             meter.count = work
@@ -265,6 +287,28 @@ def _fold(full: int, states: Iterable[int],
         push(acc, source, low, highs)
     meter.count = work
     return acc.pop(full)
+
+
+def _neighbours(nv: int, tails: list[int], heads: list[int]) -> list[int]:
+    """Entry v: the vertices joined to v by an edge, either way, as a mask."""
+    near = [0] * nv
+    for t, h in zip(tails, heads):
+        near[t] |= 1 << h
+        near[h] |= 1 << t
+    return near
+
+
+def _is_connected(block: int, near: list[int]) -> bool:
+    """Whether the vertex mask block is weakly connected, by a search over bits."""
+    todo = block & -block
+    unseen = block ^ todo
+    while todo and unseen:
+        bit = todo & -todo
+        todo ^= bit
+        new = near[bit.bit_length() - 1] & unseen
+        unseen ^= new
+        todo |= new
+    return not unseen
 
 
 @lru_cache(maxsize=None)
@@ -379,28 +423,54 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     """Signed counts of kept-edge masks over the same compositions.
 
     A composition into k blocks adds (-1)^k at the mask of the edges inside
-    its blocks.  Zero coefficients are dropped; the empty graph gives {0: 1}.
+    its blocks, and zero coefficients are dropped; the empty graph gives
+    {0: 1}.  The same terms are computed cancellation-free: each mask
+    comes once, from the chains whose blocks are weakly connected, with
+    coefficient (-1)^(its weakly connected components).
     """
     meter = _Meter(nv)
     parts, _, out, into = _lattices(nv, tails, heads, meter)
+    near: list[int] = []   # near[v]: v's neighbours either way, built at the first search
+    connected = {comp: True for comp, _ in parts}   # block -> weakly connected
+
+    def select(low: int, highs: list[int]) -> list[int]:
+        """The highs whose block high ^ low is weakly connected."""
+        out_low, into_low = out[low], into[low]
+        chosen = []
+        for high in highs:
+            block = high ^ low
+            if block & (block - 1):
+                joined = connected.get(block)
+                if joined is None:
+                    # a connected block keeps at least |block| - 1 edges
+                    kept = (out[high] ^ out_low) & (into[high] ^ into_low)
+                    if kept.bit_count() < block.bit_count() - 1:
+                        joined = False
+                    else:
+                        if not near:
+                            near.extend(_neighbours(nv, tails, heads))
+                        joined = _is_connected(block, near)
+                    connected[block] = joined
+                if not joined:
+                    continue
+            chosen.append(high)
+        return chosen
 
     def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
         out_low, into_low = out[low], into[low]
-        live = [(mask, coeff) for mask, coeff in source.items() if coeff]
         for high in highs:
-            # distinct masks may meet once the kept edges are added, so the
-            # target is summed into even when it starts empty
+            # kept lies outside low, so mask | kept stays distinct within
+            # source; a mask met again, through another sink block, carries
+            # the same sign, so it is assigned, not summed
             kept = (out[high] ^ out_low) & (into[high] ^ into_low)
             target = acc.get(high)
             if target is None:
-                target = acc[high] = {}
-            get = target.get
-            for mask, coeff in live:
-                mask |= kept
-                target[mask] = get(mask, 0) - coeff
+                acc[high] = {mask | kept: -sign for mask, sign in source.items()}
+            else:
+                for mask, sign in source.items():
+                    target[mask | kept] = -sign
 
-    factors = [{mask: coeff for mask, coeff in _fold(comp, halves, push, meter).items()
-                if coeff} for comp, halves in parts]
+    factors = [_fold(comp, halves, push, meter, select) for comp, halves in parts]
     return factors[0] if len(factors) == 1 else _product(factors, meter)
 
 

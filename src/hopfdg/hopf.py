@@ -6,14 +6,18 @@ prefixes are all lower halves; a composition contributes its kept edges
 the product of character values of its blocks to the coefficient of
 C(n, k) in the character polynomial.
 
-Every such sum runs through the one dynamic program of the kernels.  A
-character whose value on a graph is one monomial fixed by its edge
-count (Character.edge_monomial, as for BASIC and EDGE) only needs how
-many edges each composition keeps: its polynomial is the projection of
-the kernels' (k, kept) histogram, _project, the one route from a kernel
+Every such sum runs through the one dynamic program of the kernels.  The
+antipode's signed sum cancels down to one term per partition of the
+vertices into weakly connected induced blocks with an acyclic quotient,
+signed (-1)^blocks, and kernels.takeuchi_terms folds those terms
+directly, so no coefficient is ever summed to 0.  A character whose
+value on a graph is one monomial fixed by its edge count
+(Character.edge_monomial, as for BASIC and EDGE) only needs how many
+edges each composition keeps: its polynomial is the projection of the
+kernels' (k, kept) histogram, _project, the one route from a kernel
 histogram to a BinPoly.  The polynomial invariants of the invariants
-module project through it too, with the same weights for strict and
-psi that BASIC and EDGE carry, so the strict invariant and the basic
+module project through it too, with the same weights for strict and psi
+that BASIC and EDGE carry, so the strict invariant and the basic
 character polynomial are one code path.  Any other character is
 evaluated on the blocks themselves.  Both paths are exact.
 
@@ -129,7 +133,7 @@ def antipode_masks(g: Digraph, *, max_vertices: int | None = None
     if nv == 0:
         return edge_list, [(0, 1)]
     _, tails, heads = g.edge_arrays()
-    # the kernel returns distinct edge masks with non-zero coefficients
+    # the kernel returns distinct edge masks with coefficients +1 and -1
     terms = kernels.takeuchi_terms(nv, tails[::-1], heads[::-1])
     m = len(edge_list)
     full = (1 << m) - 1

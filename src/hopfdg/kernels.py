@@ -4,9 +4,11 @@ A graph in kernel form is (nv, tails, heads): edge e runs tails[e] ->
 heads[e] between vertex indices 0..nv-1, and subsets travel as bitmasks
 over those indices.  The composition sums come from the one dynamic
 program in _engine, and the lower halves from its walk over unions of
-down-sets.  The counts of colorings and of lattice points walk the
-coordinates directly; they are the brute-force route the polynomial
-invariants are checked against, so they share no code with the engine.
+down-sets; takeuchi_terms gives the antipode's terms cancellation-free,
+folding only along weakly connected blocks.  The counts of colorings and
+of lattice points walk the coordinates directly; they are the
+brute-force route the polynomial invariants are checked against, so they
+share no code with the engine.
 """
 
 from __future__ import annotations

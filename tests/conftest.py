@@ -321,6 +321,9 @@ def oracle_chain_stats(nv, tails, heads) -> dict[tuple[int, int], int]:
 
 
 def oracle_takeuchi_terms(nv, tails, heads) -> dict[int, int]:
+    """The signed Takeuchi sum, every admissible composition added in and
+    the coefficients that cancel to 0 dropped; the engine folds the same
+    terms cancellation-free."""
     def fold(acc, rest, t, kept):
         for mask, coeff in rest.items():
             acc[kept | mask] = acc.get(kept | mask, 0) - coeff

@@ -12,9 +12,9 @@ import tracemalloc
 import pytest
 
 from conftest import (all_digraphs, coefficient, count_halves_taken, oracle_antipode_output,
-                      oracle_character_sum, oracle_chain_stats, oracle_edge_tables,
-                      oracle_is_lower_half, oracle_lower_halves, oracle_surjection_walk,
-                      oracle_takeuchi_terms, random_digraph)
+                      oracle_antipode_terms, oracle_character_sum, oracle_chain_stats,
+                      oracle_edge_tables, oracle_is_lower_half, oracle_lower_halves,
+                      oracle_surjection_walk, oracle_takeuchi_terms, random_digraph)
 from hopfdg import (EDGE, BinPoly, Character, Digraph, WorkLimitError, antipode,
                     b_polynomial, character_polynomial, disjoint_union, kernels,
                     strict_chromatic)
@@ -363,6 +363,143 @@ def test_engine_refuses_work_past_the_budget(monkeypatch):
     message = str(exc.value)
     assert message.startswith("composition sum over 17 vertices needs at least 988960469 ")
     assert "work budget 10000000" in message and "HOPFDG_MAX_WORK" in message
+
+
+# ------------------------------------------------- the cancellation-free antipode
+
+def weak_blocks(nv: int, tails: list[int], heads: list[int], edges) -> list[int]:
+    """owner[v]: the least vertex of v's weakly connected component along edges."""
+    owner = list(range(nv))
+    for _ in range(nv):
+        for e in edges:
+            t, h = tails[e], heads[e]
+            owner[t] = owner[h] = min(owner[t], owner[h])
+    return owner
+
+
+def assert_terms_are_cancellation_free(g: Digraph) -> None:
+    """The kernel's terms are the signed sum's, and each one is the edge set
+    of a partition into weakly connected blocks with an acyclic quotient,
+    keeping every edge inside a block, signed (-1)^blocks."""
+    nv, tails, heads = g.edge_arrays()
+    terms = kernels.takeuchi_terms(nv, tails, heads)
+    assert terms == oracle_takeuchi_terms(nv, tails, heads), g
+    assert {h.edges: c for h, c in antipode(g).terms.items()} == oracle_antipode_terms(g), g
+    for mask, coeff in terms.items():
+        owner = weak_blocks(nv, tails, heads, [e for e in range(len(tails)) if mask >> e & 1])
+        blocks = set(owner)
+        assert coeff == (-1) ** len(blocks), (g, mask)
+        assert all(mask >> e & 1 for e, (t, h) in enumerate(zip(tails, heads))
+                   if owner[t] == owner[h]), (g, mask)
+        # peel off the blocks no other block points into; a cycle leaves none
+        arcs = {(owner[t], owner[h]) for t, h in zip(tails, heads) if owner[t] != owner[h]}
+        while blocks:
+            sources = {b for b in blocks if not any(h == b and t in blocks for t, h in arcs)}
+            assert sources, (g, mask)
+            blocks -= sources
+
+
+def seeded_dag(rng: random.Random, labels, p: float) -> Digraph:
+    """A random digraph with every edge along one shuffled order of the labels."""
+    order = list(labels)
+    rng.shuffle(order)
+    return Digraph(labels, [(u, v) for i, u in enumerate(order) for v in order[i + 1:]
+                            if rng.random() < p])
+
+
+def seeded_antipode_graphs() -> list[Digraph]:
+    """Seeded digraphs of 5 to 7 vertices: random ones, most with a cycle,
+    acyclic ones, and disjoint unions."""
+    rng = random.Random(71)
+    graphs = []
+    for n, count in ((5, 12), (6, 6), (7, 2)):
+        labels = "abcdefg"[:n]
+        graphs += [random_digraph(rng, labels, p=rng.choice([0.1, 0.25, 0.4, 0.7]))
+                   for _ in range(count)]
+        graphs += [seeded_dag(rng, labels, rng.choice([0.2, 0.35, 0.5])) for _ in range(count)]
+    return graphs + [g for g in seeded_disjoint_unions() if len(g.vertices) < 7][:20]
+
+
+def test_terms_are_cancellation_free_on_every_small_digraph():
+    for labels in ("", "a", "ab", "abc", "abcd"):
+        for g in all_digraphs(labels):
+            assert_terms_are_cancellation_free(g)
+
+
+def test_terms_are_cancellation_free_on_seeded_digraphs():
+    graphs = seeded_antipode_graphs()
+    assert any(g.is_acyclic() and g.edges for g in graphs)
+    assert any(not g.is_acyclic() for g in graphs)
+    for g in graphs:
+        assert_terms_are_cancellation_free(g)
+
+
+def pushed_blocks(monkeypatch, fn, *args, stop_after: int | None = None) -> list[list[int]]:
+    """The blocks high ^ low of each push fn's folds make, one list per push
+    call; with stop_after, the sum is cut off after that many push calls."""
+    calls = []
+    real_fold = _engine._fold
+
+    class Cut(Exception):
+        pass
+
+    def fold(full, states, push, meter, select=None):
+        def recorded(acc, source, low, highs):
+            calls.append([high ^ low for high in highs])
+            push(acc, source, low, highs)
+            if len(calls) == stop_after:
+                raise Cut
+        return real_fold(full, states, recorded, meter, select)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_engine, "_fold", fold)
+        try:
+            fn(*args)
+        except Cut:
+            pass
+    return calls
+
+
+def test_the_antipode_pushes_only_along_weakly_connected_blocks(monkeypatch):
+    graphs = [g for labels in ("abc", "abcd") for g in all_digraphs(labels)]
+    for g in graphs + seeded_antipode_graphs():
+        nv, tails, heads = g.edge_arrays()
+        for blocks in pushed_blocks(monkeypatch, kernels.takeuchi_terms, nv, tails, heads):
+            for block in blocks:
+                inside = [e for e in range(len(tails)) if block >> tails[e] & block >> heads[e] & 1]
+                owner = weak_blocks(nv, tails, heads, inside)
+                assert len({owner[v] for v in range(nv) if block >> v & 1}) == 1, (g, block)
+
+
+def test_the_empty_state_of_the_star_pushes_once_per_connected_block(monkeypatch):
+    # of the 2^16 lower halves above the empty set, the 16 single sources
+    # and the whole star are weakly connected; the signed sum pushed into all
+    nv, tails, heads = star_arrays()
+    (blocks,) = pushed_blocks(monkeypatch, kernels.takeuchi_terms, nv, tails, heads,
+                              stop_after=1)
+    assert sorted(blocks) == sorted([1 << v for v in range(16)] + [(1 << nv) - 1])
+
+
+def seeded_sparse_dag(nv: int, seed: int) -> tuple[int, list[int], list[int]]:
+    """nv vertices and 1.5 nv edges, each along one shuffled order."""
+    rng = random.Random(seed)
+    order = list(range(nv))
+    rng.shuffle(order)
+    forward = [(order[i], order[j]) for i in range(nv) for j in range(i + 1, nv)]
+    edges = rng.sample(forward, 3 * nv // 2)
+    return nv, [t for t, _ in edges], [h for _, h in edges]
+
+
+@pytest.mark.parametrize("nv, charge, terms", (
+    (10, 9155, 1040),       # charged 12,672 when every nested pair of lower halves pushed
+    (14, 145773, 23104),    # charged 215,316 likewise
+))
+def test_the_antipode_charge_of_sparse_dags_is_pinned(monkeypatch, nv, charge, terms):
+    # the meter counts the work done, so a fold that pushes along
+    # disconnected blocks again is caught here without timing anything
+    args = seeded_sparse_dag(nv, nv)
+    assert charged_work(monkeypatch, kernels.takeuchi_terms, *args) == charge
+    assert len(kernels.takeuchi_terms(*args)) == terms
 
 
 def complete_arrays(nv: int) -> tuple[int, list[int], list[int]]:
