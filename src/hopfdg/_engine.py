@@ -38,12 +38,15 @@ partition of a lower half S has a sink block B, and S - B is a lower
 half; a term of S - B with a weakly connected block B added is a term
 of S with the opposite sign.  So the accumulator of S is the antipode
 of the graph induced on S when each state pushes only into the states
-above it whose block is weakly connected.  A block keeping fewer than
-|B| - 1 edges is rejected at once and a single vertex kept; the others
-are searched once each.  A mask reached again, through another sink
-block of the same partition, carries the same sign, so the push
-assigns each entry's sign where the signed sum would add: no
-coefficient cancels and none is 0.
+above it whose block is weakly connected.  A single vertex is kept at
+once, and so is a vertex's down-set, all of it reaching that vertex; a
+block keeping fewer than |B| - 1 edges is rejected at once.  Any other
+block is searched afresh: nothing is kept between searches but one
+neighbour mask per vertex, so the searches hold no memory the meter
+does not count.  A mask reached again, through another sink block of
+the same partition, carries the same sign, so the push assigns each
+entry's sign where the signed sum would add: no coefficient cancels
+and none is 0.
 
 A disjoint union factors.  The lower halves of g1 + g2 are the unions of
 a lower half of each part, and the edges of a block are those of its two
@@ -191,8 +194,9 @@ def _lattice(nv: int, tails: list[int], heads: list[int], what: str,
 
 def _lattices(nv: int, tails: list[int], heads: list[int], meter: _Meter,
               pool: bool = False) -> tuple[list[tuple[int, list[int]]], int,
-                                           dict[int, int], dict[int, int]]:
-    """(component, its lower halves) per weakly connected component, a pool, and edge masks.
+                                           dict[int, int], dict[int, int], set[int]]:
+    """(component, its lower halves) per weakly connected component, a pool,
+    the edge masks, and the distinct down-sets.
 
     A connected graph, or one with no vertices, is one component, the
     full set.  With pool, the isolated vertices of a graph with two or
@@ -203,12 +207,12 @@ def _lattices(nv: int, tails: list[int], heads: list[int], meter: _Meter,
     comps = _components(nv, downs)
     if len(comps) < 2:
         halves = _walk(meter, downs, "composition sum")
-        return [((1 << nv) - 1, halves)], 0, *_edge_masks(nv, tails, heads, halves)
+        return [((1 << nv) - 1, halves)], 0, *_edge_masks(nv, tails, heads, halves), downs
     lone = sum(comp for comp in comps if comp & (comp - 1) == 0) if pool else 0
     parts = [(comp, _walk(meter, {down for down in downs if down & comp}, "composition sum"))
              for comp in comps if not comp & lone]
     return (parts, lone,
-            *_edge_masks(nv, tails, heads, chain.from_iterable(h for _, h in parts)))
+            *_edge_masks(nv, tails, heads, chain.from_iterable(h for _, h in parts)), downs)
 
 
 def _edge_masks(nv: int, tails: list[int], heads: list[int],
@@ -391,7 +395,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     edges inside single blocks.  The empty graph gives {(0, 0): 1}.
     """
     meter = _Meter(nv)
-    parts, lone, out, into = _lattices(nv, tails, heads, meter, pool=True)
+    parts, lone, out, into, _ = _lattices(nv, tails, heads, meter, pool=True)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
     def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
@@ -429,9 +433,8 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     coefficient (-1)^(its weakly connected components).
     """
     meter = _Meter(nv)
-    parts, _, out, into = _lattices(nv, tails, heads, meter)
+    parts, _, out, into, downs = _lattices(nv, tails, heads, meter)
     near: list[int] = []   # near[v]: v's neighbours either way, built at the first search
-    connected = {comp: True for comp, _ in parts}   # block -> weakly connected
 
     def select(low: int, highs: list[int]) -> list[int]:
         """The highs whose block high ^ low is weakly connected."""
@@ -439,19 +442,15 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
         chosen = []
         for high in highs:
             block = high ^ low
-            if block & (block - 1):
-                joined = connected.get(block)
-                if joined is None:
-                    # a connected block keeps at least |block| - 1 edges
-                    kept = (out[high] ^ out_low) & (into[high] ^ into_low)
-                    if kept.bit_count() < block.bit_count() - 1:
-                        joined = False
-                    else:
-                        if not near:
-                            near.extend(_neighbours(nv, tails, heads))
-                        joined = _is_connected(block, near)
-                    connected[block] = joined
-                if not joined:
+            # a vertex's down-set is connected, all of it reaching that vertex
+            if block & (block - 1) and block not in downs:
+                # a connected block keeps at least |block| - 1 edges
+                kept = (out[high] ^ out_low) & (into[high] ^ into_low)
+                if kept.bit_count() < block.bit_count() - 1:
+                    continue
+                if not near:
+                    near.extend(_neighbours(nv, tails, heads))
+                if not _is_connected(block, near):
                     continue
             chosen.append(high)
         return chosen

@@ -16,9 +16,6 @@ from typing import Iterable, Mapping
 from .errors import GraphParseError
 
 _FORBIDDEN = re.compile(r"[\s#]|->")
-# the same over labels joined by "\0", which no rule above matches: an
-# empty label shows as a leading, trailing or doubled separator
-_FORBIDDEN_JOINED = re.compile(r"[\s#]|->|\A\0|\0\0|\0\Z|\A\Z")
 
 
 def canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:
@@ -52,7 +49,6 @@ class Digraph:
 
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
-    _vset = None   # the cache of _vertex_set, unannotated so that it is no field
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         verts = canonical_labels(vertices)
@@ -84,14 +80,6 @@ class Digraph:
         object.__setattr__(sub, "edges", frozenset(edges))
         return sub
 
-    def _vertex_set(self) -> frozenset[str]:
-        """The vertices as a set, built at its first use and kept in _vset,
-        an attribute that is no field: __eq__ and __hash__ never read it."""
-        vset = self._vset
-        if vset is None:
-            vset = self.__dict__["_vset"] = frozenset(self.vertices)
-        return vset
-
     @property
     def edge_list(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.edges))
@@ -117,22 +105,16 @@ class Digraph:
         images = [mapping[v] for v in self.vertices]
         if len(set(images)) != len(images):
             raise ValueError("relabel map is not injective on the vertices")
-        try:
-            suspect = _FORBIDDEN_JOINED.search("\0".join(images)) is not None
-        except TypeError:   # a label that is not a string
-            suspect = True
-        if suspect:
-            # the checks one label at a time, for their exact message
-            for v in canonical_labels(images):
-                _check_label(v)
-        verts = tuple(sorted(images))
+        verts = canonical_labels(images)
+        for v in verts:
+            _check_label(v)
         # a bijection of valid labels keeps the edges loop-free and distinct
         return self._subgraph(verts, [(mapping[u], mapping[v]) for u, v in self.edges])
 
     def restrict(self, subset: Iterable[str]) -> "Digraph":
         """Induced subgraph on a subset of the vertices."""
         sub = frozenset(subset)
-        extra = sub - self._vertex_set()
+        extra = sub - set(self.vertices)
         if extra:
             raise ValueError(f"restriction set contains non-vertices {sorted(extra)}")
         return self._subgraph(tuple(sorted(sub)),
@@ -141,7 +123,7 @@ class Digraph:
     def is_lower_half(self, subset: Iterable[str]) -> bool:
         """True when no edge enters the subset from outside it."""
         sub = frozenset(subset)
-        extra = sub - self._vertex_set()
+        extra = sub - set(self.vertices)
         if extra:
             raise ValueError(f"subset contains non-vertices {sorted(extra)}")
         return not any(u not in sub and v in sub for u, v in self.edges)
@@ -153,7 +135,7 @@ class Digraph:
         with None; every other edge lands inside, outside, or on the cut.
         """
         sub = frozenset(subset)
-        extra = sub - self._vertex_set()
+        extra = sub - set(self.vertices)
         if extra:
             raise ValueError(f"subset contains non-vertices {sorted(extra)}")
         inside = []

@@ -224,26 +224,6 @@ def test_relabel_reports_the_first_bad_label_in_sorted_order(g3):
                    g3.relabel, {"0": "z#", "1": "b c", "2": "r"})
 
 
-@pytest.mark.parametrize("images, message", [
-    (("", "q", "r"), "labels must be non-empty strings, got ''"),
-    (("p", "q", ""), "labels must be non-empty strings, got ''"),
-    ((None, "q", ""), "labels must be non-empty strings, got None"),
-    (("p", b"q", "r"), "labels must be non-empty strings, got b'q'"),
-    (("p\n", "q", "r"), f"{LABEL_RULE}, got 'p\\n'"),
-    (("p", "q", "-r>"), None),
-    (("p\0", "\0q", "r"), None),
-])
-def test_relabel_checks_every_image_at_once(g3, images, message):
-    # the images are checked as one string joined by "\0"; an empty label
-    # at either end, a non-string or a label holding "\0" itself sends them
-    # to the checks one label at a time, which alone raise
-    sigma = dict(zip(g3.vertices, images))
-    if message is None:
-        assert g3.relabel(sigma).vertices == tuple(sorted(images))
-    else:
-        raises_exactly(ValueError, message, g3.relabel, sigma)
-
-
 def test_relabel_map_must_be_injective_and_total(g3):
     raises_exactly(ValueError, "relabel map is not injective on the vertices",
                    g3.relabel, {"0": "p", "1": "p", "2": "r"})

@@ -45,17 +45,6 @@ def test_relabel_roundtrip(g3):
         g3.relabel({"0": "x"})
 
 
-def test_the_cached_vertex_set_is_no_part_of_the_value(g3):
-    # the splits keep a vertex set per graph; equality, hashing and repr
-    # read only the vertices and the edges
-    fresh = Digraph(g3.vertices, g3.edges)
-    assert fresh.coproduct({"0"}) is not None and fresh.is_lower_half({"0"})
-    assert fresh.restrict({"0", "1"}).vertices == ("0", "1")
-    assert fresh == g3 and hash(fresh) == hash(g3) and "_vset" not in repr(fresh)
-    with pytest.raises(ValueError):
-        fresh.coproduct({"q"})
-
-
 def test_restrict(g3):
     sub = g3.restrict({"0", "2"})
     assert sub.vertices == ("0", "2")

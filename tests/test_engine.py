@@ -118,6 +118,10 @@ def test_factored_route_matches_the_single_fold(monkeypatch):
     # every graph as one component: the whole lattice in one fold
     monkeypatch.setattr(_engine, "_components", lambda nv, downs: [(1 << nv) - 1] if nv else [])
     assert [[fn(*g.edge_arrays()) for fn in sums] for g in graphs] == factored
+    # the vertex set of a disconnected graph is then a block like any other,
+    # searched and never pushed
+    for g in graphs:
+        assert_pushes_are_weakly_connected(monkeypatch, g)
 
 
 def test_ring_valued_character_without_edge_count_rule():
@@ -460,15 +464,19 @@ def pushed_blocks(monkeypatch, fn, *args, stop_after: int | None = None) -> list
     return calls
 
 
+def assert_pushes_are_weakly_connected(monkeypatch, g: Digraph) -> None:
+    nv, tails, heads = g.edge_arrays()
+    for blocks in pushed_blocks(monkeypatch, kernels.takeuchi_terms, nv, tails, heads):
+        for block in blocks:
+            inside = [e for e in range(len(tails)) if block >> tails[e] & block >> heads[e] & 1]
+            owner = weak_blocks(nv, tails, heads, inside)
+            assert len({owner[v] for v in range(nv) if block >> v & 1}) == 1, (g, block)
+
+
 def test_the_antipode_pushes_only_along_weakly_connected_blocks(monkeypatch):
     graphs = [g for labels in ("abc", "abcd") for g in all_digraphs(labels)]
     for g in graphs + seeded_antipode_graphs():
-        nv, tails, heads = g.edge_arrays()
-        for blocks in pushed_blocks(monkeypatch, kernels.takeuchi_terms, nv, tails, heads):
-            for block in blocks:
-                inside = [e for e in range(len(tails)) if block >> tails[e] & block >> heads[e] & 1]
-                owner = weak_blocks(nv, tails, heads, inside)
-                assert len({owner[v] for v in range(nv) if block >> v & 1}) == 1, (g, block)
+        assert_pushes_are_weakly_connected(monkeypatch, g)
 
 
 def test_the_empty_state_of_the_star_pushes_once_per_connected_block(monkeypatch):
