@@ -38,15 +38,13 @@ partition of a lower half S has a sink block B, and S - B is a lower
 half; a term of S - B with a weakly connected block B added is a term
 of S with the opposite sign.  So the accumulator of S is the antipode
 of the graph induced on S when each state pushes only into the states
-above it whose block is weakly connected.  A single vertex is kept at
-once, and so is a vertex's down-set, all of it reaching that vertex; a
-block keeping fewer than |B| - 1 edges is rejected at once.  Any other
-block is searched afresh: nothing is kept between searches but one
-neighbour mask per vertex, so the searches hold no memory the meter
-does not count.  A mask reached again, through another sink block of
-the same partition, carries the same sign, so the push assigns each
-entry's sign where the signed sum would add: no coefficient cancels
-and none is 0.
+above it whose block is weakly connected.  Each block is decided by one
+search over bits, from one neighbour mask per vertex built once per
+call; nothing is kept between searches, so they hold no memory the
+meter does not count.  A mask reached again, through another sink
+block of the same partition, carries the same sign, so the push assigns
+each entry's sign where the signed sum would add: no coefficient
+cancels and none is 0.
 
 A disjoint union factors.  The lower halves of g1 + g2 are the unions of
 a lower half of each part, and the edges of a block are those of its two
@@ -194,9 +192,9 @@ def _lattice(nv: int, tails: list[int], heads: list[int], what: str,
 
 def _lattices(nv: int, tails: list[int], heads: list[int], meter: _Meter,
               pool: bool = False) -> tuple[list[tuple[int, list[int]]], int,
-                                           dict[int, int], dict[int, int], set[int]]:
+                                           dict[int, int], dict[int, int]]:
     """(component, its lower halves) per weakly connected component, a pool,
-    the edge masks, and the distinct down-sets.
+    and the edge masks.
 
     A connected graph, or one with no vertices, is one component, the
     full set.  With pool, the isolated vertices of a graph with two or
@@ -207,12 +205,12 @@ def _lattices(nv: int, tails: list[int], heads: list[int], meter: _Meter,
     comps = _components(nv, downs)
     if len(comps) < 2:
         halves = _walk(meter, downs, "composition sum")
-        return [((1 << nv) - 1, halves)], 0, *_edge_masks(nv, tails, heads, halves), downs
+        return [((1 << nv) - 1, halves)], 0, *_edge_masks(nv, tails, heads, halves)
     lone = sum(comp for comp in comps if comp & (comp - 1) == 0) if pool else 0
     parts = [(comp, _walk(meter, {down for down in downs if down & comp}, "composition sum"))
              for comp in comps if not comp & lone]
     return (parts, lone,
-            *_edge_masks(nv, tails, heads, chain.from_iterable(h for _, h in parts)), downs)
+            *_edge_masks(nv, tails, heads, chain.from_iterable(h for _, h in parts)))
 
 
 def _edge_masks(nv: int, tails: list[int], heads: list[int],
@@ -395,7 +393,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     edges inside single blocks.  The empty graph gives {(0, 0): 1}.
     """
     meter = _Meter(nv)
-    parts, lone, out, into, _ = _lattices(nv, tails, heads, meter, pool=True)
+    parts, lone, out, into = _lattices(nv, tails, heads, meter, pool=True)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
     def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
@@ -403,10 +401,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
         for high in highs:
             kept = (out[high] ^ out_low) & (into[high] ^ into_low)
             delta = 1 + (kept.bit_count() << shift)
-            target = acc.get(high)
-            if target is None:
-                acc[high] = {key + delta: cnt for key, cnt in source.items()}
-                continue
+            target = acc.setdefault(high, {})
             get = target.get
             for key, cnt in source.items():
                 key += delta
@@ -430,30 +425,16 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     its blocks, and zero coefficients are dropped; the empty graph gives
     {0: 1}.  The same terms are computed cancellation-free: each mask
     comes once, from the chains whose blocks are weakly connected, with
-    coefficient (-1)^(its weakly connected components).
+    coefficient (-1)^(its weakly connected components).  Each block is
+    decided by one search over the neighbour masks, built once per call.
     """
     meter = _Meter(nv)
-    parts, _, out, into, downs = _lattices(nv, tails, heads, meter)
-    near: list[int] = []   # near[v]: v's neighbours either way, built at the first search
+    parts, _, out, into = _lattices(nv, tails, heads, meter)
+    near = _neighbours(nv, tails, heads)
 
     def select(low: int, highs: list[int]) -> list[int]:
         """The highs whose block high ^ low is weakly connected."""
-        out_low, into_low = out[low], into[low]
-        chosen = []
-        for high in highs:
-            block = high ^ low
-            # a vertex's down-set is connected, all of it reaching that vertex
-            if block & (block - 1) and block not in downs:
-                # a connected block keeps at least |block| - 1 edges
-                kept = (out[high] ^ out_low) & (into[high] ^ into_low)
-                if kept.bit_count() < block.bit_count() - 1:
-                    continue
-                if not near:
-                    near.extend(_neighbours(nv, tails, heads))
-                if not _is_connected(block, near):
-                    continue
-            chosen.append(high)
-        return chosen
+        return [high for high in highs if _is_connected(high ^ low, near)]
 
     def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
         out_low, into_low = out[low], into[low]
@@ -462,15 +443,11 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
             # source; a mask met again, through another sink block, carries
             # the same sign, so it is assigned, not summed
             kept = (out[high] ^ out_low) & (into[high] ^ into_low)
-            target = acc.get(high)
-            if target is None:
-                acc[high] = {mask | kept: -sign for mask, sign in source.items()}
-            else:
-                for mask, sign in source.items():
-                    target[mask | kept] = -sign
+            target = acc.setdefault(high, {})
+            for mask, sign in source.items():
+                target[mask | kept] = -sign
 
-    factors = [_fold(comp, halves, push, meter, select) for comp, halves in parts]
-    return factors[0] if len(factors) == 1 else _product(factors, meter)
+    return _product([_fold(comp, halves, push, meter, select) for comp, halves in parts], meter)
 
 
 def character_sum(nv: int, tails: list[int], heads: list[int],
@@ -492,10 +469,7 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
             if block not in values:
                 values[block] = block_value(block)
             z = values[block]
-            target = acc.get(high)
-            if target is None:
-                acc[high] = {k + 1: val * z for k, val in source.items()}
-                continue
+            target = acc.setdefault(high, {})
             for k, val in source.items():
                 target[k + 1] = target.get(k + 1, 0) + val * z
 

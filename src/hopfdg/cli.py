@@ -120,21 +120,9 @@ def _parse_vector(g: Digraph, text: str) -> dict[str, Fraction]:
 
 # ---------------------------------------------------------------- suites
 
-class _Suite:
-    """Collects named pass/fail checks and renders them."""
-
-    def __init__(self) -> None:
-        self.checks: list[tuple[str, bool, str]] = []
-
-    def record(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append((name, bool(passed), detail))
-
-    def skip_note(self, name: str, note: str) -> None:
-        self.checks.append((name, True, f"skipped: {note}"))
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for _, ok, _ in self.checks if not ok)
+# each suite returns its checks as (name, passed, detail); a skipped
+# check passes, its detail starting "skipped: "
+_Check = tuple[str, bool, str]
 
 
 def _fresh_labels(taken: Iterable[str], count: int) -> list[str]:
@@ -154,10 +142,13 @@ def _random_subset(rng: random.Random, labels: Sequence[str]) -> frozenset[str]:
     return frozenset(lab for lab in labels if rng.random() < 0.5)
 
 
-def _random_graph(rng: random.Random, labels: Sequence[str], p: float = 0.4) -> Digraph:
+def _random_graph(rng: random.Random, labels: Sequence[str]) -> Digraph:
+    """Each ordered pair of distinct labels an edge with chance 0.4, drawn in
+    the order of labels.  labels must be valid and distinct, as _fresh_labels
+    makes them, so the graph skips the checks of Digraph(...)."""
     edges = [(u, v) for u in labels for v in labels
-             if u != v and rng.random() < p]
-    return Digraph(labels, edges)
+             if u != v and rng.random() < 0.4]
+    return Digraph._subgraph(tuple(sorted(labels)), edges)
 
 
 def _axiom_instance(g: Digraph, rng: random.Random, vset: frozenset[str],
@@ -242,10 +233,9 @@ def _unit_laws(g: Digraph) -> list[str]:
     return problems
 
 
-def _suite_hopf_axioms(g: Digraph, args: argparse.Namespace) -> _Suite:
+def _suite_hopf_axioms(g: Digraph, args: argparse.Namespace) -> list[_Check]:
     # the unit laws and the label pools draw nothing at random, so they are
     # checked and built once; the other axioms in each seeded round
-    suite = _Suite()
     rng = random.Random(args.seed)
     samples = args.samples
     bad = _unit_laws(g)
@@ -255,25 +245,20 @@ def _suite_hopf_axioms(g: Digraph, args: argparse.Namespace) -> _Suite:
     for i in range(samples):
         for note in _axiom_instance(g, rng, vset, spare, renames):
             bad.append(f"round {i}: {note}")
-    suite.record(f"hopf-axioms ({samples} seeded rounds)", not bad,
-                 "; ".join(bad[:3]))
-    return suite
+    return [(f"hopf-axioms ({samples} seeded rounds)", not bad, "; ".join(bad[:3]))]
 
 
-def _suite_morphism(g: Digraph, args: argparse.Namespace) -> _Suite:
-    suite = _Suite()
+def _suite_morphism(g: Digraph, args: argparse.Namespace) -> list[_Check]:
     verts = g.vertices
     subs = [frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
             for mask in range(1 << len(verts))]
     failures = [f"S={sorted(sub)}"
                 for sub, check in zip(subs, check_low_morphism(g, subs)) if not check.passed]
-    suite.record(f"cut-function morphism ({len(subs)} splits)", not failures,
-                 "; ".join(failures[:3]))
-    return suite
+    return [(f"cut-function morphism ({len(subs)} splits)", not failures,
+             "; ".join(failures[:3]))]
 
 
-def _suite_theorem1(g: Digraph, args: argparse.Namespace) -> _Suite:
-    suite = _Suite()
+def _suite_theorem1(g: Digraph, args: argparse.Namespace) -> list[_Check]:
     report = check_cone_polytope_agreement(g, samples=args.samples, seed=args.seed)
     detail = ""
     if report.mismatches:
@@ -281,27 +266,25 @@ def _suite_theorem1(g: Digraph, args: argparse.Namespace) -> _Suite:
         detail = f"first mismatch {dict(sorted(vec.items()))}: base={in_base} cone={in_cone}"
     if report.audit_problems:
         detail += f" flow audits failed: {len(report.audit_problems)}"
-    suite.record(f"polytope/cone agreement ({report.samples} vectors)",
-                 report.passed, detail)
-    return suite
+    return [(f"polytope/cone agreement ({report.samples} vectors)", report.passed, detail)]
 
 
 _STRICT_POINTS = range(1, 6)
 
 
-def _suite_reciprocity(g: Digraph, args: argparse.Namespace) -> _Suite:
-    suite = _Suite()
+def _suite_reciprocity(g: Digraph, args: argparse.Namespace) -> list[_Check]:
     if g.is_acyclic():
-        for check in check_reciprocity(g, _STRICT_POINTS, max_vertices=args.max_vertices):
-            suite.record(f"strict/weak reciprocity at n={check.n}", check.equal is True,
-                         f"lhs={check.lhs} rhs={check.rhs}")
+        checks = [(f"strict/weak reciprocity at n={check.n}", check.equal is True,
+                   f"lhs={check.lhs} rhs={check.rhs}")
+                  for check in check_reciprocity(g, _STRICT_POINTS,
+                                                 max_vertices=args.max_vertices)]
     else:
-        suite.skip_note("strict/weak reciprocity",
-                        "hypothesis violated: graph has a directed cycle")
-    for check in check_edge_reciprocity(g, range(5), max_vertices=args.max_vertices):
-        suite.record(f"edge reciprocity at n={check.n}", check.equal is True,
-                     f"lhs={check.lhs} rhs={check.rhs}")
-    return suite
+        checks = [("strict/weak reciprocity", True,
+                   "skipped: hypothesis violated: graph has a directed cycle")]
+    checks += [(f"edge reciprocity at n={check.n}", check.equal is True,
+                f"lhs={check.lhs} rhs={check.rhs}")
+               for check in check_edge_reciprocity(g, range(5), max_vertices=args.max_vertices)]
+    return checks
 
 
 def _gate_hopf_axioms(g: Digraph, args: argparse.Namespace) -> None:
@@ -320,7 +303,7 @@ def _gate_morphism(g: Digraph, args: argparse.Namespace) -> None:
 # name -> (gate, suite); the gate raises before the suite would start
 # oversized work, and verify calls every selected gate before any suite
 _SUITES: dict[str, tuple[Callable[[Digraph, argparse.Namespace], None],
-                         Callable[[Digraph, argparse.Namespace], _Suite]]] = {
+                         Callable[[Digraph, argparse.Namespace], list[_Check]]]] = {
     "hopf-axioms": (_gate_hopf_axioms, _suite_hopf_axioms),
     "morphism": (_gate_morphism, _suite_morphism),
     "theorem1": (lambda g, args: check_agreement_work(g, args.samples), _suite_theorem1),
@@ -350,27 +333,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     selected = list(_SUITES.values()) if args.suite == "all" else [_SUITES[args.suite]]
     for gate, _ in selected:
         gate(g, args)
-    suite = _Suite()
-    for _, run in selected:
-        suite.checks.extend(run(g, args).checks)
+    checks = [check for _, run in selected for check in run(g, args)]
+    failed = sum(1 for _, ok, _ in checks if not ok)
     if args.format == "json":
         payload = {
             "suite": args.suite,
-            "passed": suite.failed == 0,
-            "checks": [{"name": n, "passed": ok, "detail": d}
-                       for n, ok, d in suite.checks],
+            "passed": failed == 0,
+            "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
         }
         print(json.dumps(payload))
     else:
-        for name, ok, detail in suite.checks:
+        for name, ok, detail in checks:
             mark = "PASS" if ok else "FAIL"
             line = f"{mark} {name}"
             if detail and (not ok or detail.startswith("skipped")):
                 line += f" ({detail})"
             print(line)
-        verdict = "all passed" if suite.failed == 0 else f"{suite.failed} failed"
-        print(f"verify {args.suite}: {len(suite.checks)} checks, {verdict}")
-    return 0 if suite.failed == 0 else 1
+        verdict = "all passed" if failed == 0 else f"{failed} failed"
+        print(f"verify {args.suite}: {len(checks)} checks, {verdict}")
+    return 0 if failed == 0 else 1
 
 
 def _cmd_cone_member(args: argparse.Namespace) -> int:

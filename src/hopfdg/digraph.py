@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ._engine import _down_sets
 from .errors import GraphParseError
 
 _FORBIDDEN = re.compile(r"[\s#]|->")
@@ -66,14 +67,15 @@ class Digraph:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", frozenset(eset))
 
-    def _subgraph(self, vertices: tuple[str, ...],
-                  edges: Iterable[tuple[str, str]]) -> "Digraph":
+    @staticmethod
+    def _subgraph(vertices: tuple[str, ...], edges: Iterable[tuple[str, str]]) -> "Digraph":
         """A graph built from parts of graphs that are already validated.
 
         vertices must be sorted, distinct, valid labels and edges simple
-        (tail, head) pairs between them, as when they are taken from self,
-        from a disjoint union or along a bijection.  Skips the checks of
-        __init__; input from outside goes through Digraph(...).
+        (tail, head) pairs between them, as when they are taken from a
+        graph, from a disjoint union, along a bijection or from fresh
+        labels.  Skips the checks of __init__; input from outside goes
+        through Digraph(...).
         """
         sub = object.__new__(Digraph)
         object.__setattr__(sub, "vertices", vertices)
@@ -183,31 +185,15 @@ class Digraph:
         return self._subgraph(self.vertices, kept)
 
     def is_acyclic(self) -> bool:
-        """True when the graph has no directed cycle (iterative DFS)."""
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-        state = {v: 0 for v in self.vertices}  # 0 fresh, 1 on stack, 2 done
-        for root in self.vertices:
-            if state[root]:
-                continue
-            stack = [(root, iter(adj[root]))]
-            state[root] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if state[nxt] == 1:
-                        return False
-                    if state[nxt] == 0:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(adj[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
-        return True
+        """True when the graph has no directed cycle.
+
+        The graph has no loops, so two vertices share a down-set (the
+        vertex and every vertex with a path to it) exactly when each
+        reaches the other: the graph is acyclic when its down-sets are
+        distinct.
+        """
+        nv, tails, heads = self.edge_arrays()
+        return len(set(_down_sets(nv, tails, heads))) == nv
 
 
 def disjoint_union(g1: Digraph, g2: Digraph) -> Digraph:

@@ -9,6 +9,11 @@ References are read from the syntax tree: a name loaded, or an attribute
 of that name, so text in docstrings and comments does not count.  A
 method that shares its name with one in use elsewhere (FormalSum.items
 and dict.items, say) passes unseen.
+
+Every name a module of src/hopfdg imports (outside __init__, and
+besides `from __future__` imports) is used in that module, unless
+UNUSED_IMPORTS gives the reason it stays, keyed module.name.  So an
+import a deletion leaves behind is caught.
 """
 
 import ast
@@ -37,6 +42,10 @@ ALLOWED = {
                     "takes",
     "ExtBool.is_submodular": "the paper's submodularity in the extended sense; ROADMAP "
                              "item 7 gives it a caller in verify morphism",
+}
+
+UNUSED_IMPORTS = {
+    "cli.antipode": "perfbench's tracer tests look antipode up on cli among its binding sites",
 }
 
 
@@ -87,3 +96,28 @@ def test_every_allowed_name_is_public_and_has_no_caller():
     # an entry goes once the name gains a caller or leaves the API
     used, public = _referenced_names(), _public_names()
     assert sorted(key for key in ALLOWED if key not in public or public[key] in used) == []
+
+
+def _unused_imports() -> list[str]:
+    """module.name for each imported name its module never loads."""
+    unused = []
+    for path in (ROOT / "src" / "hopfdg").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.stem}.{name}" for name in imported - loaded]
+    return sorted(unused)
+
+
+def test_every_import_is_used_or_has_a_reason():
+    assert [key for key in _unused_imports() if key not in UNUSED_IMPORTS] == []
+    # an entry goes once its import is used or gone
+    assert sorted(set(UNUSED_IMPORTS) - set(_unused_imports())) == []

@@ -340,6 +340,25 @@ def test_verify_reports_a_broken_unit_law_once(capsys, g3_file, monkeypatch):
     assert code == 1 and out.count("unit:") == 1 and "round " not in out
 
 
+def test_the_bystander_graph_is_a_valid_graph_on_the_spare_labels():
+    # the pool of a graph on x0..x8 is x9, x10, x11, out of sorted order; the
+    # bystander skips Digraph's checks, so it must equal the checked rebuild
+    # and draw its edges in the pool's order
+    import hopfdg.cli as cli
+    from hopfdg import Digraph
+    spare = cli._fresh_labels([f"x{i}" for i in range(9)], 3)
+    assert spare == ["x9", "x10", "x11"]
+    for seed in range(40):
+        rng, again = random.Random(seed), random.Random(seed)
+        labels = spare[:rng.randint(0, 3)]
+        aux = cli._random_graph(rng, labels)
+        again.randint(0, 3)
+        drawn = [(u, v) for u in labels for v in labels if u != v and again.random() < 0.4]
+        assert aux == Digraph(labels, drawn)
+        assert aux.vertices == tuple(sorted(labels))
+        assert rng.random() == again.random()
+
+
 def test_verify_hopf_axioms_refuses_a_huge_sample_count(capsys, g3_file):
     code, out, err = run(capsys, "verify", "hopf-axioms", g3_file,
                          "--samples", "1000000000")

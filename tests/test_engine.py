@@ -438,8 +438,17 @@ def test_terms_are_cancellation_free_on_seeded_digraphs():
         assert_terms_are_cancellation_free(g)
 
 
-def pushed_blocks(monkeypatch, fn, *args, stop_after: int | None = None) -> list[list[int]]:
-    """The blocks high ^ low of each push fn's folds make, one list per push
+class Push(list):
+    """The blocks high ^ low of one push call, with its state low and the
+    vertex mask full of the fold that made it."""
+
+    def __init__(self, blocks, low: int, full: int):
+        super().__init__(blocks)
+        self.low, self.full = low, full
+
+
+def pushed_blocks(monkeypatch, fn, *args, stop_after: int | None = None) -> list[Push]:
+    """The blocks high ^ low of each push fn's folds make, one Push per push
     call; with stop_after, the sum is cut off after that many push calls."""
     calls = []
     real_fold = _engine._fold
@@ -449,7 +458,7 @@ def pushed_blocks(monkeypatch, fn, *args, stop_after: int | None = None) -> list
 
     def fold(full, states, push, meter, select=None):
         def recorded(acc, source, low, highs):
-            calls.append([high ^ low for high in highs])
+            calls.append(Push([high ^ low for high in highs], low, full))
             push(acc, source, low, highs)
             if len(calls) == stop_after:
                 raise Cut
@@ -465,12 +474,23 @@ def pushed_blocks(monkeypatch, fn, *args, stop_after: int | None = None) -> list
 
 
 def assert_pushes_are_weakly_connected(monkeypatch, g: Digraph) -> None:
+    """Each state of takeuchi_terms' folds pushes into exactly the lower
+    halves above it, inside its fold, whose block is weakly connected."""
     nv, tails, heads = g.edge_arrays()
-    for blocks in pushed_blocks(monkeypatch, kernels.takeuchi_terms, nv, tails, heads):
-        for block in blocks:
-            inside = [e for e in range(len(tails)) if block >> tails[e] & block >> heads[e] & 1]
-            owner = weak_blocks(nv, tails, heads, inside)
-            assert len({owner[v] for v in range(nv) if block >> v & 1}) == 1, (g, block)
+
+    def connected(block: int) -> bool:
+        inside = [e for e in range(len(tails)) if block >> tails[e] & block >> heads[e] & 1]
+        owner = weak_blocks(nv, tails, heads, inside)
+        return len({owner[v] for v in range(nv) if block >> v & 1}) == 1
+
+    halves = oracle_lower_halves(nv, tails, heads)
+    for push in pushed_blocks(monkeypatch, kernels.takeuchi_terms, nv, tails, heads):
+        for block in push:
+            assert connected(block), (g, block)
+        low, full = push.low, push.full
+        above = [high ^ low for high in halves
+                 if high != low and not low & ~high and not high & ~full]
+        assert sorted(push) == sorted(block for block in above if connected(block)), (g, low)
 
 
 def test_the_antipode_pushes_only_along_weakly_connected_blocks(monkeypatch):
