@@ -542,10 +542,7 @@ def surjection_stats(nv: int, tails: list[int],
             asc = (out_low & into[block]).bit_count()
             delta = 1 + ((asc + (out[block] & into_low).bit_count()) << shift)
             up = asc * slot
-            target = acc.get(high)
-            if target is None:
-                acc[high] = {key + delta: val << up for key, val in source.items()}
-                continue
+            target = acc.setdefault(high, {})
             get = target.get
             for key, val in source.items():
                 key += delta

@@ -582,14 +582,15 @@ def generic_direction_count(g: Digraph, n: int) -> int:
     """Directions y into {1..n} whose maximum over the edge cone is the apex alone.
 
     These are exactly the maps strictly decreasing along every edge, so
-    the count matches the strict invariant through y -> n+1-y.
+    the count matches the strict invariant through y -> n+1-y; the walk
+    counts maps into a chain of n values rising along the reversed edges.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     nv, tails, heads = g.edge_arrays()
     limits.check_work(f"scan of the directions into {{1..{n}}}", n ** nv)
     # decreasing along (u, v) means increasing along (v, u)
-    return kernels.count_strict_colorings(nv, heads, tails, n)
+    return kernels.count_monotone_maps(nv, heads, tails, n, True)
 
 
 def vertex_sum_count(g: Digraph, n: int) -> int:
@@ -598,7 +599,8 @@ def vertex_sum_count(g: Digraph, n: int) -> int:
     The cone of an acyclic graph is pointed, so each direction contributes
     1 when it is weakly decreasing along every edge (the apex is maximal)
     and 0 otherwise (the maximum is unattained).  Cyclic graphs have no
-    vertex at all and are rejected.
+    vertex at all and are rejected.  The walk counts maps into a chain of
+    n values weakly rising along the reversed edges.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -606,7 +608,7 @@ def vertex_sum_count(g: Digraph, n: int) -> int:
         raise ValueError("the edge cone of a cyclic graph has no vertex")
     nv, tails, heads = g.edge_arrays()
     limits.check_work(f"scan of the directions into {{1..{n}}}", n ** nv)
-    return kernels.count_weak_colorings(nv, heads, tails, n)
+    return kernels.count_monotone_maps(nv, heads, tails, n, False)
 
 
 def ascent_polytope_points(g: Digraph, n: int, *, interior: bool) -> int:
@@ -614,7 +616,10 @@ def ascent_polytope_points(g: Digraph, n: int, *, interior: bool) -> int:
 
     interior=True counts interior points of the (n+1)-fold dilation,
     interior=False counts all points of the (n-1)-fold dilation; n = 0
-    closed is 0 by the empty-dilation convention.
+    closed is 0 by the empty-dilation convention.  A point of the d-fold
+    dilation is a map into a chain of d + 1 values weakly rising along
+    the edges, and an interior one a map into d - 1 values rising
+    strictly, so either variant walks a chain of n values.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -622,4 +627,7 @@ def ascent_polytope_points(g: Digraph, n: int, *, interior: bool) -> int:
     nv, tails, heads = g.edge_arrays()
     limits.check_work(f"scan of the {dilation}-fold dilation's lattice points",
                       max(dilation + 1, 0) ** nv)
-    return kernels.count_dilation_points(nv, tails, heads, dilation, interior)
+    if dilation < 0:
+        return 0
+    values = dilation - 1 if interior else dilation + 1
+    return kernels.count_monotone_maps(nv, tails, heads, values, interior)

@@ -99,14 +99,14 @@ def brute_strict(g: Digraph, n: int) -> int:
     """Directly counts maps into {1..n} strictly increasing along edges."""
     _work_gate(g, n)
     nv, tails, heads = g.edge_arrays()
-    return kernels.count_strict_colorings(nv, tails, heads, n)
+    return kernels.count_monotone_maps(nv, tails, heads, n, True)
 
 
 def brute_weak(g: Digraph, n: int) -> int:
     """Directly counts maps into {1..n} weakly increasing along edges."""
     _work_gate(g, n)
     nv, tails, heads = g.edge_arrays()
-    return kernels.count_weak_colorings(nv, tails, heads, n)
+    return kernels.count_monotone_maps(nv, tails, heads, n, False)
 
 
 @dataclass(frozen=True)

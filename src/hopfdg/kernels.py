@@ -5,10 +5,18 @@ heads[e] between vertex indices 0..nv-1, and subsets travel as bitmasks
 over those indices.  The composition sums come from the one dynamic
 program in _engine, and the lower halves from its walk over unions of
 down-sets; takeuchi_terms gives the antipode's terms cancellation-free,
-folding only along weakly connected blocks.  The counts of colorings and
-of lattice points walk the coordinates directly; they are the
-brute-force route the polynomial invariants are checked against, so they
-share no code with the engine.
+folding only along weakly connected blocks.
+
+count_monotone_maps is the one brute-force walk: it tries every value at
+every vertex, in index order, and shares no code with the engine.  The
+strict and weak coloring counts read it, and so do the cone's direction
+counts (on the reversed edges) and the dilated edge-order polytope's
+lattice points, which are monotone maps into a chain of d + 1 values
+(closed) or d - 1 (interior, strictly).  The lattice points and the
+colorings thus come from one walk, so criterion 7 also compares the
+lattice points with an itertools enumeration of the dilated cube
+(oracle_dilation_points in tests/conftest.py), a route sharing no code
+with this one.
 """
 
 from __future__ import annotations
@@ -34,21 +42,16 @@ def lower_half_masks(nv: int, tails: list[int], heads: list[int]) -> list[int]:
     return _engine._lattice(nv, tails, heads, "lower-half search")
 
 
-def count_strict_colorings(nv: int, tails: list[int], heads: list[int], n: int) -> int:
-    """Maps f from vertices to {1..n} with f strictly increasing along edges."""
-    return _count_colorings(nv, tails, heads, n, True)
+def count_monotone_maps(nv: int, tails: list[int], heads: list[int],
+                        values: int, strict: bool) -> int:
+    """Maps from the vertices into a chain of `values` integers, rising along edges.
 
-
-def count_weak_colorings(nv: int, tails: list[int], heads: list[int], n: int) -> int:
-    """Maps f from vertices to {1..n} with f weakly increasing along edges."""
-    return _count_colorings(nv, tails, heads, n, False)
-
-
-def _count_colorings(nv: int, tails: list[int], heads: list[int],
-                     n: int, strict: bool) -> int:
+    They rise strictly along every edge when `strict` holds, else weakly.
+    The empty map counts once, whatever `values` is.
+    """
     if nv == 0:
-        return 1  # the empty map
-    if n <= 0:
+        return 1
+    if values <= 0:
         return 0
     back: list[list[tuple[int, bool]]] = [[] for _ in range(nv)]
     for e in range(len(tails)):
@@ -64,7 +67,7 @@ def _count_colorings(nv: int, tails: list[int], heads: list[int],
         if i == nv:
             return 1
         total = 0
-        for c in range(n):
+        for c in range(values):
             ok = True
             for j, forward in back[i]:
                 cj = color[j]
@@ -77,55 +80,6 @@ def _count_colorings(nv: int, tails: list[int], heads: list[int],
                     break
             if ok:
                 color[i] = c
-                total += walk(i + 1)
-        return total
-
-    return walk(0)
-
-
-def count_dilation_points(nv: int, tails: list[int], heads: list[int],
-                          dilation: int, interior: bool) -> int:
-    """Lattice points of the dilated edge-order polytope.
-
-    Closed: coordinates in [0, dilation] with x(tail) <= x(head) per edge.
-    Interior: coordinates in (0, dilation) with strict edge inequalities.
-    Negative dilation counts zero points even for the empty vertex set.
-    The walk is kept apart from the coloring walk on purpose: the tests
-    compare the two.
-    """
-    if dilation < 0:
-        return 0
-    lo, hi = (1, dilation - 1) if interior else (0, dilation)
-    if nv and lo > hi:
-        return 0
-    back: list[list[tuple[int, bool]]] = [[] for _ in range(nv)]
-    for e in range(len(tails)):
-        t, h = tails[e], heads[e]
-        if t < h:
-            back[h].append((t, True))
-        else:
-            back[t].append((h, False))
-
-    coord = [0] * nv
-    strict = interior
-
-    def walk(i: int) -> int:
-        if i == nv:
-            return 1
-        total = 0
-        for x in range(lo, hi + 1):
-            ok = True
-            for j, forward in back[i]:
-                xj = coord[j]
-                if forward:
-                    good = xj < x if strict else xj <= x
-                else:
-                    good = x < xj if strict else x <= xj
-                if not good:
-                    ok = False
-                    break
-            if ok:
-                coord[i] = x
                 total += walk(i + 1)
         return total
 

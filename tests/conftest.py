@@ -276,6 +276,26 @@ def oracle_count_colorings(g: Digraph, n: int, strict: bool) -> int:
     return total
 
 
+def oracle_dilation_points(g: Digraph, dilation: int, interior: bool) -> int:
+    """Lattice points of the dilation-fold edge-order polytope, by enumeration.
+
+    The points of [0, d]^V with x(tail) <= x(head) on every edge, or for
+    the interior those of [1, d - 1]^V with strict inequalities.  A
+    negative dilation is empty, even of the empty vertex set.
+    """
+    if dilation < 0:
+        return 0
+    verts = g.vertices
+    idx = {v: i for i, v in enumerate(verts)}
+    coords = range(1, dilation) if interior else range(dilation + 1)
+    total = 0
+    for x in itertools.product(coords, repeat=len(verts)):
+        if all(x[idx[u]] < x[idx[v]] if interior else x[idx[u]] <= x[idx[v]]
+               for u, v in g.edges):
+            total += 1
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Earlier algorithms for the composition sums, kept as oracles for the DP
 # engine in hopfdg._engine.  Graphs are in kernel form (nv, tails, heads).

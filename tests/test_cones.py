@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (LABELS, all_digraphs, dense_values, oracle_base_member,
-                      oracle_max_flow, oracle_sample_vectors, random_digraph,
-                      sample_vectors)
+                      oracle_dilation_points, oracle_max_flow, oracle_sample_vectors,
+                      random_digraph, sample_vectors)
 from hopfdg import cones
 from hopfdg import (Arc, Digraph, FlowNetwork, SINK, SOURCE,
                     UnboundedFlowError, WorkLimitError,
@@ -236,6 +236,10 @@ def test_ascent_polytope_point_counts(g3):
     # closed (n-1)-fold dilation weak ones
     for n in range(6):
         assert ascent_polytope_points(g3, n, interior=True) == brute_strict(g3, n)
+        assert (ascent_polytope_points(g3, n, interior=True)
+                == oracle_dilation_points(g3, n + 1, True))
+        assert (ascent_polytope_points(g3, n, interior=False)
+                == oracle_dilation_points(g3, n - 1, False))
     for n in range(1, 6):
         assert ascent_polytope_points(g3, n, interior=False) == brute_weak(g3, n)
     assert ascent_polytope_points(g3, 0, interior=False) == 0
@@ -248,6 +252,10 @@ def test_ascent_polytope_exhaustive_small():
         for n in range(1, 5):
             assert ascent_polytope_points(g, n, interior=True) == brute_strict(g, n)
             assert ascent_polytope_points(g, n, interior=False) == brute_weak(g, n)
+            assert (ascent_polytope_points(g, n, interior=True)
+                    == oracle_dilation_points(g, n + 1, True))
+            assert (ascent_polytope_points(g, n, interior=False)
+                    == oracle_dilation_points(g, n - 1, False))
 
 
 def test_count_gates():

@@ -53,6 +53,20 @@ def test_brute_counts_match_oracle():
             assert brute_weak(g, n) == oracle_count_colorings(g, n, False)
 
 
+def test_monotone_map_walk_matches_oracle():
+    # every digraph on at most 4 vertices at 0..4 values, seeded ones on 5 to 7 at 0..3
+    cases = [(g, 5) for labels in ("", "a", "ab", "abc", "abcd") for g in all_digraphs(labels)]
+    rng = random.Random(29)
+    cases += [(random_digraph(rng, "abcdefg"[:5 + i % 3], p=rng.choice([0.1, 0.25, 0.4, 0.7])), 4)
+              for i in range(30)]
+    for g, bound in cases:
+        nv, tails, heads = g.edge_arrays()
+        for values in range(bound):
+            for strict in (True, False):
+                assert (kernels.count_monotone_maps(nv, tails, heads, values, strict)
+                        == oracle_count_colorings(g, values, strict)), (g, values, strict)
+
+
 def test_b_polynomial_specializes_to_both_chromatics():
     # descents to zero and ascents to one counts weak colorings; keeping
     # only the all-ascent monomial counts strict ones
