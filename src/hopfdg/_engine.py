@@ -23,12 +23,21 @@ hopfdg.kernels.lower_half_masks exposes the metered walk, _lattice.  The
 sums over blocks read two edge masks per state (_edge_masks), never a
 table over all subsets.
 
-The fold visits the states in order of size.  A state's accumulator is
-complete once every state below it has been visited; it is then pushed
-into every state nested above it that the sum's select keeps (all of
-them, without one), in one call to the sum's push, and dropped, since
-no later state reads it.  Only the accumulators of states not yet
-visited are alive.
+The lattice sums fold by pushing (_fold).  The fold visits the states
+in order of size.  A state's accumulator is complete once every state
+below it has been visited; it is then pushed into every state nested
+above it that the sum's select keeps (all of them, without one), in one
+call to the sum's push, and dropped, since no later state reads it.
+Only the accumulators of states not yet visited are alive, which keeps
+the antipode's fold to the terms of the lower halves still ahead.
+
+surjection_stats folds all subsets by pulling instead.  It visits a
+component's subsets in increasing order, so each comes after its own
+subsets.  A nonempty subset S starts from the empty set's term, one
+block and no crossing edge, and adds the finished histogram of each
+other proper subset T, extended by the block S - T, in one loop that
+looks up no target: a push there would find or make a target per pair.
+Every histogram is kept to the end, since the full set reads them all.
 
 takeuchi_terms folds the antipode without cancellation.  Its terms are
 the partitions of the vertices into weakly connected induced blocks
@@ -59,21 +68,26 @@ over the whole lattice, since its block_value need not be multiplicative.
 
 One meter gates every sum (_Meter): it reads the work budget once, the
 work is counted while it is done, and hopfdg.limits refuses the sum once
-the count passes the budget, so a refusal comes after at most one budget
-of work and before any output.  Each walk is charged its probes and
-stops one half past what the budget leaves it.  The fold charges each
-state, before it pushes, the states its row scans plus one per push
-made, after select, and one per entry each push walks, one entry per
-key (for surjection_stats, per (k, asc + desc)).  So takeuchi_terms is
-charged its connected blocks alone: each entry it walks is a term of
-some lower half's antipode.  Each merge of two histograms is charged
-its pairs of entries, and the product of the components' antipodes its
-partial products' terms, before the work is done; so the meter caps
-the antipode's terms too.  Up front only what a lower bound proves is
-refused: in surjection_stats each state S of a component carries at
-least max(|S|, 1) entries, one per block count, and a histogram over N
-vertices at least N, so the folds' and merges' charges with that floor
-bound the sum's work from below.
+the count passes the budget, so a refusal comes before any output.
+Each walk is charged its probes and stops one half past what the
+budget leaves it.  The fold charges each state, before it pushes, the
+states its row scans plus one per push made, after select, and one per
+entry each push walks, one entry per key.  So takeuchi_terms is charged
+its connected blocks alone: each entry it walks is a term of some lower
+half's antipode.  surjection_stats charges each subset S, once its
+pulls are done and before it is stored, its 2^|S| subsets scanned, plus
+one per pair and one per entry read, one entry per (k, asc + desc).
+Those are the totals a push from each subset into the subsets above it
+would be charged, the scans summing to 3^n - 1 either way; so its
+refusal comes after at most one budget plus one subset's pulls, where
+every other refusal comes after at most one budget of work.  Each merge
+of two histograms is charged its pairs of entries, and the product of
+the components' antipodes its partial products' terms, before the work
+is done; so the meter caps the antipode's terms too.  Up front only
+what a lower bound proves is refused: in surjection_stats each subset S
+of a component carries at least max(|S|, 1) entries, one per block
+count, and a histogram over N vertices at least N, so the pulls' and
+merges' charges with that floor bound the sum's work from below.
 """
 
 from __future__ import annotations
@@ -241,9 +255,11 @@ def _fold(full: int, states: Iterable[int],
           select: Callable[[int, list[int]], list[int]] | None = None) -> dict:
     """Accumulator of full, from the unit {0: 1} at the empty set.
 
-    states lists every state, subsets of full, the empty set and full
-    included; the fold visits them by size.  select(low, highs), when
-    given, keeps the states above low that low pushes into, in order.
+    The lattice sums' fold; the walk over all subsets pulls instead
+    (surjection_stats).  states lists every state, subsets of full, the
+    empty set and full included; the fold visits them by size.
+    select(low, highs), when given, keeps the states above low that low
+    pushes into, in order.
     push(acc, source, low, highs) adds source, the accumulator of state
     low, to the accumulator acc[high] of every state high in highs, each
     extended by the block high ^ low; a state not yet in acc starts
@@ -253,9 +269,7 @@ def _fold(full: int, states: Iterable[int],
     """
     states = sorted(states, key=int.bit_count)
     count = len(states)
-    # when every subset of full is a state, each row is the subsets of
-    # the complement, with nothing to probe
-    member = None if count == 1 << full.bit_count() else set(states)
+    member = set(states)
     acc: dict[int, dict] = {0: {0: 1}}
     budget, work = meter.budget, meter.count
     for i in range(count - 1):   # full, last, pushes nothing
@@ -263,13 +277,7 @@ def _fold(full: int, states: Iterable[int],
         source = acc.pop(low)
         rest = full ^ low
         scan = 1 << rest.bit_count()
-        if member is None:
-            highs = []
-            block = rest
-            while block:
-                highs.append(low | block)
-                block = (block - 1) & rest
-        elif scan <= count - i:
+        if scan <= count - i:
             # fewer subsets of the complement than states still to visit
             highs = []
             block = rest
@@ -477,11 +485,12 @@ def character_sum(nv: int, tails: list[int], heads: list[int],
 
 
 def _surjection_floor(n: int) -> int:
-    """A lower bound of the fold's charge over all subsets of n vertices.
+    """A lower bound of the pull's charge over all subsets of n vertices.
 
-    Each state S scans the 2^(n - |S|) subsets of its complement, pushes
-    into all but the empty one and carries an entry for every block count
-    1..|S|.
+    Summed by the subset read: each subset S but the full one is read by
+    the 2^(n - |S|) - 1 subsets above it, one pair and at least one entry
+    per block count 1..|S| each time (the empty set's one entry), and the
+    scans, 2^|T| per nonempty T, sum to the 2^(n - |S|) per such S.
     """
     floor = 0
     for size in range(n):
@@ -510,12 +519,14 @@ def surjection_stats(nv: int, tails: list[int],
     classes, in increasing order, are the blocks of an ordered composition
     into arbitrary subsets.
 
-    The fold keys its entries by (k, asc + desc), the block count and the
-    crossing edges, and packs the counts of every asc under one key into
-    one int, slot asc of `slot` bits each; a push shifts the int left by
-    the block's rising edges, moving every asc at once.  The components'
-    histograms merge with the same slots: a product of packed ints adds
-    the parts' ascents.
+    Each component pulls: its subsets, in increasing order, each add up
+    the finished histograms of their own subsets, extended by the block
+    between.  The entries are keyed by (k, asc + desc), the block count
+    and the crossing edges, and pack the counts of every asc under one
+    key into one int, slot asc of `slot` bits each; a pull shifts the int
+    left by the block's rising edges, moving every asc at once.  The
+    components' histograms merge with the same slots: a product of packed
+    ints adds the parts' ascents.
     """
     meter = _Meter(nv)
     comps = _components(nv, set(_down_sets(nv, tails, heads)))
@@ -534,23 +545,33 @@ def surjection_stats(nv: int, tails: list[int],
     shift = nv.bit_length()             # keys pack k + (crossing << shift)
     slot = (nv ** nv).bit_length()      # no count reaches n^n
 
-    def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
-        out_low, into_low = out[low], into[low]
-        for high in highs:
-            # edges from the earlier values into the block rise; those back out of it fall
-            block = high ^ low
-            asc = (out_low & into[block]).bit_count()
-            delta = 1 + ((asc + (out[block] & into_low).bit_count()) << shift)
-            up = asc * slot
-            target = acc.setdefault(high, {})
-            get = target.get
-            for key, val in source.items():
-                key += delta
-                target[key] = get(key, 0) + (val << up)
+    def pull(subsets: Iterable[int]) -> dict[int, int]:
+        """The histogram of the last subset, each subset pulling from its own."""
+        hist: dict[int, tuple[int, int, dict[int, int]]] = {}
+        for high in islice(subsets, 1, None):   # increasing, so each subset's own come first
+            out_high, into_high = out[high], into[high]
+            acc = {1: 1}   # the empty set's term: one block, no crossing edge
+            get = acc.get
+            read = 1
+            low = (high - 1) & high
+            while low:
+                # edges from the earlier values into the block rise; those back out of it fall
+                out_low, into_low, source = hist[low]
+                asc = (out_low & (into_high ^ into_low)).bit_count()
+                delta = 1 + ((asc + ((out_high ^ out_low) & into_low).bit_count()) << shift)
+                up = asc * slot
+                read += len(source)
+                for key, val in source.items():
+                    key += delta
+                    acc[key] = get(key, 0) + (val << up)
+                low = (low - 1) & high
+            # the subsets scanned, one per pair and one per entry read
+            meter.charge((2 << high.bit_count()) - 1 + read)
+            hist[high] = out_high, into_high, acc
+        return acc
 
     mask, ones = (1 << shift) - 1, (1 << slot) - 1
-    packed = _merged([_fold(comp, subsets, push, meter) for comp, subsets in zip(comps, states)],
-                     mask, meter)
+    packed = _merged([pull(subsets) for subsets in states], mask, meter)
     stats = {}
     for key, val in packed.items():
         k, crossing = key & mask, key >> shift

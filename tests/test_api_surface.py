@@ -14,6 +14,11 @@ Every name a module of src/hopfdg imports (outside __init__, and
 besides `from __future__` imports) is used in that module, unless
 UNUSED_IMPORTS gives the reason it stays, keyed module.name.  So an
 import a deletion leaves behind is caught.
+
+Every single-underscore function and method of src/hopfdg is referred to
+from src/hopfdg or perfbench/, read the same way, with no exceptions: a
+helper, callback or branch routine that a refactor leaves without a
+caller is caught.
 """
 
 import ast
@@ -62,8 +67,8 @@ def _referenced_names() -> set[str]:
     return names
 
 
-def _public_routines() -> dict[str, str]:
-    """Public module-level functions and public methods of src/hopfdg's classes.
+def _routines(keep) -> dict[str, str]:
+    """Module-level functions and methods of src/hopfdg's classes whose name passes keep.
 
     Keyed as ALLOWED lists them (name, or Class.method), each with the
     name a caller refers to it by.
@@ -73,13 +78,22 @@ def _public_routines() -> dict[str, str]:
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef) and keep(node.name):
                 routines[node.name] = node.name
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    if isinstance(item, ast.FunctionDef) and keep(item.name):
                         routines[f"{node.name}.{item.name}"] = item.name
     return routines
+
+
+def _public_routines() -> dict[str, str]:
+    return _routines(lambda name: not name.startswith("_"))
+
+
+def _private_routines() -> dict[str, str]:
+    """The single-underscore ones; dunder methods are called by Python itself."""
+    return _routines(lambda name: name.startswith("_") and not name.startswith("__"))
 
 
 def _public_names() -> dict[str, str]:
@@ -96,6 +110,12 @@ def test_every_allowed_name_is_public_and_has_no_caller():
     # an entry goes once the name gains a caller or leaves the API
     used, public = _referenced_names(), _public_names()
     assert sorted(key for key in ALLOWED if key not in public or public[key] in used) == []
+
+
+def test_every_private_routine_has_a_caller():
+    used, private = _referenced_names(), _private_routines()
+    assert len(private) > 50   # the scan reads the modules
+    assert sorted(key for key, name in private.items() if name not in used) == []
 
 
 def _unused_imports() -> list[str]:

@@ -602,10 +602,58 @@ def test_the_floor_is_the_charge_on_edgeless_graphs(monkeypatch, nv):
     monkeypatch.setenv("HOPFDG_MAX_WORK", str(work))
     assert len(kernels.surjection_stats(nv, [], [])) == nv
     monkeypatch.setenv("HOPFDG_MAX_WORK", str(work - 1))
-    monkeypatch.setattr(_engine, "_fold", None)
+
+    def no_masks(*args):
+        raise AssertionError("the edge masks were built before the refusal")
+
+    monkeypatch.setattr(_engine, "_edge_masks", no_masks)
     with pytest.raises(WorkLimitError) as exc:
         kernels.surjection_stats(nv, [], [])
     assert f"needs at least {work} steps" in str(exc.value)
+
+
+@pytest.mark.parametrize("graphs, charges", (
+    ([complete_arrays(nv) for nv in range(1, 7)], [4, 18, 67, 236, 814, 2779]),
+    ([transitive_arrays(nv) for nv in range(1, 9)],
+     [4, 18, 67, 236, 814, 2779, 9433, 31910]),
+    ([g.edge_arrays() for g in seeded_disjoint_unions()],
+     [9, 15, 22, 30, 39, 49, 40, 51, 72, 88, 9, 76, 892, 143, 9, 24, 9, 9, 93, 9, 24, 3113,
+      24, 24, 75, 24, 270, 75, 74, 910, 889, 24, 9, 9, 254, 278, 335, 252, 881, 74]),
+))
+def test_the_surjection_charge_is_pinned(monkeypatch, graphs, charges):
+    # the charges of the push from each subset into the subsets above it;
+    # pulling from the subsets below scans, pairs and reads the same totals
+    assert [charged_work(monkeypatch, kernels.surjection_stats, *args)
+            for args in graphs] == charges
+
+
+def test_surjections_past_the_floor_are_refused_within_one_subset(capsys, monkeypatch,
+                                                                  tmp_path):
+    # the complete digraph on 9 vertices passes its floor, 96,109 steps,
+    # and charges 107,725; a subset S is charged once its pulls are done:
+    # its 2^|S| subsets scanned, one per pair and one per entry read, each
+    # subset T of the same size carrying as many entries
+    nv = 9
+    entries = [1] + [len({(k, asc + desc) for k, asc, desc in
+                          kernels.surjection_stats(*complete_arrays(t))}) for t in range(1, nv)]
+    charge = [(2 << s) - 1 + sum(math.comb(s, t) * entries[t] for t in range(s))
+              for s in range(nv + 1)]
+    floor, total = _engine._surjection_floor(nv), charged_work(
+        monkeypatch, kernels.surjection_stats, *complete_arrays(nv))
+    assert total == sum(math.comb(nv, s) * charge[s] for s in range(1, nv + 1))
+    text = graph_text(*complete_arrays(nv))
+    for budget in (floor, (floor + total) // 2, total - 1):
+        monkeypatch.setenv("HOPFDG_MAX_WORK", str(budget))
+        with pytest.raises(WorkLimitError) as exc:
+            kernels.surjection_stats(*complete_arrays(nv))
+        prefix = f"composition sum over {nv} vertices needs at least "
+        message = str(exc.value)
+        assert message.startswith(prefix)
+        count = int(message[len(prefix):].split()[0])
+        assert 0 < count - budget < charge[nv]
+        err = run_refused(capsys, monkeypatch, tmp_path, ["invariant", "bpoly"], text,
+                          str(budget))
+        assert err == f"resource limit: {message}\n"
 
 
 def test_seventeen_vertex_cycle_has_two_lower_halves_and_an_answer():
