@@ -60,17 +60,23 @@ a lower half of each part, and the edges of a block are those of its two
 parts, so chain_stats, surjection_stats and takeuchi_terms fold each
 weakly connected component on its own, in the graph's own vertex and
 edge numbering, and combine the results (_merge, _product).  A connected
-graph is one component and takes one fold.  chain_stats folds no
-isolated vertex: j of them are one block of known histogram, k! S(j, k)
+graph is one component and takes one fold.  chain_stats and
+takeuchi_terms set the isolated vertices of a graph with two or more
+components aside as one pool (_lattices), walked and folded by neither.
+For chain_stats j of them are one block of known histogram, k! S(j, k)
 compositions into k blocks keeping no edge (_surjection_counts), charged
-one step per entry and merged once.  character_sum keeps one fold
-over the whole lattice, since its block_value need not be multiplicative.
+one step per entry and merged once.  For takeuchi_terms they are the one
+term (-1)^j, each vertex a weakly connected block of its own, charged
+one step for its one entry and multiplied in.  character_sum keeps one
+fold over the whole lattice, since its block_value need not be
+multiplicative.
 
 One meter gates every sum (_Meter): it reads the work budget once, the
 work is counted while it is done, and hopfdg.limits refuses the sum once
 the count passes the budget, so a refusal comes before any output.
-Each walk is charged its probes and stops one half past what the
-budget leaves it.  The fold charges each state, before it pushes, the
+Every charge goes through _Meter.charge but the walk's: each walk reads
+the room the budget leaves it, is charged its probes and stops one half
+past that room.  The fold charges each state, before it pushes, the
 states its row scans plus one per push made, after select, and one per
 entry each push walks, one entry per key.  So takeuchi_terms is charged
 its connected blocks alone: each entry it walks is a term of some lower
@@ -204,23 +210,24 @@ def _lattice(nv: int, tails: list[int], heads: list[int], what: str,
     return _walk(meter or _Meter(nv), set(_down_sets(nv, tails, heads)), what)
 
 
-def _lattices(nv: int, tails: list[int], heads: list[int], meter: _Meter,
-              pool: bool = False) -> tuple[list[tuple[int, list[int]]], int,
-                                           dict[int, int], dict[int, int]]:
+def _lattices(nv: int, tails: list[int], heads: list[int], meter: _Meter
+              ) -> tuple[list[tuple[int, list[int]]], int, dict[int, int], dict[int, int]]:
     """(component, its lower halves) per weakly connected component, a pool,
     and the edge masks.
 
     A connected graph, or one with no vertices, is one component, the
-    full set.  With pool, the isolated vertices of a graph with two or
-    more components are not walked: they come back as one vertex mask,
-    the pool, and are left out of the components.  Otherwise the pool is 0.
+    full set, and its pool is 0.  The isolated vertices of a graph with
+    two or more components are not walked: they come back as one vertex
+    mask, the pool, and are left out of the components.  Each caller
+    takes the pool's closed form: k! S(j, k) compositions into k blocks
+    for chain_stats, the one term (-1)^j for takeuchi_terms.
     """
     downs = set(_down_sets(nv, tails, heads))
     comps = _components(nv, downs)
     if len(comps) < 2:
         halves = _walk(meter, downs, "composition sum")
         return [((1 << nv) - 1, halves)], 0, *_edge_masks(nv, tails, heads, halves)
-    lone = sum(comp for comp in comps if comp & (comp - 1) == 0) if pool else 0
+    lone = sum(comp for comp in comps if comp & (comp - 1) == 0)
     parts = [(comp, _walk(meter, {down for down in downs if down & comp}, "composition sum"))
              for comp in comps if not comp & lone]
     return (parts, lone,
@@ -263,15 +270,14 @@ def _fold(full: int, states: Iterable[int],
     push(acc, source, low, highs) adds source, the accumulator of state
     low, to the accumulator acc[high] of every state high in highs, each
     extended by the block high ^ low; a state not yet in acc starts
-    empty.  Before a state pushes, meter is charged the states its row
-    scans, plus one per push kept and one per entry of source per push
-    kept, and refuses the sum once its count passes the budget.
+    empty.  Before a state pushes, meter.charge is given the states its
+    row scans, plus one per push kept and one per entry of source per push
+    kept, and refuses the sum once the count passes the budget.
     """
     states = sorted(states, key=int.bit_count)
     count = len(states)
     member = set(states)
     acc: dict[int, dict] = {0: {0: 1}}
-    budget, work = meter.budget, meter.count
     for i in range(count - 1):   # full, last, pushes nothing
         low = states[i]
         source = acc.pop(low)
@@ -290,12 +296,8 @@ def _fold(full: int, states: Iterable[int],
             highs = [high for high in states[i + 1:] if not low & ~high]
         if select is not None:
             highs = select(low, highs)
-        work += scan + len(highs) * (1 + len(source))
-        if work > budget:
-            meter.count = work
-            meter.refuse(work)
+        meter.charge(scan + len(highs) * (1 + len(source)))
         push(acc, source, low, highs)
-    meter.count = work
     return acc.pop(full)
 
 
@@ -401,7 +403,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     edges inside single blocks.  The empty graph gives {(0, 0): 1}.
     """
     meter = _Meter(nv)
-    parts, lone, out, into = _lattices(nv, tails, heads, meter, pool=True)
+    parts, lone, out, into = _lattices(nv, tails, heads, meter)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
     def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
@@ -437,7 +439,7 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     decided by one search over the neighbour masks, built once per call.
     """
     meter = _Meter(nv)
-    parts, _, out, into = _lattices(nv, tails, heads, meter)
+    parts, lone, out, into = _lattices(nv, tails, heads, meter)
     near = _neighbours(nv, tails, heads)
 
     def select(low: int, highs: list[int]) -> list[int]:
@@ -455,7 +457,12 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
             for mask, sign in source.items():
                 target[mask | kept] = -sign
 
-    return _product([_fold(comp, halves, push, meter, select) for comp, halves in parts], meter)
+    factors = [_fold(comp, halves, push, meter, select) for comp, halves in parts]
+    if lone:
+        # j isolated vertices, each its own block: the one term (-1)^j
+        meter.charge(1)
+        factors.append({0: (-1) ** lone.bit_count()})
+    return _product(factors, meter)
 
 
 def character_sum(nv: int, tails: list[int], heads: list[int],
@@ -539,9 +546,8 @@ def surjection_stats(nv: int, tails: list[int],
         meter.refuse(floor)
     if nv == 0:
         return {}
-    states = [range(1 << nv)] if len(comps) == 1 else [_subsets(comp) for comp in comps]
-    out, into = _edge_masks(nv, tails, heads,
-                            states[0] if len(states) == 1 else chain.from_iterable(states))
+    states = [_subsets(comp) for comp in comps]
+    out, into = _edge_masks(nv, tails, heads, chain.from_iterable(states))
     shift = nv.bit_length()             # keys pack k + (crossing << shift)
     slot = (nv ** nv).bit_length()      # no count reaches n^n
 

@@ -33,11 +33,11 @@ def canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
-def _check_label(lab: object) -> str:
-    if not isinstance(lab, str) or not lab or _FORBIDDEN.search(lab):
+def _check_label(lab: str) -> None:
+    """Refuse whitespace, '#' and '->' in lab; canonical_labels has refused the rest."""
+    if _FORBIDDEN.search(lab):
         raise ValueError(
             f"vertex labels must be non-empty strings without whitespace, '#' or '->', got {lab!r}")
-    return lab
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,10 @@ EDGE = Character("edge", edge_char, _edge_weight)
 
 @dataclass(frozen=True, eq=True)
 class FormalSum:
-    """Integer combination of graphs sharing one vertex set."""
+    """Integer combination of graphs sharing one vertex set.
+
+    It hashes over its terms, as it compares, so never mutate terms.
+    """
 
     vertices: tuple[str, ...]
     terms: dict[Digraph, int]
@@ -107,6 +110,9 @@ class FormalSum:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, frozenset(self.terms.items())))
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")

@@ -121,6 +121,10 @@ class Poly:
             return NotImplemented
         return self.terms == o.terms
 
+    def __hash__(self) -> int:
+        # equal values hash equal: a constant c equals the int c
+        return hash(self.constant_value() if self.is_constant() else frozenset(self.terms.items()))
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -19,6 +19,11 @@ Every single-underscore function and method of src/hopfdg is referred to
 from src/hopfdg or perfbench/, read the same way, with no exceptions: a
 helper, callback or branch routine that a refactor leaves without a
 caller is caught.
+
+Values stay ints, Fractions or Polys, never floats: no module of
+src/hopfdg holds a float literal, a true division `/` or a call of
+float(...), unless FLOATS gives the reason it stays, keyed
+module.function: literal.
 """
 
 import ast
@@ -51,6 +56,15 @@ ALLOWED = {
 
 UNUSED_IMPORTS = {
     "cli.antipode": "perfbench's tracer tests look antipode up on cli among its binding sites",
+}
+
+FLOATS = {
+    "cli._random_subset: 0.5": "verify's sampling: each label joins the subset with chance "
+                               "1/2, compared with rng.random()",
+    "cli._random_graph: 0.4": "verify's sampling: each ordered pair is an edge with chance "
+                              "0.4, compared with rng.random()",
+    "cli._axiom_instance: 0.5": "verify's sampling: the inner set keeps each label of the "
+                                "outer one with chance 1/2, compared with rng.random()",
 }
 
 
@@ -141,3 +155,31 @@ def test_every_import_is_used_or_has_a_reason():
     assert [key for key in _unused_imports() if key not in UNUSED_IMPORTS] == []
     # an entry goes once its import is used or gone
     assert sorted(set(UNUSED_IMPORTS) - set(_unused_imports())) == []
+
+
+def _floats() -> list[str]:
+    """module.function: what, for each float literal, true division and float(...) call."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, (float, complex)):
+                found.append(f"{where}: {child.value!r}")
+            elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                found.append(f"{where}: /")
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "float"):
+                found.append(f"{where}: float(...)")
+            visit(child, where)
+
+    for path in (ROOT / "src" / "hopfdg").glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(found)
+
+
+def test_no_value_is_a_float():
+    # each allowed float once and no other; an entry goes once its float is gone
+    assert _floats() == sorted(FLOATS)

@@ -312,24 +312,37 @@ def test_the_meter_is_exact_on_disjoint_unions(monkeypatch):
 
 
 def test_isolated_vertices_fold_as_one_block(monkeypatch):
-    # an edge and j isolated vertices: one fold for the edge, the isolated
-    # vertices' closed form k! S(j, k), and one merge; connected graphs fold
-    # once and never reach the closed form
-    folds, merges = [], []
-    real_fold, real_merge = _engine._fold, _engine._merge
+    # an edge and j isolated vertices: one fold for the edge and the isolated
+    # vertices' closed form, k! S(j, k) merged once for chain_stats and the
+    # one term (-1)^j for takeuchi_terms; connected graphs fold once and
+    # never take the pool
+    folds, merges, pools = [], [], []
+    real_fold, real_merge, real_lattices = _engine._fold, _engine._merge, _engine._lattices
+
+    def lattices(*args):
+        found = real_lattices(*args)
+        pools.append(found[1])
+        return found
+
     monkeypatch.setattr(_engine, "_fold", lambda *a: folds.append(1) or real_fold(*a))
     monkeypatch.setattr(_engine, "_merge", lambda *a: merges.append(1) or real_merge(*a))
+    monkeypatch.setattr(_engine, "_lattices", lattices)
     for j in range(7):
         folds.clear(), merges.clear()
         args = (j + 2, [0], [1])
         assert kernels.chain_stats(*args) == oracle_chain_stats(*args)
         assert (len(folds), len(merges)) == (1, 1 if j else 0)
+        folds.clear()
+        assert kernels.takeuchi_terms(*args) == oracle_takeuchi_terms(*args)
+        assert len(folds) == 1
     for nv in range(2, 8):
         folds.clear(), merges.clear()
         assert kernels.chain_stats(nv, [], []) == oracle_chain_stats(nv, [], [])
+        assert kernels.takeuchi_terms(nv, [], []) == oracle_takeuchi_terms(nv, [], [])
         assert (len(folds), len(merges)) == (0, 0)
         # no walk, fold or merge: one step per entry of the closed form
         assert charged_work(monkeypatch, kernels.chain_stats, nv, [], []) == nv
+        assert charged_work(monkeypatch, kernels.takeuchi_terms, nv, [], []) == 1
 
     def no_closed_form(j):
         raise AssertionError("a connected graph took the isolated vertices' closed form")
@@ -338,9 +351,13 @@ def test_isolated_vertices_fold_as_one_block(monkeypatch):
     for g in all_digraphs("abcd"):
         nv, tails, heads = g.edge_arrays()
         if len(_engine._components(nv, set(_down_sets(nv, tails, heads)))) == 1:
-            folds.clear(), merges.clear()
+            folds.clear(), merges.clear(), pools.clear()
             assert kernels.chain_stats(nv, tails, heads) == oracle_chain_stats(nv, tails, heads)
             assert (len(folds), len(merges)) == (1, 0)
+            folds.clear()
+            terms = kernels.takeuchi_terms(nv, tails, heads)
+            assert terms == oracle_takeuchi_terms(nv, tails, heads)
+            assert len(folds) == 1 and pools == [0, 0]
 
 
 def star_arrays():

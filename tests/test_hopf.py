@@ -11,12 +11,23 @@ from conftest import (all_digraphs, antipode_of_sum, oracle_antipode_terms,
 from hopfdg import (BASIC, BinPoly, Character, Digraph, EDGE, EMPTY,
                     FormalSum, SizeLimitError, antipode, basic_char,
                     character_polynomial, character_polynomial_of_sum,
-                    disjoint_union, edge_char, kernels)
+                    disjoint_union, edge_char, edge_invariant, kernels)
 from hopfdg.rings import Poly, Q
 
 
 def as_term_dict(s: FormalSum) -> dict:
     return {t.edges: c for t, c in sorted_terms(s)}
+
+
+def test_equal_values_hash_equal():
+    for g in all_digraphs("abc"):
+        again = Digraph(g.vertices, g.edges)
+        assert antipode(g) == antipode(again) and hash(antipode(g)) == hash(antipode(again))
+        assert hash(edge_invariant(g)) == hash(edge_invariant(again))
+        assert {antipode(g), antipode(again)} == {antipode(g)}
+        assert len({edge_invariant(g), edge_invariant(again)}) == 1
+    pairs = [(Digraph("ab", [("a", "b")]), 2), (Digraph("ab"), -1)]
+    assert hash(FormalSum.of("ab", pairs)) == hash(FormalSum.of("ba", pairs[::-1]))
 
 
 def test_characters_on_small_graphs(g3):

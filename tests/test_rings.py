@@ -20,6 +20,18 @@ def test_poly_arithmetic():
     assert Q ** 0 == 1
 
 
+def test_equal_polys_hash_equal():
+    # a constant equals its int, so it hashes as the int does
+    for c in (0, 1, -2, 3):
+        assert Poly.constant(c) == c and hash(Poly.constant(c)) == hash(c)
+    assert hash(Q - Q) == hash(0) == hash(Poly())
+    assert hash((Q + 1) * (Q - 1)) == hash(Q * Q - 1)
+    assert hash(Y * Z + Q) == hash(Poly({(1, 0, 0): 1, (0, 1, 1): 1}))
+    assert {Poly.constant(3), 3, Q, Q + 0} == {3, Q}
+    # so a BinPoly with Poly coefficients hashes too
+    assert hash(BinPoly((1, Q, Y + Z))) == hash(BinPoly((Poly.constant(1), Q, Z + Y)))
+
+
 def test_poly_str():
     assert str(-Q ** 3 + 2 * Q - 1) == "-q^3 + 2*q - 1"
     assert str(Poly.constant(0)) == "0"
