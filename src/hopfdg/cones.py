@@ -222,6 +222,8 @@ def _audit(nodes: tuple, tails: list[int], heads: list[int], caps: list,
         return Arc(nodes[tails[e]], nodes[heads[e]], caps[e])
 
     problems = []
+    if len(result.flows) != len(tails):
+        problems.append(f"{len(result.flows)} flows given for {len(tails)} arcs")
     excess = [0] * len(nodes)
     for e, (u, v, c, f) in enumerate(zip(tails, heads, caps, result.flows)):
         if f < 0:
@@ -279,8 +281,10 @@ def audit_flow(net: FlowNetwork, result: FlowResult) -> list[str]:
     """All the ways a flow result could be wrong; empty means certified."""
     index, tails, heads, caps, s, t = _index_form(net)
     cut = frozenset(index[node] for node in result.cut if node in index)
-    return _audit(net.nodes, tails, heads, caps, s, t,
-                  FlowResult(result.value, result.flows, cut, result.cut_capacity))
+    problems = _audit(net.nodes, tails, heads, caps, s, t,
+                      FlowResult(result.value, result.flows, cut, result.cut_capacity))
+    return problems + [f"cut node {node!r} is not in the network"
+                       for node in result.cut if node not in index]
 
 
 def _exact(c) -> int | Fraction:

@@ -17,6 +17,7 @@ from ._engine import _down_sets
 from .errors import GraphParseError
 
 _FORBIDDEN = re.compile(r"[\s#]|->")
+_LABEL_RULE = "vertex labels must be non-empty strings without whitespace, '#' or '->', got {!r}"
 
 
 def canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:
@@ -36,8 +37,7 @@ def canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:
 def _check_label(lab: str) -> None:
     """Refuse whitespace, '#' and '->' in lab; canonical_labels has refused the rest."""
     if _FORBIDDEN.search(lab):
-        raise ValueError(
-            f"vertex labels must be non-empty strings without whitespace, '#' or '->', got {lab!r}")
+        raise ValueError(_LABEL_RULE.format(lab))
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ class Digraph:
 
         vertices must be sorted, distinct, valid labels and edges simple
         (tail, head) pairs between them, as when they are taken from a
-        graph, from a disjoint union, along a bijection or from fresh
-        labels.  Skips the checks of __init__; input from outside goes
-        through Digraph(...).
+        graph, from a disjoint union, along a bijection, from fresh labels
+        or from graph text parse_graph has checked.  Skips the checks of
+        __init__; other input from outside goes through Digraph(...).
         """
         sub = object.__new__(Digraph)
         object.__setattr__(sub, "vertices", vertices)
@@ -160,28 +160,23 @@ class Digraph:
         disjoint, covering).  Returns None when some prefix is not a lower
         half, which is the zero case of the iterated split-then-merge.
         """
-        seq = [frozenset(b) for b in blocks]
-        allv = frozenset(self.vertices)
-        union: set[str] = set()
-        for b in seq:
+        block: dict[str, int] = {}   # each vertex's block index
+        for k, b in enumerate(map(frozenset, blocks)):
             if not b:
                 raise ValueError("composition blocks must be non-empty")
-            if union & b:
-                raise ValueError("composition blocks must be disjoint")
-            union |= b
-        if union != allv:
+            for v in b:
+                if v in block:
+                    raise ValueError("composition blocks must be disjoint")
+                block[v] = k
+        if block.keys() != set(self.vertices):
             raise ValueError("composition blocks must cover the vertex set")
 
-        prefix: set[str] = set()
         kept: list[tuple[str, str]] = []
-        for b in seq:
-            prefix |= b
-            for u, v in self.edges:
-                if v in b:
-                    if u not in prefix:
-                        return None  # edge enters the prefix from outside
-                    if u in b:
-                        kept.append((u, v))
+        for u, v in self.edges:
+            if block[u] > block[v]:
+                return None  # the edge enters the prefix ending at v's block
+            if block[u] == block[v]:
+                kept.append((u, v))
         return self._subgraph(self.vertices, kept)
 
     def is_acyclic(self) -> bool:
@@ -214,9 +209,8 @@ def parse_graph(text: str) -> Digraph:
     one edge, ``a -> b``.  Blank lines are skipped and ``#`` starts a
     comment.  Raises GraphParseError with line/column on bad input.
     """
-    vertices: list[str] | None = None
-    edges: list[tuple[str, str]] = []
-    seen_edges: set[tuple[str, str]] = set()
+    vertices: set[str] | None = None
+    edges: set[tuple[str, str]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -227,16 +221,17 @@ def parse_graph(text: str) -> Digraph:
             if not stripped.startswith("vertices:"):
                 raise GraphParseError("expected a 'vertices:' line", lineno,
                                       len(line) - len(line.lstrip()) + 1)
-            names = stripped[len("vertices:"):].split()
-            seen: set[str] = set()
+            vertices = set()
             col = len(line) - len(line.lstrip()) + len("vertices:")
-            for name in names:
+            for name in stripped[len("vertices:"):].split():
                 col = line.index(name, col)   # this name's column, 0-based
-                if name in seen:
+                if name in vertices:
                     raise GraphParseError(f"duplicate vertex {name!r}", lineno, col + 1)
-                seen.add(name)
+                # split() and the comment strip leave '->' the one rule to check
+                if "->" in name:
+                    raise GraphParseError(_LABEL_RULE.format(name), lineno, col + 1)
+                vertices.add(name)
                 col += len(name)
-            vertices = names
             continue
         if "->" not in line:
             raise GraphParseError("expected 'u -> v'", lineno,
@@ -253,18 +248,14 @@ def parse_graph(text: str) -> Digraph:
             raise GraphParseError(f"unknown vertex {v!r}", lineno, line.rindex(v) + 1)
         if u == v:
             raise GraphParseError(f"loop at {u!r} not allowed", lineno, line.index(u) + 1)
-        if (u, v) in seen_edges:
+        if (u, v) in edges:
             raise GraphParseError(f"duplicate edge {u} -> {v}", lineno,
                                   len(line) - len(line.lstrip()) + 1)
-        seen_edges.add((u, v))
-        edges.append((u, v))
+        edges.add((u, v))
 
     if vertices is None:
         raise GraphParseError("expected a 'vertices:' line", 1)
-    try:
-        return Digraph(vertices, edges)
-    except ValueError as exc:
-        raise GraphParseError(str(exc), 1) from exc
+    return Digraph._subgraph(tuple(sorted(vertices)), edges)
 
 
 def format_graph(g: Digraph) -> str:

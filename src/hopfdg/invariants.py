@@ -27,8 +27,10 @@ kernels.surjection_stats, whose key (k, asc, desc) goes to y^asc * z^desc
 by the same projection.
 
 The routes the tests compare these against share no code with them:
-brute_strict and brute_weak scan all n^|vertices| maps directly, and the
-oracles in the test suite enumerate colorings and compositions.
+brute_strict and brute_weak count the maps directly, one vertex at a
+time, each vertex taking every value in the interval its earlier
+neighbours leave it (kernels.count_monotone_maps), and the oracles in
+the test suite enumerate colorings and compositions.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ program in _engine, and the lower halves from its walk over unions of
 down-sets; takeuchi_terms gives the antipode's terms cancellation-free,
 folding only along weakly connected blocks.
 
-count_monotone_maps is the one brute-force walk: it tries every value at
-every vertex, in index order, and shares no code with the engine.  The
+count_monotone_maps is the one brute-force walk: it visits the vertices
+in index order, each taking every value in the interval its earlier
+neighbours leave it, and shares no code with the engine.  The
 strict and weak coloring counts read it, and so do the cone's direction
 counts (on the reversed edges) and the dilated edge-order polytope's
 lattice points, which are monotone maps into a chain of d + 1 values
@@ -47,40 +48,40 @@ def count_monotone_maps(nv: int, tails: list[int], heads: list[int],
     """Maps from the vertices into a chain of `values` integers, rising along edges.
 
     They rise strictly along every edge when `strict` holds, else weakly.
-    The empty map counts once, whatever `values` is.
+    The empty map counts once, whatever `values` is.  The walk visits the
+    vertices in index order; each takes every value from the largest value
+    of an earlier vertex with an edge into it up to the smallest of an
+    earlier vertex it has an edge into (one past each, when strict).  The
+    last vertex adds its interval's length, and an empty interval adds 0.
     """
     if nv == 0:
         return 1
-    if values <= 0:
-        return 0
-    back: list[list[tuple[int, bool]]] = [[] for _ in range(nv)]
-    for e in range(len(tails)):
-        t, h = tails[e], heads[e]
+    below: list[list[int]] = [[] for _ in range(nv)]   # earlier tails of edges into i
+    above: list[list[int]] = [[] for _ in range(nv)]   # earlier heads of edges from i
+    for t, h in zip(tails, heads):
         if t < h:
-            back[h].append((t, True))
+            below[h].append(t)
         else:
-            back[t].append((h, False))
-
+            above[t].append(h)
+    step = 1 if strict else 0
+    last = nv - 1
     color = [0] * nv
 
     def walk(i: int) -> int:
-        if i == nv:
-            return 1
+        lo = 0
+        for j in below[i]:
+            if color[j] + step > lo:
+                lo = color[j] + step
+        hi = values - 1
+        for j in above[i]:
+            if color[j] - step < hi:
+                hi = color[j] - step
+        if i == last:
+            return max(hi - lo + 1, 0)
         total = 0
-        for c in range(values):
-            ok = True
-            for j, forward in back[i]:
-                cj = color[j]
-                if forward:
-                    good = cj < c if strict else cj <= c
-                else:
-                    good = c < cj if strict else c <= cj
-                if not good:
-                    ok = False
-                    break
-            if ok:
-                color[i] = c
-                total += walk(i + 1)
+        for c in range(lo, hi + 1):
+            color[i] = c
+            total += walk(i + 1)
         return total
 
     return walk(0)

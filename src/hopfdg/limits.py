@@ -68,13 +68,12 @@ class read_budget_once:
         _held.reset(self._token)
 
 
-def check_work(what: str, estimate: int) -> int:
-    """Refuse `what` when its estimated steps exceed the work budget; else the budget."""
+def check_work(what: str, estimate: int) -> None:
+    """Refuse `what` when its estimated steps exceed the work budget."""
     budget = work_budget()
     if estimate > budget:
         raise WorkLimitError(f"{what} needs about {estimate} steps, over the work "
                              f"budget {budget}; set {ENV_MAX_WORK} to raise it")
-    return budget
 
 
 def refuse_work(what: str, work: int, budget: int) -> NoReturn:

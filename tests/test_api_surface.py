@@ -20,6 +20,10 @@ from src/hopfdg or perfbench/, read the same way, with no exceptions: a
 helper, callback or branch routine that a refactor leaves without a
 caller is caught.
 
+kernels.count_monotone_maps, the brute-force side that verify
+reciprocity and the benchmark's gate compare with the chain route, loads
+neither _engine nor any name _engine defines.
+
 Values stay ints, Fractions or Polys, never floats: no module of
 src/hopfdg holds a float literal, a true division `/` or a call of
 float(...), unless FLOATS gives the reason it stays, keyed
@@ -155,6 +159,27 @@ def test_every_import_is_used_or_has_a_reason():
     assert [key for key in _unused_imports() if key not in UNUSED_IMPORTS] == []
     # an entry goes once its import is used or gone
     assert sorted(set(UNUSED_IMPORTS) - set(_unused_imports())) == []
+
+
+def test_the_brute_force_walk_shares_no_code_with_the_engine():
+    src = ROOT / "src" / "hopfdg"
+    engine = {"_engine"}
+    for node in ast.parse((src / "_engine.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            engine.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            engine.update(name.id for name in ast.walk(node) if isinstance(name, ast.Name)
+                          and isinstance(name.ctx, ast.Store))
+    assert {"_Meter", "_down_sets", "chain_stats"} <= engine   # the scan reads _engine
+    walk, = (node for node in ast.parse((src / "kernels.py").read_text(encoding="utf-8")).body
+             if isinstance(node, ast.FunctionDef) and node.name == "count_monotone_maps")
+    loaded = set()
+    for node in ast.walk(walk):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+    assert sorted(loaded & engine) == []
 
 
 def _floats() -> list[str]:

@@ -126,6 +126,23 @@ def test_index_audit_catches_tampering():
         assert audit_flow(net, replace(broken, cut=cut)) == problems
 
 
+@pytest.mark.parametrize("tamper,problem", [
+    (lambda r: replace(r, flows=r.flows[:-1]), "3 flows given for 4 arcs"),
+    (lambda r: replace(r, flows=r.flows + (7,)), "5 flows given for 4 arcs"),
+    (lambda r: replace(r, cut=r.cut | {"zzz"}), "cut node 'zzz' is not in the network"),
+], ids=["flow missing", "flow extra", "cut node outside"])
+def test_audit_catches_misshapen_results(tamper, problem):
+    # every arc and node the result names is checked, not only those it
+    # shares with the network
+    net = FlowNetwork(
+        nodes=(SOURCE, "a", "b", SINK),
+        arcs=(Arc(SOURCE, "a", 10), Arc("a", "b", 1), Arc("b", SINK, 10), Arc("a", SINK, 0)),
+    )
+    result = max_flow(net)
+    assert result.flows == (1, 1, 1, 0) and audit_flow(net, result) == []
+    assert audit_flow(net, tamper(result)) == [problem]
+
+
 def test_cone_generators_order(g3):
     gens = cone_generators(g3)
     assert gens == [

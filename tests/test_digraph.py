@@ -142,6 +142,8 @@ def test_parse_graph_roundtrip(g3):
     ("vertices: a b\na -> b\na -> b\n", 3, "duplicate edge"),
     ("vertices: a b\na -> b -> a\n", 2, "expected"),
     ("vertices: a b\na b -> a\n", 2, "expected"),
+    ("# c\n\nvertices: a->b c\n", 3, "column 11: vertex labels must be non-empty strings "
+                                    "without whitespace, '#' or '->', got 'a->b'"),
 ])
 def test_parse_graph_errors(text, line, fragment):
     with pytest.raises(GraphParseError) as err:
