@@ -34,30 +34,38 @@ def canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
-def _check_label(lab: str) -> None:
-    """Refuse whitespace, '#' and '->' in lab; canonical_labels has refused the rest."""
-    if _FORBIDDEN.search(lab):
-        raise ValueError(_LABEL_RULE.format(lab))
+def _graph_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    """canonical_labels, then the graph label rule on each label in sorted order.
+
+    canonical_labels refuses non-strings, empty labels and duplicates;
+    this refuses whitespace, '#' and '->', reporting the first such label.
+    """
+    verts = canonical_labels(labels)
+    for lab in verts:
+        if _FORBIDDEN.search(lab):
+            raise ValueError(_LABEL_RULE.format(lab))
+    return verts
 
 
 @dataclass(frozen=True)
 class Digraph:
     """Simple directed graph: no loops, no parallel edges.
 
-    vertices are kept sorted; edges are (tail, head) pairs.  Instances
-    are immutable and compare structurally.
+    vertices are kept sorted; edges are (tail, head) pairs, each given to
+    the constructor as a tuple or list of two vertices.  Instances are
+    immutable and compare structurally.
     """
 
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        verts = canonical_labels(vertices)
-        for v in verts:
-            _check_label(v)
+        verts = _graph_labels(vertices)
         vset = set(verts)
         eset = set()
         for edge in edges:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+                raise ValueError(f"edge {edge!r} is not a (tail, head) pair")
             u, v = edge
             if u not in vset or v not in vset:
                 raise ValueError(f"edge {edge!r} mentions an unknown vertex")
@@ -100,34 +108,38 @@ class Digraph:
         return len(self.vertices), tails, heads
 
     def relabel(self, mapping: Mapping[str, str]) -> "Digraph":
-        """Transport along a bijection; mapping must cover every vertex injectively."""
+        """Transport along a bijection.
+
+        mapping must cover every vertex injectively, and its images must be
+        labels Digraph(...) accepts: they are checked by the same rule.
+        """
         missing = [v for v in self.vertices if v not in mapping]
         if missing:
             raise ValueError(f"relabel map misses vertices {missing}")
         images = [mapping[v] for v in self.vertices]
         if len(set(images)) != len(images):
             raise ValueError("relabel map is not injective on the vertices")
-        verts = canonical_labels(images)
-        for v in verts:
-            _check_label(v)
         # a bijection of valid labels keeps the edges loop-free and distinct
-        return self._subgraph(verts, [(mapping[u], mapping[v]) for u, v in self.edges])
+        return self._subgraph(_graph_labels(images),
+                              [(mapping[u], mapping[v]) for u, v in self.edges])
+
+    def _vertex_subset(self, subset: Iterable[str], name: str = "subset") -> frozenset[str]:
+        """subset as a frozenset; ValueError naming it when it holds a non-vertex."""
+        sub = frozenset(subset)
+        extra = sub.difference(self.vertices)
+        if extra:
+            raise ValueError(f"{name} contains non-vertices {sorted(extra)}")
+        return sub
 
     def restrict(self, subset: Iterable[str]) -> "Digraph":
-        """Induced subgraph on a subset of the vertices."""
-        sub = frozenset(subset)
-        extra = sub - set(self.vertices)
-        if extra:
-            raise ValueError(f"restriction set contains non-vertices {sorted(extra)}")
+        """Induced subgraph on a subset of the vertices; ValueError on a non-vertex."""
+        sub = self._vertex_subset(subset, "restriction set")
         return self._subgraph(tuple(sorted(sub)),
                               ((u, v) for u, v in self.edges if u in sub and v in sub))
 
     def is_lower_half(self, subset: Iterable[str]) -> bool:
-        """True when no edge enters the subset from outside it."""
-        sub = frozenset(subset)
-        extra = sub - set(self.vertices)
-        if extra:
-            raise ValueError(f"subset contains non-vertices {sorted(extra)}")
+        """True when no edge enters the subset from outside it; ValueError on a non-vertex."""
+        sub = self._vertex_subset(subset)
         return not any(u not in sub and v in sub for u, v in self.edges)
 
     def coproduct(self, subset: Iterable[str]) -> tuple["Digraph", "Digraph"] | None:
@@ -135,11 +147,9 @@ class Digraph:
 
         One pass over the edges: the first edge entering the subset ends it
         with None; every other edge lands inside, outside, or on the cut.
+        ValueError when the subset holds a non-vertex.
         """
-        sub = frozenset(subset)
-        extra = sub - set(self.vertices)
-        if extra:
-            raise ValueError(f"subset contains non-vertices {sorted(extra)}")
+        sub = self._vertex_subset(subset)
         inside = []
         outside = []
         for u, v in self.edges:
@@ -168,7 +178,7 @@ class Digraph:
                 if v in block:
                     raise ValueError("composition blocks must be disjoint")
                 block[v] = k
-        if block.keys() != set(self.vertices):
+        if len(block) != len(self.vertices) or not all(v in block for v in self.vertices):
             raise ValueError("composition blocks must cover the vertex set")
 
         kept: list[tuple[str, str]] = []

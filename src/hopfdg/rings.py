@@ -5,6 +5,10 @@ q, y, z; and BinPoly, a polynomial in one integer argument n stored in
 the binomial basis C(n, 0), C(n, 1), ...  BinPoly coefficients may be
 plain ints or Polys, and evaluation extends to negative n through
 C(-n, k) = (-1)^k C(n + k - 1, k), so no floating point ever appears.
+
+Poly(...), constant and variable check every term they are given.  A
+Poly computed from valid ones (a sum, negation, product or power) is
+built with Poly._of, unchecked, after its zero coefficients are dropped.
 """
 
 from __future__ import annotations
@@ -75,12 +79,12 @@ class Poly:
         out = dict(self.terms)
         for e, c in o.terms.items():
             out[e] = out.get(e, 0) + c
-        return Poly(out)
+        return Poly._of({e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()})
+        return Poly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Any) -> "Poly":
         o = self._coerce(other)
@@ -103,7 +107,7 @@ class Poly:
             for e2, c2 in o.terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                 out[e] = out.get(e, 0) + c1 * c2
-        return Poly(out)
+        return Poly._of({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 

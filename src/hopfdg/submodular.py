@@ -186,7 +186,7 @@ def direct_sum(u: ExtBool, v: ExtBool) -> ExtBool:
         raise ValueError(f"ground sets overlap on {sorted(overlap)}")
     limits.check_work(f"direct sum of {len(u.finite)} and {len(v.finite)} finite values",
                       len(u.finite) * len(v.finite))
-    ground = canonical_labels(u.ground + v.ground)
+    ground = tuple(sorted(u.ground + v.ground))   # both canonical, and disjoint
     pos = {lab: i for i, lab in enumerate(ground)}
     ufin = _spread(u.finite, [1 << pos[lab] for lab in u.ground])
     vfin = _spread(v.finite, [1 << pos[lab] for lab in v.ground])

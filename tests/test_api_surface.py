@@ -54,8 +54,6 @@ ALLOWED = {
                    "agreement check reads the same core with its plan built once",
     "FormalSum.of": "the validated constructor of the sums character_polynomial_of_sum "
                     "takes",
-    "ExtBool.is_submodular": "the paper's submodularity in the extended sense; ROADMAP "
-                             "item 7 gives it a caller in verify morphism",
 }
 
 UNUSED_IMPORTS = {

@@ -1,8 +1,8 @@
 """Input is checked once, at the boundary.
 
-Graphs and set functions the library has already validated are rebuilt
-without going back through Digraph(...) or ExtBool(...), and a set
-function's operations read only its finite support.  The differential
+Graphs, set functions and Polys the library has already validated are
+rebuilt without going back through Digraph(...), ExtBool(...) or
+Poly(...), and a set function's operations read only its finite support.  The differential
 tests here compare each such build with the checking, dense route it
 replaced (oracles in conftest.py), on every digraph with at most 4
 vertices and every subset, and on seeded graphs or set functions of 5 to
@@ -25,6 +25,7 @@ from conftest import (LABELS, all_digraphs, dense_values, oracle_character_polyn
 from hopfdg import (BASIC, EDGE, INF, Digraph, ExtBool, FormalSum, antipode,
                     character_polynomial_of_sum, check_cone_polytope_agreement, direct_sum,
                     disjoint_union, lower_half_function)
+from hopfdg.rings import Poly, Q
 
 SMALL = [g for n in range(5) for g in all_digraphs(LABELS[:n])]
 
@@ -196,6 +197,31 @@ def test_character_polynomial_of_sum_matches_the_per_term_sum(character):
             assert got.binomial_str() == want.binomial_str()
 
 
+def random_poly(rng: random.Random) -> Poly:
+    """Up to four terms of degree at most 2 per variable, small coefficients."""
+    return Poly({(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
+                 for _ in range(rng.randint(0, 4))})
+
+
+def checked(p: Poly) -> Poly:
+    """p, and its terms rebuilt through Poly(...), which checks each one."""
+    assert all(p.terms.values()), p.terms
+    assert p == Poly(dict(p.terms)) and list(p.terms) == list(Poly(dict(p.terms)).terms)
+    return p
+
+
+def test_poly_arithmetic_matches_the_checked_rebuild():
+    rng = random.Random(113)
+    # cancelling cases: p + (-p), p * 0 and (Q + 1) * (Q - 1)
+    assert checked(Q + (-Q)) == 0 and checked(Q * 0) == 0
+    assert checked((Q + 1) * (Q - 1)) == Q ** 2 - 1
+    for _ in range(300):
+        a, b = random_poly(rng), random_poly(rng)
+        for p in (a + b, b + a, -a, a - b, a + (-a), a * b, a * 0, a * -1, 3 - a,
+                  (a + 1) * (a - 1), a ** rng.randint(0, 3)):
+            checked(p)
+
+
 # ------------------------------------------------------------ error paths
 
 def raises_exactly(exc_type, message, fn, *args):
@@ -222,6 +248,22 @@ def test_relabel_onto_a_bad_label(g3, image, message):
 def test_relabel_reports_the_first_bad_label_in_sorted_order(g3):
     raises_exactly(ValueError, f"{LABEL_RULE}, got 'b c'",
                    g3.relabel, {"0": "z#", "1": "b c", "2": "r"})
+
+
+@pytest.mark.parametrize("edge, message", [
+    ("ab", "edge 'ab' is not a (tail, head) pair"),
+    (frozenset("ab"), f"edge {frozenset('ab')!r} is not a (tail, head) pair"),
+    (1, "edge 1 is not a (tail, head) pair"),
+    (("a", "b", "a"), "edge ('a', 'b', 'a') is not a (tail, head) pair"),
+    (("a", "x"), "edge ('a', 'x') mentions an unknown vertex"),
+    (["a", "a"], "loop at 'a' not allowed"),
+])
+def test_digraph_edges_must_be_pairs_of_distinct_vertices(edge, message):
+    raises_exactly(ValueError, message, Digraph, ["a", "b"], [edge])
+
+
+def test_digraph_takes_tuple_and_list_pairs():
+    assert Digraph(["a", "b"], [["a", "b"]]) == Digraph(["a", "b"], [("a", "b")])
 
 
 def test_relabel_map_must_be_injective_and_total(g3):

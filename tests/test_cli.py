@@ -340,6 +340,32 @@ def test_verify_reports_a_broken_unit_law_once(capsys, g3_file, monkeypatch):
     assert code == 1 and out.count("unit:") == 1 and "round " not in out
 
 
+def test_verify_hopf_axioms_reports_a_broken_naturality(capsys, g3_file, monkeypatch):
+    # a relabeling that drops every edge makes each subset a lower half of
+    # the moved graph, so some round's non-lower half is caught
+    from hopfdg import Digraph
+    real_relabel = Digraph.relabel
+    monkeypatch.setattr(Digraph, "relabel", lambda g, mapping: Digraph._subgraph(
+        real_relabel(g, mapping).vertices, ()))
+    code, out, err = run(capsys, "verify", "hopf-axioms", g3_file, "--format", "json")
+    assert code == 1 and err == ""
+    [check] = json.loads(out)["checks"]
+    assert not check["passed"]
+    assert check["detail"].startswith("round ") and "naturality:" in check["detail"]
+
+
+def test_verify_morphism_reports_a_cut_function_that_is_not_submodular(
+        capsys, g3_file, monkeypatch):
+    from hopfdg import ExtBool
+    monkeypatch.setattr(ExtBool, "is_submodular", lambda self: False)
+    code, out, err = run(capsys, "verify", "morphism", g3_file, "--format", "json")
+    assert code == 1 and err == ""
+    [check] = json.loads(out)["checks"]
+    assert not check["passed"] and check["detail"] == "cut function is not submodular"
+    code, out, _ = run(capsys, "verify", "morphism", g3_file)
+    assert code == 1 and "cut function is not submodular" in out
+
+
 def test_the_bystander_graph_is_a_valid_graph_on_the_spare_labels():
     # the pool of a graph on x0..x8 is x9, x10, x11, out of sorted order; the
     # bystander skips Digraph's checks, so it must equal the checked rebuild
