@@ -46,8 +46,9 @@ from typing import Iterator, Mapping
 
 from .digraph import Digraph
 from .errors import UnboundedFlowError
+from .invariants import brute_strict, brute_weak
 from .submodular import INF, ExtBool, lower_half_function
-from . import kernels, limits
+from . import limits
 
 
 class _Terminal:
@@ -452,9 +453,12 @@ def _sample_coords(nv: int, tails: list[int], heads: list[int], samples: int,
     """A deterministic mix: conic combinations, perturbed ones, raw sum-zero.
 
     The graph is in index form, edge e running tails[e] -> heads[e]; each
-    sample is a list of coordinates in vertex order.  Each draw a/b (b in
-    1..4) is scaled by 12 to an integer.  The cut function's base
-    polytope is a cone, so both membership tests keep their verdicts.
+    sample is a list of coordinates in vertex order, and every sample sums
+    to zero: a perturbation adds delta to one vertex and takes it from
+    another, and a raw sample's last coordinate is minus the sum of the
+    others.  Each draw a/b (b in 1..4) is scaled by 12 to an integer.  The
+    cut function's base polytope is a cone, so both membership tests keep
+    their verdicts.
 
     The draws are those of rng.randint, taken from rng.getrandbits as
     CPython's Random._randbelow takes them: a draw below n reads
@@ -553,9 +557,9 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
     Every sampled vector must land the same way under both tests, and
     every max-flow run must pass its audit.  Deterministic in the seed.
     Gated by check_agreement_work.  The graph's index form and its
-    edges' residual arcs are built once, and each sum-zero sample adds
-    only its terminal arcs (_sample_flow).  A vector is built as a dict
-    only for the report.
+    edges' residual arcs are built once, and each sample, which sums to
+    zero (_sample_coords), adds only its terminal arcs (_sample_flow).  A
+    vector is built as a dict only for the report.
     """
     if samples < 0:
         raise ValueError(f"need samples >= 0, got {samples}")
@@ -570,11 +574,9 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
     agreements = 0
     for coords in _sample_coords(nv, tails, heads, samples, random.Random(seed)):
         in_base = _in_base(plan, coords)
-        in_cone = False
-        if sum(coords) == 0:
-            _, problems, in_cone = _sample_flow(nodes, tails, heads, coords, inf_arcs)
-            if problems:
-                audit_problems.append((dict(zip(verts, coords)), tuple(problems)))
+        _, problems, in_cone = _sample_flow(nodes, tails, heads, coords, inf_arcs)
+        if problems:
+            audit_problems.append((dict(zip(verts, coords)), tuple(problems)))
         if in_base != in_cone:
             mismatches.append((dict(zip(verts, coords)), in_base, in_cone))
         else:
@@ -585,16 +587,11 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
 def generic_direction_count(g: Digraph, n: int) -> int:
     """Directions y into {1..n} whose maximum over the edge cone is the apex alone.
 
-    These are exactly the maps strictly decreasing along every edge, so
-    the count matches the strict invariant through y -> n+1-y; the walk
-    counts maps into a chain of n values rising along the reversed edges.
+    These are exactly the maps strictly decreasing along every edge, and
+    y -> n+1-y sends them onto the maps strictly increasing along every
+    edge: the count is brute_strict(g, n).
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    nv, tails, heads = g.edge_arrays()
-    limits.check_work(f"scan of the directions into {{1..{n}}}", n ** nv)
-    # decreasing along (u, v) means increasing along (v, u)
-    return kernels.count_monotone_maps(nv, heads, tails, n, True)
+    return brute_strict(g, n)
 
 
 def vertex_sum_count(g: Digraph, n: int) -> int:
@@ -603,16 +600,13 @@ def vertex_sum_count(g: Digraph, n: int) -> int:
     The cone of an acyclic graph is pointed, so each direction contributes
     1 when it is weakly decreasing along every edge (the apex is maximal)
     and 0 otherwise (the maximum is unattained).  Cyclic graphs have no
-    vertex at all and are rejected.  The walk counts maps into a chain of
-    n values weakly rising along the reversed edges.
+    vertex at all and are rejected.  y -> n+1-y sends the weakly
+    decreasing maps onto the weakly increasing ones: the count is
+    brute_weak(g, n).
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
     if not g.is_acyclic():
         raise ValueError("the edge cone of a cyclic graph has no vertex")
-    nv, tails, heads = g.edge_arrays()
-    limits.check_work(f"scan of the directions into {{1..{n}}}", n ** nv)
-    return kernels.count_monotone_maps(nv, heads, tails, n, False)
+    return brute_weak(g, n)
 
 
 def ascent_polytope_points(g: Digraph, n: int, *, interior: bool) -> int:
@@ -621,17 +615,10 @@ def ascent_polytope_points(g: Digraph, n: int, *, interior: bool) -> int:
     interior=True counts interior points of the (n+1)-fold dilation,
     interior=False counts all points of the (n-1)-fold dilation; n = 0
     closed is 0 by the empty-dilation convention.  A point of the d-fold
-    dilation is a map into a chain of d + 1 values weakly rising along
-    the edges, and an interior one a map into d - 1 values rising
-    strictly, so either variant walks a chain of n values.
+    dilation is a map into {0..d} weakly rising along the edges, and an
+    interior one a map into {1..d-1} rising strictly; shifting the values
+    onto {1..n} makes the counts brute_weak(g, n) and brute_strict(g, n).
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    dilation = n + 1 if interior else n - 1
-    nv, tails, heads = g.edge_arrays()
-    limits.check_work(f"scan of the {dilation}-fold dilation's lattice points",
-                      max(dilation + 1, 0) ** nv)
-    if dilation < 0:
-        return 0
-    values = dilation - 1 if interior else dilation + 1
-    return kernels.count_monotone_maps(nv, tails, heads, values, interior)
+    if interior:
+        return brute_strict(g, n)
+    return brute_weak(g, n) if n else 0

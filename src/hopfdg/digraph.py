@@ -67,7 +67,11 @@ class Digraph:
             if not isinstance(edge, (tuple, list)) or len(edge) != 2:
                 raise ValueError(f"edge {edge!r} is not a (tail, head) pair")
             u, v = edge
-            if u not in vset or v not in vset:
+            try:
+                known = u in vset and v in vset
+            except TypeError:   # an unhashable end is no vertex
+                known = False
+            if not known:
                 raise ValueError(f"edge {edge!r} mentions an unknown vertex")
             if u == v:
                 raise ValueError(f"loop at {u!r} not allowed")
@@ -117,18 +121,31 @@ class Digraph:
         if missing:
             raise ValueError(f"relabel map misses vertices {missing}")
         images = [mapping[v] for v in self.vertices]
-        if len(set(images)) != len(images):
+        try:
+            repeated = len(set(images)) != len(images)
+        except TypeError:   # an unhashable image, which _graph_labels refuses as a label
+            repeated = False
+        if repeated:
             raise ValueError("relabel map is not injective on the vertices")
         # a bijection of valid labels keeps the edges loop-free and distinct
         return self._subgraph(_graph_labels(images),
                               [(mapping[u], mapping[v]) for u, v in self.edges])
 
     def _vertex_subset(self, subset: Iterable[str], name: str = "subset") -> frozenset[str]:
-        """subset as a frozenset; ValueError naming it when it holds a non-vertex."""
-        sub = frozenset(subset)
-        extra = sub.difference(self.vertices)
-        if extra:
-            raise ValueError(f"{name} contains non-vertices {sorted(extra)}")
+        """subset as a frozenset; ValueError naming it when it holds a non-vertex.
+
+        The non-vertices are listed sorted by str, so that labels of mixed
+        types sort.  An unhashable element is a non-vertex too: subset is
+        then read again and compared by == with the vertex tuple (a one-shot
+        iterator names only what it has left).
+        """
+        try:
+            sub = frozenset(subset)
+            extra = sub.difference(self.vertices)
+        except TypeError:
+            sub, extra = None, [x for x in subset if x not in self.vertices]
+        if extra or sub is None:
+            raise ValueError(f"{name} contains non-vertices {sorted(extra, key=str)}")
         return sub
 
     def restrict(self, subset: Iterable[str]) -> "Digraph":
@@ -171,7 +188,11 @@ class Digraph:
         half, which is the zero case of the iterated split-then-merge.
         """
         block: dict[str, int] = {}   # each vertex's block index
-        for k, b in enumerate(map(frozenset, blocks)):
+        try:
+            parts = [frozenset(b) for b in blocks]
+        except TypeError:   # an unhashable member is no vertex
+            raise ValueError("composition blocks must cover the vertex set") from None
+        for k, b in enumerate(parts):
             if not b:
                 raise ValueError("composition blocks must be non-empty")
             for v in b:

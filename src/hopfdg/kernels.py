@@ -9,15 +9,15 @@ folding only along weakly connected blocks.
 
 count_monotone_maps is the one brute-force walk: it visits the vertices
 in index order, each taking every value in the interval its earlier
-neighbours leave it, and shares no code with the engine.  The
-strict and weak coloring counts read it, and so do the cone's direction
-counts (on the reversed edges) and the dilated edge-order polytope's
-lattice points, which are monotone maps into a chain of d + 1 values
-(closed) or d - 1 (interior, strictly).  The lattice points and the
-colorings thus come from one walk, so criterion 7 also compares the
-lattice points with an itertools enumeration of the dilated cube
-(oracle_dilation_points in tests/conftest.py), a route sharing no code
-with this one.
+neighbours leave it, and shares no code with the engine.  Only the
+strict and weak coloring counts (invariants.brute_strict and brute_weak)
+call it.  Through them it also gives the cone's direction counts and
+the dilated edge-order polytope's lattice points, which are monotone
+maps into a chain of d + 1 values (closed) or d - 1 (interior,
+strictly).  The lattice points and the colorings thus come from one
+walk, so criterion 7 also compares the lattice points with an itertools
+enumeration of the dilated cube (oracle_dilation_points in
+tests/conftest.py), a route sharing no code with this one.
 """
 
 from __future__ import annotations

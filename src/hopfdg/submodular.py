@@ -129,9 +129,10 @@ class ExtBool:
         idx = {v: i for i, v in enumerate(self.ground)}
         mask = 0
         for lab in subset:
-            if lab not in idx:
-                raise ValueError(f"{lab!r} is not in the ground set")
-            mask |= 1 << idx[lab]
+            try:
+                mask |= 1 << idx[lab]
+            except (KeyError, TypeError):   # TypeError: an unhashable label
+                raise ValueError(f"{lab!r} is not in the ground set") from None
         return mask
 
     def value(self, subset: Iterable[str]):
@@ -230,8 +231,9 @@ def check_low_morphism(g: Digraph, subsets: Iterable[Iterable[str]]) -> list[Mor
     zg = lower_half_function(g)
     checks = []
     for subset in subsets:
-        sub = frozenset(subset)
-        g_in, g_out = g.restrict(sub), g.restrict(frozenset(g.vertices) - sub)
+        g_in = g.restrict(subset)   # refuses a non-vertex, hashable or not
+        sub = frozenset(g_in.vertices)
+        g_out = g.restrict(frozenset(g.vertices) - sub)
         z_in, z_out = lower_half_function(g_in), lower_half_function(g_out)
         merged_ok = direct_sum(z_in, z_out) == lower_half_function(disjoint_union(g_in, g_out))
         zc = zg.contract(sub)

@@ -22,7 +22,9 @@ caller is caught.
 
 kernels.count_monotone_maps, the brute-force side that verify
 reciprocity and the benchmark's gate compare with the chain route, loads
-neither _engine nor any name _engine defines.
+neither _engine nor any name _engine defines.  Within src/hopfdg only
+invariants loads it, so each brute-force count has one route: the cone's
+and the dilated polytope's counts go through brute_strict and brute_weak.
 
 Values stay ints, Fractions or Polys, never floats: no module of
 src/hopfdg holds a float literal, a true division `/` or a call of
@@ -65,8 +67,6 @@ FLOATS = {
                                "1/2, compared with rng.random()",
     "cli._random_graph: 0.4": "verify's sampling: each ordered pair is an edge with chance "
                               "0.4, compared with rng.random()",
-    "cli._axiom_instance: 0.5": "verify's sampling: the inner set keeps each label of the "
-                                "outer one with chance 1/2, compared with rng.random()",
 }
 
 
@@ -178,6 +178,19 @@ def test_the_brute_force_walk_shares_no_code_with_the_engine():
         elif isinstance(node, ast.Attribute):
             loaded.add(node.attr)
     assert sorted(loaded & engine) == []
+
+
+def test_only_invariants_loads_the_brute_force_walk():
+    loaders = set()
+    for path in (ROOT / "src" / "hopfdg").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id == "count_monotone_maps"
+                    or isinstance(node, ast.Attribute) and node.attr == "count_monotone_maps"
+                    or isinstance(node, ast.ImportFrom)
+                    and any(a.name == "count_monotone_maps" for a in node.names)):
+                loaders.add(path.stem)
+    assert loaders == {"invariants"}
 
 
 def _floats() -> list[str]:

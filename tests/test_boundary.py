@@ -23,8 +23,8 @@ from conftest import (LABELS, all_digraphs, dense_values, oracle_character_polyn
                       oracle_disjoint_union, oracle_is_submodular, oracle_lower_half_function,
                       oracle_relabel, oracle_restrict, random_digraph, tabulate)
 from hopfdg import (BASIC, EDGE, INF, Digraph, ExtBool, FormalSum, antipode,
-                    character_polynomial_of_sum, check_cone_polytope_agreement, direct_sum,
-                    disjoint_union, lower_half_function)
+                    character_polynomial_of_sum, check_cone_polytope_agreement,
+                    check_low_morphism, direct_sum, disjoint_union, lower_half_function)
 from hopfdg.rings import Poly, Q
 
 SMALL = [g for n in range(5) for g in all_digraphs(LABELS[:n])]
@@ -299,3 +299,44 @@ def test_extbool_constructor_still_checks_every_value(values, message):
 def test_restriction_to_an_infinite_subset_is_refused():
     z = ExtBool(("a", "b"), (0, INF, 1, 2))
     raises_exactly(ValueError, "value on the full ground set must be finite", z.restrict, {"a"})
+
+
+# an unhashable element or a mix of types gets the message a non-vertex or
+# non-label already gets, not a TypeError from hashing or sorting it
+
+@pytest.mark.parametrize("edge", [(["a"], "b"), ("a", ["b"]), ["a", {"b": 1}]])
+def test_digraph_edge_with_an_unhashable_end(edge):
+    raises_exactly(ValueError, f"edge {edge!r} mentions an unknown vertex",
+                   Digraph, ["a", "b"], [edge])
+
+
+@pytest.mark.parametrize("subset, listed", [
+    ([["0"]], "[['0']]"),
+    (["0", ["1"], "q"], "[['1'], 'q']"),
+    ({"q", 5}, "[5, 'q']"),
+    (["0", 5, "q"], "[5, 'q']"),
+])
+def test_splits_reject_unhashable_and_mixed_non_vertices(g3, subset, listed):
+    raises_exactly(ValueError, f"subset contains non-vertices {listed}", g3.coproduct, subset)
+    raises_exactly(ValueError, f"subset contains non-vertices {listed}", g3.is_lower_half, subset)
+    raises_exactly(ValueError, f"restriction set contains non-vertices {listed}",
+                   g3.restrict, subset)
+    raises_exactly(ValueError, f"restriction set contains non-vertices {listed}",
+                   check_low_morphism, g3, [subset])
+
+
+def test_relabel_onto_an_unhashable_label(g3):
+    raises_exactly(ValueError, "labels must be non-empty strings, got ['q']",
+                   g3.relabel, {"0": "p", "1": ["q"], "2": "r"})
+
+
+def test_composition_minor_with_an_unhashable_member(g3):
+    raises_exactly(ValueError, "composition blocks must cover the vertex set",
+                   g3.composition_minor, [["0", ["1"]], ["2"]])
+
+
+@pytest.mark.parametrize("route", [ExtBool.value, ExtBool.contract])
+def test_set_function_labels_that_are_unhashable(g3, route):
+    z = lower_half_function(g3)
+    raises_exactly(ValueError, "['0'] is not in the ground set", route, z, [["0"]])
+    raises_exactly(ValueError, "'q' is not in the ground set", route, z, ["q"])

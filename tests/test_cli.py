@@ -323,6 +323,38 @@ def test_verify_all_refuses_before_any_suite_runs(capsys, tmp_path, monkeypatch,
     assert rounds == []
 
 
+# runs verify hopf-axioms on the graph file argv[1], printing its exit code
+# and every subset a graph is split on, in order
+_RECORD_SPLITS = """
+import json, sys
+from hopfdg import cli
+from hopfdg.digraph import Digraph
+seen = []
+split = Digraph.coproduct
+Digraph.coproduct = lambda g, subset: seen.append(sorted(subset)) or split(g, subset)
+code = cli.main(["verify", "hopf-axioms", sys.argv[1], "--samples", "30"])
+print(json.dumps([code, seen]))
+"""
+
+
+def test_hopf_axiom_rounds_split_on_the_same_subsets_under_any_hash_seed(tmp_path):
+    # a frozenset's order varies with the hash seed, so no draw may follow it
+    path = tmp_path / "path6.txt"
+    path.write_text("vertices: a b c d e f\na -> b\nb -> c\nd -> e\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    runs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _RECORD_SPLITS, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout.splitlines()[-1]))
+    (code, seen), other = runs
+    assert code == 0 and len(seen) > 90
+    assert other == [code, seen]
+
+
 def test_verify_reports_a_broken_unit_law_once(capsys, g3_file, monkeypatch):
     # the unit laws are checked once, ahead of the seeded rounds, which
     # merge no graph with the EMPTY constant itself

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (LABELS, all_digraphs, dense_values, oracle_base_member,
-                      oracle_dilation_points, oracle_max_flow, oracle_sample_vectors,
-                      random_digraph, sample_vectors)
+                      oracle_count_colorings, oracle_dilation_points, oracle_max_flow,
+                      oracle_sample_vectors, random_digraph, sample_vectors)
 from hopfdg import cones
 from hopfdg import (Arc, Digraph, FlowNetwork, SINK, SOURCE,
                     UnboundedFlowError, WorkLimitError,
@@ -248,6 +248,28 @@ def test_vertex_sum_count_is_weak_count():
     assert seen >= 20
 
 
+def test_cone_counts_match_the_colorings_falling_along_every_edge():
+    # the geometric definitions: a direction in {1..n} whose maximum over the
+    # edge cone is the apex falls strictly along every edge, and one whose
+    # maximal face holds the apex of a pointed cone falls weakly, so each
+    # count is the coloring oracle on the reversed edges; the polytope
+    # counts are the same maps through y -> n+1-y
+    for g in (g for k in range(5) for g in all_digraphs(LABELS[:k])):
+        rev = Digraph(g.vertices, [(v, u) for u, v in g.edges])
+        acyclic = g.is_acyclic()
+        if not acyclic:
+            with pytest.raises(ValueError, match="cyclic graph has no vertex"):
+                vertex_sum_count(g, 2)
+        for n in range(5):
+            strict = oracle_count_colorings(rev, n, True)
+            weak = oracle_count_colorings(rev, n, False)
+            assert generic_direction_count(g, n) == strict, (g, n)
+            assert ascent_polytope_points(g, n, interior=True) == strict, (g, n)
+            assert ascent_polytope_points(g, n, interior=False) == (weak if n else 0), (g, n)
+            if acyclic:
+                assert vertex_sum_count(g, n) == weak, (g, n)
+
+
 def test_ascent_polytope_point_counts(g3):
     # interior of the (n+1)-fold dilation counts strict colorings, the
     # closed (n-1)-fold dilation weak ones
@@ -454,6 +476,8 @@ def test_sampled_vectors_are_twelve_times_the_old_ones():
                for coords in cones._sample_coords(nv, tails, heads, 12, new_rng)]
         old = oracle_sample_vectors(g, 12, old_rng)
         assert new == [{v: 12 * c for v, c in vec.items()} for vec in old], g
+        # every sample sums to zero, so the agreement check runs a flow on each
+        assert all(sum(vec.values()) == 0 for vec in new), g
         assert all(type(c) is int for vec in new for c in vec.values())
         assert sample_vectors(g, 12, dict_rng) == new, g
         # the same draws, in order
