@@ -59,17 +59,10 @@ A disjoint union factors.  The lower halves of g1 + g2 are the unions of
 a lower half of each part, and the edges of a block are those of its two
 parts, so chain_stats, surjection_stats and takeuchi_terms fold each
 weakly connected component on its own, in the graph's own vertex and
-edge numbering, and combine the results (_merge, _product).  A connected
-graph is one component and takes one fold.  chain_stats and
-takeuchi_terms set the isolated vertices of a graph with two or more
-components aside as one pool (_lattices), walked and folded by neither.
-For chain_stats j of them are one block of known histogram, k! S(j, k)
-compositions into k blocks keeping no edge (_surjection_counts), charged
-one step per entry and merged once.  For takeuchi_terms they are the one
-term (-1)^j, each vertex a weakly connected block of its own, charged
-one step for its one entry and multiplied in.  character_sum keeps one
-fold over the whole lattice, since its block_value need not be
-multiplicative.
+edge numbering, and combine the results (_merge, _product).  Every
+component takes the same walk and fold, an isolated vertex too, and a
+connected graph is one component.  character_sum keeps one fold over
+the whole lattice, since its block_value need not be multiplicative.
 
 One meter gates every sum (_Meter): it reads the work budget once, the
 work is counted while it is done, and hopfdg.limits refuses the sum once
@@ -211,27 +204,16 @@ def _lattice(nv: int, tails: list[int], heads: list[int], what: str,
 
 
 def _lattices(nv: int, tails: list[int], heads: list[int], meter: _Meter
-              ) -> tuple[list[tuple[int, list[int]]], int, dict[int, int], dict[int, int]]:
-    """(component, its lower halves) per weakly connected component, a pool,
-    and the edge masks.
+              ) -> tuple[list[tuple[int, list[int]]], dict[int, int], dict[int, int]]:
+    """(component, its lower halves) per weakly connected component, and the edge masks.
 
-    A connected graph, or one with no vertices, is one component, the
-    full set, and its pool is 0.  The isolated vertices of a graph with
-    two or more components are not walked: they come back as one vertex
-    mask, the pool, and are left out of the components.  Each caller
-    takes the pool's closed form: k! S(j, k) compositions into k blocks
-    for chain_stats, the one term (-1)^j for takeuchi_terms.
+    An isolated vertex is a component like any other; a graph with no
+    vertices is one component, the empty set.
     """
     downs = set(_down_sets(nv, tails, heads))
-    comps = _components(nv, downs)
-    if len(comps) < 2:
-        halves = _walk(meter, downs, "composition sum")
-        return [((1 << nv) - 1, halves)], 0, *_edge_masks(nv, tails, heads, halves)
-    lone = sum(comp for comp in comps if comp & (comp - 1) == 0)
     parts = [(comp, _walk(meter, {down for down in downs if down & comp}, "composition sum"))
-             for comp in comps if not comp & lone]
-    return (parts, lone,
-            *_edge_masks(nv, tails, heads, chain.from_iterable(h for _, h in parts)))
+             for comp in _components(nv, downs) or [0]]
+    return parts, *_edge_masks(nv, tails, heads, chain.from_iterable(h for _, h in parts))
 
 
 def _edge_masks(nv: int, tails: list[int], heads: list[int],
@@ -331,21 +313,6 @@ def _interleavings(a: int, b: int) -> tuple[int, ...]:
     return tuple(comb(a + b - j, a) * comb(a, j) for j in range(min(a, b) + 1))
 
 
-@lru_cache(maxsize=None)
-def _surjection_counts(j: int) -> tuple[int, ...]:
-    """Entry k: the compositions of a j-set into k blocks, k! S(j, k).
-
-    A composition of j elements into k blocks puts the last element in
-    one of the k blocks of a composition of the rest, or alone in one of
-    k places between the blocks of one into k - 1.
-    """
-    counts = (1,)
-    for _ in range(j):
-        counts = (0, *(k * (counts[k - 1] + (counts[k] if k < len(counts) else 0))
-                       for k in range(1, len(counts) + 1)))
-    return counts
-
-
 def _merge(left: dict[int, int], right: dict[int, int], mask: int,
            meter: _Meter) -> dict[int, int]:
     """The histogram of a disjoint union from those of its two parts.
@@ -403,7 +370,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
     edges inside single blocks.  The empty graph gives {(0, 0): 1}.
     """
     meter = _Meter(nv)
-    parts, lone, out, into = _lattices(nv, tails, heads, meter)
+    parts, out, into = _lattices(nv, tails, heads, meter)
     shift = nv.bit_length()   # keys pack k + (kept << shift)
 
     def push(acc: dict, source: dict, low: int, highs: list[int]) -> None:
@@ -418,13 +385,7 @@ def chain_stats(nv: int, tails: list[int], heads: list[int]) -> dict[tuple[int, 
                 target[key] = get(key, 0) + cnt
 
     mask = (1 << shift) - 1
-    histograms = [_fold(comp, halves, push, meter) for comp, halves in parts]
-    if lone:
-        # j isolated vertices, no edge kept: k! S(j, k) compositions into k blocks
-        surjections = _surjection_counts(lone.bit_count())
-        meter.charge(len(surjections) - 1)
-        histograms.append({k: cnt for k, cnt in enumerate(surjections) if cnt})
-    packed = _merged(histograms, mask, meter)
+    packed = _merged([_fold(comp, halves, push, meter) for comp, halves in parts], mask, meter)
     return {(key & mask, key >> shift): cnt for key, cnt in packed.items()}
 
 
@@ -439,7 +400,7 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
     decided by one search over the neighbour masks, built once per call.
     """
     meter = _Meter(nv)
-    parts, lone, out, into = _lattices(nv, tails, heads, meter)
+    parts, out, into = _lattices(nv, tails, heads, meter)
     near = _neighbours(nv, tails, heads)
 
     def select(low: int, highs: list[int]) -> list[int]:
@@ -457,12 +418,7 @@ def takeuchi_terms(nv: int, tails: list[int], heads: list[int]) -> dict[int, int
             for mask, sign in source.items():
                 target[mask | kept] = -sign
 
-    factors = [_fold(comp, halves, push, meter, select) for comp, halves in parts]
-    if lone:
-        # j isolated vertices, each its own block: the one term (-1)^j
-        meter.charge(1)
-        factors.append({0: (-1) ** lone.bit_count()})
-    return _product(factors, meter)
+    return _product([_fold(comp, halves, push, meter, select) for comp, halves in parts], meter)
 
 
 def character_sum(nv: int, tails: list[int], heads: list[int],

@@ -81,6 +81,13 @@ class Arc:
             raise ValueError(f"capacity must be non-negative or INF, got {cap!r}")
 
 
+def _are_nodes(nodeset: set, *ends: object) -> bool:
+    try:
+        return all(end in nodeset for end in ends)
+    except TypeError:   # an unhashable end is no node
+        return False
+
+
 @dataclass(frozen=True)
 class FlowNetwork:
     nodes: tuple
@@ -89,13 +96,17 @@ class FlowNetwork:
     sink: object = SINK
 
     def __post_init__(self):
-        nodeset = set(self.nodes)
-        if self.source not in nodeset or self.sink not in nodeset:
+        try:
+            nodeset = set(self.nodes)
+        except TypeError:   # an unhashable node, or no collection
+            raise ValueError(f"nodes must be a collection of hashable objects, "
+                             f"got {self.nodes!r}") from None
+        if not _are_nodes(nodeset, self.source, self.sink):
             raise ValueError("source and sink must be nodes")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
         for arc in self.arcs:
-            if arc.tail not in nodeset or arc.head not in nodeset:
+            if not _are_nodes(nodeset, arc.tail, arc.head):
                 raise ValueError(f"arc {arc!r} leaves the node set")
             if arc.head is self.source:
                 raise ValueError("no arc may enter the source")
@@ -288,14 +299,17 @@ def audit_flow(net: FlowNetwork, result: FlowResult) -> list[str]:
                        for node in result.cut if node not in index]
 
 
-def _exact(c) -> int | Fraction:
+def _exact(label: str, c: object) -> int | Fraction:
+    """Entry c of a vector at label, an int or a Fraction; anything else is refused."""
+    if not isinstance(c, (int, Fraction)):
+        raise ValueError(f"vector entry at {label!r} must be an int or a Fraction, got {c!r}")
     return c if type(c) is int else Fraction(c)
 
 
 def _normalize_vector(g: Digraph, x: Mapping[str, object]) -> dict[str, int | Fraction]:
     if set(x) != set(g.vertices):
         raise ValueError("vector must assign exactly the vertices of the graph")
-    return {v: _exact(x[v]) for v in g.vertices}
+    return {v: _exact(v, x[v]) for v in g.vertices}
 
 
 def base_member(z: ExtBool, x: Mapping[str, object]) -> bool:
@@ -307,7 +321,7 @@ def base_member(z: ExtBool, x: Mapping[str, object]) -> bool:
     """
     if set(x) != set(z.ground):
         raise ValueError("vector must assign exactly the ground labels")
-    return _in_base(_base_plan(z), [_exact(x[lab]) for lab in z.ground])
+    return _in_base(_base_plan(z), [_exact(lab, x[lab]) for lab in z.ground])
 
 
 _BasePlan = tuple[object, list[tuple[int, list[int], object]]]

@@ -63,10 +63,10 @@ def _psi_weight(key: tuple[int, int]) -> Expt:
 def _invariant(g: Digraph, max_vertices: int | None,
                histogram: Callable[[int, list[int], list[int]], dict[tuple, int]],
                weight: Callable[[tuple], Expt | None]) -> BinPoly:
+    _check_scan_size(g, max_vertices)
     nv, tails, heads = g.edge_arrays()
     if nv == 0:
         return BinPoly((1,))
-    _check_scan_size(g, max_vertices)
     return _project(nv, histogram(nv, tails, heads), weight)
 
 

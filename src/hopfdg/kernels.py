@@ -53,6 +53,9 @@ def count_monotone_maps(nv: int, tails: list[int], heads: list[int],
     of an earlier vertex with an edge into it up to the smallest of an
     earlier vertex it has an edge into (one past each, when strict).  The
     last vertex adds its interval's length, and an empty interval adds 0.
+    The walk is a loop, not a recursion, so it takes any number of
+    vertices: a vertex out of values backs up to the nearest earlier one
+    with a value left.
     """
     if nv == 0:
         return 1
@@ -66,8 +69,10 @@ def count_monotone_maps(nv: int, tails: list[int], heads: list[int],
     step = 1 if strict else 0
     last = nv - 1
     color = [0] * nv
-
-    def walk(i: int) -> int:
+    top = [0] * nv   # the largest value vertex i takes, given the earlier ones
+    total = 0
+    i = 0
+    while True:
         lo = 0
         for j in below[i]:
             if color[j] + step > lo:
@@ -76,12 +81,17 @@ def count_monotone_maps(nv: int, tails: list[int], heads: list[int],
         for j in above[i]:
             if color[j] - step < hi:
                 hi = color[j] - step
+        if i < last and lo <= hi:
+            color[i], top[i] = lo, hi
+            i += 1
+            continue
         if i == last:
-            return max(hi - lo + 1, 0)
-        total = 0
-        for c in range(lo, hi + 1):
-            color[i] = c
-            total += walk(i + 1)
-        return total
-
-    return walk(0)
+            total += max(hi - lo + 1, 0)
+        # back up to the nearest earlier vertex with a value left, and give it the next
+        i -= 1
+        while i >= 0 and color[i] == top[i]:
+            i -= 1
+        if i < 0:
+            return total
+        color[i] += 1
+        i += 1

@@ -31,8 +31,14 @@ ENV_MAX_WORK = "HOPFDG_MAX_WORK"
 
 
 def check_size(what: str, nv: int, limit: int | None) -> None:
-    """Refuse `what` over nv vertices past limit (None: DEFAULT_MAX_VERTICES)."""
+    """Refuse `what` over nv vertices past limit (None: DEFAULT_MAX_VERTICES).
+
+    A limit below 0 would refuse every graph, the empty one too, so it is
+    refused itself, as a ValueError.
+    """
     limit = DEFAULT_MAX_VERTICES if limit is None else limit
+    if limit < 0:
+        raise ValueError(f"max_vertices must be at least 0, got {limit}")
     if nv > limit:
         raise SizeLimitError(f"{what} over {nv} vertices exceeds bound {limit}")
 

@@ -26,6 +26,12 @@ neither _engine nor any name _engine defines.  Within src/hopfdg only
 invariants loads it, so each brute-force count has one route: the cone's
 and the dilated polytope's counts go through brute_strict and brute_weak.
 
+No function of src/hopfdg calls itself by name, nested ones included:
+outside the composition sums the library takes any number of vertices,
+and a recursion one level per vertex would stop at Python's recursion
+limit.  A call through an attribute (super().__new__, say) does not
+count.
+
 Values stay ints, Fractions or Polys, never floats: no module of
 src/hopfdg holds a float literal, a true division `/` or a call of
 float(...), unless FLOATS gives the reason it stays, keyed
@@ -191,6 +197,17 @@ def test_only_invariants_loads_the_brute_force_walk():
                     and any(a.name == "count_monotone_maps" for a in node.names)):
                 loaders.add(path.stem)
     assert loaders == {"invariants"}
+
+
+def test_no_function_calls_itself():
+    recursive = []
+    for path in (ROOT / "src" / "hopfdg").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == node.name for call in ast.walk(node)):
+                recursive.append(f"{path.stem}.{node.name}")
+    assert sorted(recursive) == []
 
 
 def _floats() -> list[str]:

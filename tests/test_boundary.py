@@ -22,9 +22,12 @@ from conftest import (LABELS, all_digraphs, dense_values, oracle_character_polyn
                       oracle_contract, oracle_coproduct, oracle_direct_sum,
                       oracle_disjoint_union, oracle_is_submodular, oracle_lower_half_function,
                       oracle_relabel, oracle_restrict, random_digraph, tabulate)
-from hopfdg import (BASIC, EDGE, INF, Digraph, ExtBool, FormalSum, antipode,
+from hopfdg import (BASIC, EDGE, INF, SINK, SOURCE, Arc, Digraph, ExtBool, FlowNetwork,
+                    FormalSum, antipode, base_member, build_flow_network,
                     character_polynomial_of_sum, check_cone_polytope_agreement,
-                    check_low_morphism, direct_sum, disjoint_union, lower_half_function)
+                    check_low_morphism, cone_member, direct_sum, disjoint_union,
+                    lower_half_function)
+from hopfdg.cones import membership_flow
 from hopfdg.rings import Poly, Q
 
 SMALL = [g for n in range(5) for g in all_digraphs(LABELS[:n])]
@@ -340,3 +343,33 @@ def test_set_function_labels_that_are_unhashable(g3, route):
     z = lower_half_function(g3)
     raises_exactly(ValueError, "['0'] is not in the ground set", route, z, [["0"]])
     raises_exactly(ValueError, "'q' is not in the ground set", route, z, ["q"])
+
+
+# a vector entry is an int or a Fraction, as an Arc's capacity and a set
+# function's value are: no float, no string parsed (exponent notation
+# included) and no TypeError or OverflowError from Fraction(...)
+
+@pytest.mark.parametrize("entry", [None, [1], {"x": 1}, float("inf"), 0.5, "1/2", "-1e3"])
+def test_cone_vectors_take_only_exact_numbers(g3, entry):
+    x = {"0": 1, "1": entry, "2": Fraction(-1, 2)}
+    message = f"vector entry at '1' must be an int or a Fraction, got {entry!r}"
+    for route in (cone_member, membership_flow, build_flow_network):
+        raises_exactly(ValueError, message, route, g3, x)
+    raises_exactly(ValueError, message, base_member, lower_half_function(g3), x)
+
+
+@pytest.mark.parametrize("nodes, arcs, message", [
+    ((SOURCE, SINK, ["a"]), (),
+     "nodes must be a collection of hashable objects, got (source, sink, ['a'])"),
+    ((SOURCE, SINK, "a"), (Arc(SOURCE, ["a"], 1),),
+     "arc Arc(tail=source, head=['a'], capacity=1) leaves the node set"),
+    ((SOURCE, SINK, "a"), (Arc({"a": 1}, SINK, 1),),
+     "arc Arc(tail={'a': 1}, head=sink, capacity=1) leaves the node set"),
+])
+def test_flow_networks_with_unhashable_nodes(nodes, arcs, message):
+    raises_exactly(ValueError, message, FlowNetwork, nodes, arcs)
+
+
+def test_flow_network_with_an_unhashable_terminal():
+    raises_exactly(ValueError, "source and sink must be nodes",
+                   FlowNetwork, (SOURCE, SINK), (), ["s"])

@@ -311,53 +311,32 @@ def test_the_meter_is_exact_on_disjoint_unions(monkeypatch):
         assert_the_meter_is_exact(monkeypatch, g)
 
 
-def test_isolated_vertices_fold_as_one_block(monkeypatch):
-    # an edge and j isolated vertices: one fold for the edge and the isolated
-    # vertices' closed form, k! S(j, k) merged once for chain_stats and the
-    # one term (-1)^j for takeuchi_terms; connected graphs fold once and
-    # never take the pool
-    folds, merges, pools = [], [], []
-    real_fold, real_merge, real_lattices = _engine._fold, _engine._merge, _engine._lattices
-
-    def lattices(*args):
-        found = real_lattices(*args)
-        pools.append(found[1])
-        return found
-
+def test_every_component_folds_once_isolated_vertices_too(monkeypatch):
+    # an isolated vertex is a component like any other: an edge and j
+    # isolated vertices fold j + 1 times and chain_stats merges j times;
+    # connected graphs fold once and merge nothing
+    folds, merges = [], []
+    real_fold, real_merge = _engine._fold, _engine._merge
     monkeypatch.setattr(_engine, "_fold", lambda *a: folds.append(1) or real_fold(*a))
     monkeypatch.setattr(_engine, "_merge", lambda *a: merges.append(1) or real_merge(*a))
-    monkeypatch.setattr(_engine, "_lattices", lattices)
-    for j in range(7):
+
+    def assert_folds(nv, tails, heads, count):
         folds.clear(), merges.clear()
-        args = (j + 2, [0], [1])
-        assert kernels.chain_stats(*args) == oracle_chain_stats(*args)
-        assert (len(folds), len(merges)) == (1, 1 if j else 0)
+        assert kernels.chain_stats(nv, tails, heads) == oracle_chain_stats(nv, tails, heads)
+        assert (len(folds), len(merges)) == (count, count - 1)
         folds.clear()
-        assert kernels.takeuchi_terms(*args) == oracle_takeuchi_terms(*args)
-        assert len(folds) == 1
-    for nv in range(2, 8):
-        folds.clear(), merges.clear()
-        assert kernels.chain_stats(nv, [], []) == oracle_chain_stats(nv, [], [])
-        assert kernels.takeuchi_terms(nv, [], []) == oracle_takeuchi_terms(nv, [], [])
-        assert (len(folds), len(merges)) == (0, 0)
-        # no walk, fold or merge: one step per entry of the closed form
-        assert charged_work(monkeypatch, kernels.chain_stats, nv, [], []) == nv
-        assert charged_work(monkeypatch, kernels.takeuchi_terms, nv, [], []) == 1
+        assert kernels.takeuchi_terms(nv, tails, heads) == oracle_takeuchi_terms(nv, tails, heads)
+        assert len(folds) == count
 
-    def no_closed_form(j):
-        raise AssertionError("a connected graph took the isolated vertices' closed form")
-
-    monkeypatch.setattr(_engine, "_surjection_counts", no_closed_form)
-    for g in all_digraphs("abcd"):
-        nv, tails, heads = g.edge_arrays()
-        if len(_engine._components(nv, set(_down_sets(nv, tails, heads)))) == 1:
-            folds.clear(), merges.clear(), pools.clear()
-            assert kernels.chain_stats(nv, tails, heads) == oracle_chain_stats(nv, tails, heads)
-            assert (len(folds), len(merges)) == (1, 0)
-            folds.clear()
-            terms = kernels.takeuchi_terms(nv, tails, heads)
-            assert terms == oracle_takeuchi_terms(nv, tails, heads)
-            assert len(folds) == 1 and pools == [0, 0]
+    for j in range(7):
+        assert_folds(j + 2, [0], [1], j + 1)
+    for nv in range(8):
+        assert_folds(nv, [], [], max(nv, 1))   # no vertices: one component, the empty set
+    for labels in ("a", "ab", "abc", "abcd"):
+        for g in all_digraphs(labels):
+            nv, tails, heads = g.edge_arrays()
+            if len(_engine._components(nv, set(_down_sets(nv, tails, heads)))) == 1:
+                assert_folds(nv, tails, heads, 1)
 
 
 def star_arrays():

@@ -6,7 +6,7 @@ from conftest import (all_digraphs, coefficient, coefficient_of, oracle_count_co
                       oracle_invariants, oracle_surjection_stats, random_digraph,
                       substitute)
 from hopfdg import (BASIC, BinPoly, Digraph, EDGE, EMPTY, WorkLimitError,
-                    antipode, b_polynomial, brute_strict, brute_weak,
+                    antipode, ascent_polytope_points, b_polynomial, brute_strict, brute_weak,
                     character_polynomial, character_polynomial_of_sum,
                     check_edge_reciprocity, check_reciprocity, edge_invariant,
                     kernels, strict_chromatic, weak_chromatic)
@@ -238,6 +238,16 @@ def test_work_gate_env(monkeypatch):
         brute_weak(g, 3)
     monkeypatch.setenv("HOPFDG_MAX_WORK", str(10 ** 9))
     assert brute_weak(g, 2) == 2 ** 8
+
+
+def test_the_walk_takes_any_number_of_vertices():
+    # one value: each vertex takes one step forward and one back, with no recursion
+    labels = [f"v{i}" for i in range(3000)]
+    path = Digraph(labels, zip(labels, labels[1:]))
+    assert brute_weak(path, 1) == 1
+    assert brute_strict(path, 1) == 0
+    assert ascent_polytope_points(path, 1, interior=False) == 1
+    assert brute_strict(Digraph(labels), 1) == 1
 
 
 def _swap_yz(c):

@@ -5,8 +5,11 @@ import pathlib
 import re
 from types import SimpleNamespace
 
+import pytest
+
 import hopfdg
-from hopfdg import limits
+from hopfdg import (BASIC, EMPTY, antipode_masks, b_polynomial, character_polynomial,
+                    edge_invariant, limits, strict_chromatic, weak_chromatic)
 from hopfdg.cli import main
 
 PACKAGE = pathlib.Path(hopfdg.__file__).parent
@@ -54,3 +57,15 @@ def test_a_command_reads_the_budget_once(monkeypatch, tmp_path, capsys):
     # outside a command every call reads the environment as it is then
     assert limits.work_budget() == limits.work_budget() == 123456
     assert len(reads) == 3
+
+
+@pytest.mark.parametrize("fn", [strict_chromatic, weak_chromatic, edge_invariant, b_polynomial,
+                                lambda g, **cap: character_polynomial(g, BASIC, **cap),
+                                antipode_masks])
+def test_a_negative_vertex_cap_is_refused_even_on_the_empty_graph(fn):
+    # the strict invariant and the basic character polynomial are one
+    # polynomial, so they give one answer to one cap
+    with pytest.raises(ValueError) as info:
+        fn(EMPTY, max_vertices=-1)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "max_vertices must be at least 0, got -1"
