@@ -16,8 +16,8 @@ from .digraph import (Digraph, EMPTY, disjoint_union, format_graph,
                       parse_graph)
 from .errors import (GraphParseError, ResourceLimitError, SizeLimitError,
                      UnboundedFlowError, WorkLimitError)
-from .hopf import (BASIC, Character, EDGE, FormalSum, antipode,
-                   antipode_masks, basic_char, character_polynomial,
+from .hopf import (BASIC, EDGE, FormalSum, antipode, antipode_masks,
+                   basic_char, character_polynomial,
                    character_polynomial_of_sum, edge_char)
 from .invariants import (ReciprocityCheck, b_polynomial, brute_strict,
                          brute_weak, check_edge_reciprocity,
@@ -30,7 +30,7 @@ from .submodular import (ExtBool, INF, Infinity, MorphismCheck,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "BASIC", "BinPoly", "Character", "Digraph", "EDGE",
+    "Arc", "BASIC", "BinPoly", "Digraph", "EDGE",
     "EMPTY", "EquivalenceReport", "ExtBool", "FlowNetwork", "FlowResult",
     "FormalSum", "GraphParseError", "INF", "Infinity", "MorphismCheck",
     "Poly", "ReciprocityCheck", "ResourceLimitError", "SINK", "SOURCE",

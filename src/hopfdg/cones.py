@@ -39,6 +39,7 @@ A sample becomes a dict only when a mismatch or an audit reports it.
 from __future__ import annotations
 
 import random
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -105,7 +106,11 @@ class FlowNetwork:
             raise ValueError("source and sink must be nodes")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
+        if not isinstance(self.arcs, Collection):
+            raise ValueError(f"arcs must be a collection of Arcs, got {self.arcs!r}")
         for arc in self.arcs:
+            if not isinstance(arc, Arc):
+                raise ValueError(f"arc {arc!r} is not an Arc")
             if not _are_nodes(nodeset, arc.tail, arc.head):
                 raise ValueError(f"arc {arc!r} leaves the node set")
             if arc.head is self.source:
@@ -306,10 +311,17 @@ def _exact(label: str, c: object) -> int | Fraction:
     return c if type(c) is int else Fraction(c)
 
 
+def _coords(x: Mapping[str, object], labels: tuple, what: str) -> list[int | Fraction]:
+    """x's entries at labels, in order; x must be a mapping onto exactly those."""
+    if not isinstance(x, Mapping):
+        raise ValueError(f"vector must be a mapping from labels to numbers, got {x!r}")
+    if set(x) != set(labels):
+        raise ValueError(f"vector must assign exactly the {what}")
+    return [_exact(lab, x[lab]) for lab in labels]
+
+
 def _normalize_vector(g: Digraph, x: Mapping[str, object]) -> dict[str, int | Fraction]:
-    if set(x) != set(g.vertices):
-        raise ValueError("vector must assign exactly the vertices of the graph")
-    return {v: _exact(v, x[v]) for v in g.vertices}
+    return dict(zip(g.vertices, _coords(x, g.vertices, "vertices of the graph")))
 
 
 def base_member(z: ExtBool, x: Mapping[str, object]) -> bool:
@@ -319,9 +331,7 @@ def base_member(z: ExtBool, x: Mapping[str, object]) -> bool:
     at or below z(A) for every subset A; INF constraints are vacuous, so
     only the support z.finite is read (_base_plan, _in_base).
     """
-    if set(x) != set(z.ground):
-        raise ValueError("vector must assign exactly the ground labels")
-    return _in_base(_base_plan(z), [_exact(lab, x[lab]) for lab in z.ground])
+    return _in_base(_base_plan(z), _coords(x, z.ground, "ground labels"))
 
 
 _BasePlan = tuple[object, list[tuple[int, list[int], object]]]
@@ -523,8 +533,13 @@ def check_agreement_work(g: Digraph, samples: int) -> ExtBool:
 
     Each sample is one base check over the cut function's support, its L
     lower halves found by the metered walk, and one flow search over the
-    graph: samples * (L + |V| + |E|) steps.
+    graph: samples * (L + |V| + |E|) steps.  samples must be an int of at
+    least 0.
     """
+    if not isinstance(samples, int):
+        raise ValueError(f"need an int samples, got {samples!r}")
+    if samples < 0:
+        raise ValueError(f"need samples >= 0, got {samples}")
     z = lower_half_function(g)
     limits.check_work(f"base check of {samples} vectors over {len(z.finite)} lower halves",
                       samples * (len(z.finite) + len(g.vertices) + len(g.edges)))
@@ -575,8 +590,6 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
     zero (_sample_coords), adds only its terminal arcs (_sample_flow).  A
     vector is built as a dict only for the report.
     """
-    if samples < 0:
-        raise ValueError(f"need samples >= 0, got {samples}")
     plan = _base_plan(check_agreement_work(g, samples))
     nv, tails, heads = g.edge_arrays()
     verts = g.vertices
@@ -635,4 +648,5 @@ def ascent_polytope_points(g: Digraph, n: int, *, interior: bool) -> int:
     """
     if interior:
         return brute_strict(g, n)
-    return brute_weak(g, n) if n else 0
+    weak = brute_weak(g, n)   # which refuses an n that is not an int
+    return weak if n else 0

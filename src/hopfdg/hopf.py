@@ -10,16 +10,20 @@ Every such sum runs through the one dynamic program of the kernels.  The
 antipode's signed sum cancels down to one term per partition of the
 vertices into weakly connected induced blocks with an acyclic quotient,
 signed (-1)^blocks, and kernels.takeuchi_terms folds those terms
-directly, so no coefficient is ever summed to 0.  A character whose
-value on a graph is one monomial fixed by its edge count
-(Character.edge_monomial, as for BASIC and EDGE) only needs how many
-edges each composition keeps: its polynomial is the projection of the
-kernels' (k, kept) histogram, _project, the one route from a kernel
-histogram to a BinPoly.  The polynomial invariants of the invariants
-module project through it too, with the same weights for strict and psi
-that BASIC and EDGE carry, so the strict invariant and the basic
-character polynomial are one code path.  Any other character is
-evaluated on the blocks themselves.  Both paths are exact.
+directly, so no coefficient is ever summed to 0.
+
+A character is any callable from graphs to ints or Polys.  The two the
+paper's theorem and its reciprocity use, BASIC (basic_char) and EDGE
+(edge_char), take one monomial fixed by the edge count on each block, so
+their polynomials only need how many edges each composition keeps: they
+are projections of the kernels' (k, kept) histogram through _project,
+the one route from a kernel histogram to a BinPoly, with the weights
+_strict_weight and _psi_weight.  The polynomial invariants of the
+invariants module project with the same two weights, so the strict
+invariant and the basic character polynomial are one code path.  The
+fast path is chosen when the character is this module's BASIC or EDGE,
+looked up at call time, so a rebound BASIC or EDGE keeps it.  Any other
+callable is evaluated on the blocks themselves.  Both paths are exact.
 
 Disjoint union is the monoid's product, and the antipode and the
 histogram of kept edges are multiplicative, so the kernels compute them
@@ -42,25 +46,6 @@ from .digraph import Digraph
 from .rings import BinPoly, Expt, Poly, Q
 
 
-@dataclass(frozen=True)
-class Character:
-    """A named multiplicative graph invariant with values in a ring.
-
-    edge_monomial, when set, says that the character's value on a graph
-    with m edges is one monomial q^e[0] * y^e[1] * z^e[2] with coefficient
-    1, e = edge_monomial(m), or 0 where edge_monomial(m) is None; e must
-    be a tuple of three non-negative ints.  It lets the composition sum
-    count kept edges instead of evaluating the character on every block.
-    """
-
-    name: str
-    of_graph: Callable[[Digraph], Any]
-    edge_monomial: Callable[[int], Expt | None] | None = None
-
-    def __call__(self, g: Digraph) -> Any:
-        return self.of_graph(g)
-
-
 def basic_char(g: Digraph) -> int:
     """1 on edgeless graphs, 0 otherwise."""
     return 0 if g.edges else 1
@@ -71,19 +56,27 @@ def edge_char(g: Digraph) -> Poly:
     return Q ** len(g.edges)
 
 
-# BASIC's and EDGE's edge monomials, which strict_chromatic and
-# edge_invariant project with too; private, so that rebinding the public
-# characters (as perfbench's tracer does) never reaches them
-def _basic_weight(kept: int) -> Expt | None:
-    return None if kept else (0, 0, 0)
+BASIC = basic_char
+EDGE = edge_char
 
 
-def _edge_weight(kept: int) -> Expt:
-    return (kept, 0, 0)
+# an entry (k, kept) of chain_stats weighs BASIC's and EDGE's value on
+# blocks keeping kept edges in all: 1 at kept = 0 only, and q^kept
+def _strict_weight(key: tuple[int, int]) -> Expt | None:
+    return None if key[1] else (0, 0, 0)
 
 
-BASIC = Character("basic", basic_char, _basic_weight)
-EDGE = Character("edge", edge_char, _edge_weight)
+def _psi_weight(key: tuple[int, int]) -> Expt:
+    return (key[1], 0, 0)
+
+
+def _fast_weight(character: Callable[[Digraph], Any]) -> Callable[[tuple], Expt | None] | None:
+    """The projection weight of BASIC or EDGE, as bound now; else None."""
+    if character is BASIC:
+        return _strict_weight
+    if character is EDGE:
+        return _psi_weight
+    return None
 
 
 @dataclass(frozen=True, eq=True)
@@ -183,7 +176,7 @@ def _project(nv: int, histogram: Mapping[tuple, int],
                                   {e: c for e, c in terms.items() if c}) for terms in sums))
 
 
-def character_polynomial(g: Digraph, character: Character | Callable[[Digraph], Any],
+def character_polynomial(g: Digraph, character: Callable[[Digraph], Any],
                          *, max_vertices: int | None = None) -> BinPoly:
     """The polynomial invariant of g attached to a character.
 
@@ -197,7 +190,7 @@ def character_polynomial(g: Digraph, character: Character | Callable[[Digraph], 
         return BinPoly((1,))
 
     _, tails, heads = g.edge_arrays()
-    weight = _weight_of(character)
+    weight = _fast_weight(character)
     if weight is not None:
         return _project(nv, kernels.chain_stats(nv, tails, heads), weight)
     verts = g.vertices
@@ -211,35 +204,14 @@ def character_polynomial(g: Digraph, character: Character | Callable[[Digraph], 
     return BinPoly(tuple(coeffs))
 
 
-def _weight_of(character: Character | Callable[[Digraph], Any]
-               ) -> Callable[[tuple[int, int]], Expt | None] | None:
-    """The weight of a (k, kept) entry under a Character's edge monomial,
-    checked on every value it gives, since _project builds its Polys
-    unchecked; None for a character without one."""
-    monomial = character.edge_monomial if isinstance(character, Character) else None
-    if monomial is None:
-        return None
-
-    def weight(key: tuple[int, int]) -> Expt | None:
-        kept = key[1]
-        e = monomial(kept)
-        if e is not None and (type(e) is not tuple or len(e) != 3
-                              or any(type(x) is not int or x < 0 for x in e)):
-            raise ValueError(f"edge monomial of {character.name!r} at {kept} edges "
-                             f"is {e!r}, not three non-negative ints")
-        return e
-    return weight
-
-
-def character_polynomial_of_sum(s: FormalSum, character: Character | Callable[[Digraph], Any],
+def character_polynomial_of_sum(s: FormalSum, character: Callable[[Digraph], Any],
                                 *, max_vertices: int | None = None) -> BinPoly:
     """Linear extension of character_polynomial to a formal sum.
 
-    For a character with an edge monomial, the terms' chain_stats
-    histograms are added, weighted by their coefficients, and projected
-    once (_sum_polynomial).
+    For BASIC and EDGE, the terms' chain_stats histograms are added,
+    weighted by their coefficients, and projected once (_sum_polynomial).
     """
-    weight = _weight_of(character)
+    weight = _fast_weight(character)
     if weight is not None:
         return _sum_polynomial(s, weight, max_vertices)
     total = BinPoly(())

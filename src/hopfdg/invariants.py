@@ -16,11 +16,10 @@ kernel histogram to a BinPoly.  An entry (k, kept) goes to
   weak_chromatic     1 (f weakly increasing)
   edge_invariant     q^kept (level edges of f)
 
-strict's and psi's weights are the edge monomials of the characters
-BASIC and EDGE, so strict_chromatic is the basic character polynomial
-by the same code, as the paper's theorem says, and edge_invariant the
-edge one.  They are shared under private names: this module never reads
-the public characters, which may be rebound.
+strict's and psi's weights are hopf._strict_weight and hopf._psi_weight,
+the ones character_polynomial projects with for BASIC and EDGE, so
+strict_chromatic is the basic character polynomial by the same code, as
+the paper's theorem says, and edge_invariant the edge one.
 
 b_polynomial alone needs every map: it walks all surjections through
 kernels.surjection_stats, whose key (k, asc, desc) goes to y^asc * z^desc
@@ -40,7 +39,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import kernels, limits
 from .digraph import Digraph
-from .hopf import _basic_weight, _edge_weight, _project, _sum_polynomial, antipode
+from .hopf import _project, _psi_weight, _strict_weight, _sum_polynomial, antipode
 from .rings import BinPoly, Expt
 
 
@@ -49,15 +48,6 @@ def _check_scan_size(g: Digraph, max_vertices: int | None) -> None:
     # from when each of them scanned the surjections: refusals are output
     # too, and stay byte-stable
     limits.check_size("surjection scan", len(g.vertices), max_vertices)
-
-
-# an entry (k, kept) weighs BASIC's and EDGE's edge monomial at kept
-def _strict_weight(key: tuple[int, int]) -> Expt | None:
-    return _basic_weight(key[1])
-
-
-def _psi_weight(key: tuple[int, int]) -> Expt:
-    return _edge_weight(key[1])
 
 
 def _invariant(g: Digraph, max_vertices: int | None,
@@ -92,6 +82,9 @@ def edge_invariant(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:
 
 
 def _work_gate(g: Digraph, n: int) -> None:
+    # a float n would never meet the walk's top value, so it is refused
+    if not isinstance(n, int):
+        raise ValueError(f"map count needs an int n, got {n!r}")
     if n < 0:
         raise ValueError(f"map count needs n >= 0, got {n}")
     limits.check_work(f"scan of the maps into {{1..{n}}}", n ** len(g.vertices))

@@ -34,9 +34,11 @@ def check_size(what: str, nv: int, limit: int | None) -> None:
     """Refuse `what` over nv vertices past limit (None: DEFAULT_MAX_VERTICES).
 
     A limit below 0 would refuse every graph, the empty one too, so it is
-    refused itself, as a ValueError.
+    refused itself, as a ValueError; so is a limit that is not an int.
     """
     limit = DEFAULT_MAX_VERTICES if limit is None else limit
+    if not isinstance(limit, int):
+        raise ValueError(f"max_vertices must be an int, got {limit!r}")
     if limit < 0:
         raise ValueError(f"max_vertices must be at least 0, got {limit}")
     if nv > limit:
@@ -57,6 +59,8 @@ def work_budget() -> int:
         budget = int(raw)
     except ValueError:
         raise ValueError(f"{ENV_MAX_WORK} must be an integer, got {raw!r}")
+    if budget < 0:
+        raise ValueError(f"{ENV_MAX_WORK} must be at least 0, got {raw!r}")
     if held is not None:
         held.append(budget)
     return budget

@@ -122,7 +122,7 @@ def test_criterion_4_antipode_reciprocity_both_characters(report):
             flipped = character_polynomial_of_sum(s, char)
             for n in range(5):
                 if direct.eval(-n) != flipped.eval(n):
-                    bad = (g, char.name, n)
+                    bad = (g, char.__name__, n)
                     break
             if bad:
                 break

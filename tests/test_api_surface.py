@@ -52,7 +52,6 @@ ALLOWED = {
     "cone_generators": "criterion 8: the generators its vectors are drawn from",
     "build_flow_network": "criterion 8: the membership network as a FlowNetwork",
     "audit_flow": "criterion 8: the audit of a FlowNetwork's flow",
-    "BASIC": "criterion 2: the basic character, whose polynomial counts strict colorings",
     "character_polynomial_of_sum": "criterion 4: the antipode side of the reciprocity, "
                                    "for both characters",
     "cone_member": "the README's membership test; cone-member reads the same flow "

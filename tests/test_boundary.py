@@ -373,3 +373,30 @@ def test_flow_networks_with_unhashable_nodes(nodes, arcs, message):
 def test_flow_network_with_an_unhashable_terminal():
     raises_exactly(ValueError, "source and sink must be nodes",
                    FlowNetwork, (SOURCE, SINK), (), ["s"])
+
+
+@pytest.mark.parametrize("samples", ["3", 2.5, 3.0, None])
+def test_agreement_takes_only_an_int_sample_count(g3, samples):
+    raises_exactly(ValueError, f"need an int samples, got {samples!r}",
+                   lambda: check_cone_polytope_agreement(g3, samples=samples))
+
+
+# a flow network's arcs are a collection of Arcs, and a vector is a mapping
+
+@pytest.mark.parametrize("arcs, message", [
+    ((5,), "arc 5 is not an Arc"),
+    ([("source", "sink", 1)], "arc ('source', 'sink', 1) is not an Arc"),
+    (None, "arcs must be a collection of Arcs, got None"),
+    (5, "arcs must be a collection of Arcs, got 5"),
+    ("ab", "arc 'a' is not an Arc"),
+])
+def test_flow_network_arcs_must_be_arcs(arcs, message):
+    raises_exactly(ValueError, message, FlowNetwork, (SOURCE, SINK, "a", "b"), arcs)
+
+
+@pytest.mark.parametrize("x", [None, ["0", "1", "2"], "012", 5])
+def test_cone_vectors_must_be_mappings(g3, x):
+    message = f"vector must be a mapping from labels to numbers, got {x!r}"
+    for route in (cone_member, membership_flow, build_flow_network):
+        raises_exactly(ValueError, message, route, g3, x)
+    raises_exactly(ValueError, message, base_member, lower_half_function(g3), x)

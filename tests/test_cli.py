@@ -210,6 +210,26 @@ def test_verify_all_output_is_frozen_on_every_small_digraph(capsys, tmp_path):
             assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt], (key, fmt)
 
 
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.mark.parametrize("workload", ("invariants", "antipode", "verify"))
+def test_benchmark_outputs_match_the_reference_digests(monkeypatch, tmp_path, workload):
+    """Every seed-0 job of the benchmark, run in-process through main, gives
+    the exit code, stdout and stderr bytes its reference digest records."""
+    monkeypatch.syspath_prepend(BENCH)
+    monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
+    corpus, gate, harness = (__import__(name) for name in ("corpus", "gate", "harness"))
+    with open(os.path.join(BENCH, "reference_digests.json"), encoding="utf-8") as fh:
+        reference = json.load(fh)[workload]
+    data = corpus.build(workload, gate.DEFAULT_SEED, str(tmp_path))
+    data.write(str(tmp_path))
+    assert sorted(job.id for job in data.jobs) == sorted(reference)
+    wrong = [job.id for job in data.jobs
+             if harness.run_job(main, job, keep_output=False).digest != reference[job.id]]
+    assert wrong == []
+
+
 def test_verify_seed_changes_samples_not_verdict(capsys, g3_file):
     a = run(capsys, "verify", "hopf-axioms", g3_file, "--samples", "10", "--seed", "1")
     b = run(capsys, "verify", "hopf-axioms", g3_file, "--samples", "10", "--seed", "2")

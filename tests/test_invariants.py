@@ -9,7 +9,8 @@ from hopfdg import (BASIC, BinPoly, Digraph, EDGE, EMPTY, WorkLimitError,
                     antipode, ascent_polytope_points, b_polynomial, brute_strict, brute_weak,
                     character_polynomial, character_polynomial_of_sum,
                     check_edge_reciprocity, check_reciprocity, edge_invariant,
-                    kernels, strict_chromatic, weak_chromatic)
+                    generic_direction_count, kernels, strict_chromatic, vertex_sum_count,
+                    weak_chromatic)
 from hopfdg.rings import Poly, Q, Y, Z
 
 
@@ -238,6 +239,23 @@ def test_work_gate_env(monkeypatch):
         brute_weak(g, 3)
     monkeypatch.setenv("HOPFDG_MAX_WORK", str(10 ** 9))
     assert brute_weak(g, 2) == 2 ** 8
+
+
+@pytest.mark.parametrize("count", [
+    brute_strict, brute_weak, generic_direction_count, vertex_sum_count,
+    lambda g, n: ascent_polytope_points(g, n, interior=False),
+    lambda g, n: ascent_polytope_points(g, n, interior=True)])
+@pytest.mark.parametrize("n", [2.5, 1.5, "3", None])
+def test_a_map_count_takes_only_an_int_n(monkeypatch, count, n):
+    # a float top value never equals an int color, so the walk would not end
+    def walk(*args):
+        raise AssertionError("the walk started")
+    monkeypatch.setattr(kernels, "count_monotone_maps", walk)
+    path3 = Digraph("abc", [("a", "b"), ("b", "c")])
+    with pytest.raises(ValueError) as info:
+        count(path3, n)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"map count needs an int n, got {n!r}"
 
 
 def test_the_walk_takes_any_number_of_vertices():

@@ -69,3 +69,41 @@ def test_a_negative_vertex_cap_is_refused_even_on_the_empty_graph(fn):
         fn(EMPTY, max_vertices=-1)
     assert type(info.value) is ValueError
     assert str(info.value) == "max_vertices must be at least 0, got -1"
+
+
+@pytest.mark.parametrize("fn", [strict_chromatic, weak_chromatic, edge_invariant, b_polynomial,
+                                lambda g, **cap: character_polynomial(g, BASIC, **cap),
+                                antipode_masks])
+@pytest.mark.parametrize("cap", ["9", 2.5, 9.0])
+def test_a_vertex_cap_that_is_not_an_int_is_refused(fn, cap):
+    with pytest.raises(ValueError) as info:
+        fn(EMPTY, max_vertices=cap)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"max_vertices must be an int, got {cap!r}"
+
+
+def test_a_negative_work_budget_is_refused(monkeypatch):
+    monkeypatch.setenv(limits.ENV_MAX_WORK, "-1")
+    with pytest.raises(ValueError) as info:
+        limits.work_budget()
+    assert type(info.value) is ValueError
+    assert str(info.value) == "HOPFDG_MAX_WORK must be at least 0, got '-1'"
+    edge = hopfdg.Digraph("ab", [("a", "b")])
+    with pytest.raises(ValueError, match="HOPFDG_MAX_WORK must be at least 0"):
+        strict_chromatic(edge)
+    # 0 is a budget: it refuses any sum that takes a step, and no other way
+    monkeypatch.setenv(limits.ENV_MAX_WORK, "0")
+    assert limits.work_budget() == 0
+    with pytest.raises(hopfdg.WorkLimitError, match="over the work budget 0"):
+        strict_chromatic(edge)
+
+
+@pytest.mark.parametrize("argv", (("antipode",), ("invariant", "strict"), ("verify", "all")))
+def test_a_negative_work_budget_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
+    path = tmp_path / "g.txt"
+    path.write_text("vertices: a b c\na -> b\nb -> c\n")
+    monkeypatch.setenv(limits.ENV_MAX_WORK, "-1")
+    assert main([*argv, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "input error: HOPFDG_MAX_WORK must be at least 0, got '-1'\n"
