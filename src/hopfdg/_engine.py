@@ -60,8 +60,11 @@ a lower half of each part, and the edges of a block are those of its two
 parts, so chain_stats, surjection_stats and takeuchi_terms fold each
 weakly connected component on its own, in the graph's own vertex and
 edge numbering, and combine the results (_merge, _product).  Every
-component takes the same walk and fold, an isolated vertex too, and a
-connected graph is one component.  character_sum keeps one fold over
+component takes the same walk and fold, an isolated vertex too, a
+connected graph is one component, and so is the empty graph: its empty
+set (_components), whose one composition has no block.  So every sum
+gives the empty graph its one empty composition, surjection_stats too,
+with no case of its own.  character_sum keeps one fold over
 the whole lattice, since its block_value need not be multiplicative.
 
 One meter gates every sum (_Meter): it reads the work budget once, the
@@ -142,10 +145,12 @@ def _components(nv: int, downs: set[int]) -> list[int]:
     Each edge lies inside the down-set of its head, and each down-set is
     weakly connected, all of it reaching one vertex; so a component is a
     union of down-sets linked by overlaps.  A full down-set shows a
-    connected graph at once.
+    connected graph at once.  A graph with no vertices is one component,
+    the empty set, so every sum folds the empty graph to its one empty
+    composition.
     """
     full = (1 << nv) - 1
-    if full in downs:
+    if full in downs or not nv:
         return [full]
     comps: list[int] = []
     for down in downs:
@@ -207,12 +212,12 @@ def _lattices(nv: int, tails: list[int], heads: list[int], meter: _Meter
               ) -> tuple[list[tuple[int, list[int]]], dict[int, int], dict[int, int]]:
     """(component, its lower halves) per weakly connected component, and the edge masks.
 
-    An isolated vertex is a component like any other; a graph with no
-    vertices is one component, the empty set.
+    An isolated vertex is a component like any other, and so is the
+    empty graph's empty set (_components).
     """
     downs = set(_down_sets(nv, tails, heads))
     parts = [(comp, _walk(meter, {down for down in downs if down & comp}, "composition sum"))
-             for comp in _components(nv, downs) or [0]]
+             for comp in _components(nv, downs)]
     return parts, *_edge_masks(nv, tails, heads, chain.from_iterable(h for _, h in parts))
 
 
@@ -478,7 +483,8 @@ def surjection_stats(nv: int, tails: list[int],
 
     Key (k, asc, desc) counts maps from the nv vertices onto k values with
     asc edges increasing strictly, desc decreasing strictly; the remaining
-    edges are level.  k ranges over 1..nv (empty for nv = 0).  The value
+    edges are level.  k ranges over 1..nv, and over 0 alone for nv = 0:
+    the one empty map onto {1..0} gives {(0, 0, 0): 1}.  The value
     classes, in increasing order, are the blocks of an ordered composition
     into arbitrary subsets.
 
@@ -500,8 +506,6 @@ def surjection_stats(nv: int, tails: list[int],
     floor = sum(map(_surjection_floor, sizes)) + (nv * nv - sum(n * n for n in sizes)) // 2
     if floor > meter.budget:
         meter.refuse(floor)
-    if nv == 0:
-        return {}
     states = [_subsets(comp) for comp in comps]
     out, into = _edge_masks(nv, tails, heads, chain.from_iterable(states))
     shift = nv.bit_length()             # keys pack k + (crossing << shift)
@@ -510,6 +514,7 @@ def surjection_stats(nv: int, tails: list[int],
     def pull(subsets: Iterable[int]) -> dict[int, int]:
         """The histogram of the last subset, each subset pulling from its own."""
         hist: dict[int, tuple[int, int, dict[int, int]]] = {}
+        acc = {0: 1}   # the empty component's one composition, into no block
         for high in islice(subsets, 1, None):   # increasing, so each subset's own come first
             out_high, into_high = out[high], into[high]
             acc = {1: 1}   # the empty set's term: one block, no crossing edge

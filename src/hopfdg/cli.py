@@ -16,11 +16,10 @@ import random
 import sys
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import limits
-from .cones import (check_agreement_work, check_cone_polytope_agreement,
-                    membership_flow)
+from .cones import _agreement, check_agreement_work, membership_flow
 from .digraph import EMPTY, Digraph, disjoint_union, parse_graph
 from .errors import GraphParseError, ResourceLimitError
 # antipode itself stays bound here: perfbench's tracer tests look it up on
@@ -30,7 +29,7 @@ from .invariants import (b_polynomial, check_edge_reciprocity,
                          check_reciprocity, check_reciprocity_work,
                          edge_invariant, strict_chromatic, weak_chromatic)
 from .rings import BinPoly
-from .submodular import check_low_morphism, lower_half_function
+from .submodular import ExtBool, check_low_morphism, lower_half_function
 
 _INVARIANTS: dict[str, Callable[..., BinPoly]] = {
     "strict": strict_chromatic,
@@ -233,7 +232,7 @@ def _unit_laws(g: Digraph) -> list[str]:
     return problems
 
 
-def _suite_hopf_axioms(g: Digraph, args: argparse.Namespace) -> list[_Check]:
+def _suite_hopf_axioms(g: Digraph, args: argparse.Namespace, _: None) -> list[_Check]:
     # the unit laws and the label pools draw nothing at random, so they are
     # checked and built once; the other axioms in each seeded round
     rng = random.Random(args.seed)
@@ -248,7 +247,7 @@ def _suite_hopf_axioms(g: Digraph, args: argparse.Namespace) -> list[_Check]:
     return [(f"hopf-axioms ({samples} seeded rounds)", not bad, "; ".join(bad[:3]))]
 
 
-def _suite_morphism(g: Digraph, args: argparse.Namespace) -> list[_Check]:
+def _suite_morphism(g: Digraph, args: argparse.Namespace, _: None) -> list[_Check]:
     verts = g.vertices
     subs = [frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
             for mask in range(1 << len(verts))]
@@ -260,8 +259,8 @@ def _suite_morphism(g: Digraph, args: argparse.Namespace) -> list[_Check]:
              "; ".join(failures[:3]))]
 
 
-def _suite_theorem1(g: Digraph, args: argparse.Namespace) -> list[_Check]:
-    report = check_cone_polytope_agreement(g, samples=args.samples, seed=args.seed)
+def _suite_theorem1(g: Digraph, args: argparse.Namespace, z: ExtBool) -> list[_Check]:
+    report = _agreement(g, z, args.samples, args.seed)
     detail = ""
     if report.mismatches:
         vec, in_base, in_cone = report.mismatches[0]
@@ -274,7 +273,7 @@ def _suite_theorem1(g: Digraph, args: argparse.Namespace) -> list[_Check]:
 _STRICT_POINTS = range(1, 6)
 
 
-def _suite_reciprocity(g: Digraph, args: argparse.Namespace) -> list[_Check]:
+def _suite_reciprocity(g: Digraph, args: argparse.Namespace, _: None) -> list[_Check]:
     strict = check_reciprocity(g, _STRICT_POINTS, max_vertices=args.max_vertices)
     if strict[0].hypothesis_ok:
         checks = [(f"strict/weak reciprocity at n={check.n}", check.equal is True,
@@ -303,9 +302,11 @@ def _gate_morphism(g: Digraph, args: argparse.Namespace) -> None:
 
 
 # name -> (gate, suite); the gate raises before the suite would start
-# oversized work, and verify calls every selected gate before any suite
-_SUITES: dict[str, tuple[Callable[[Digraph, argparse.Namespace], None],
-                         Callable[[Digraph, argparse.Namespace], list[_Check]]]] = {
+# oversized work, and verify calls every selected gate before any suite.
+# The suite is handed what its gate returns: theorem1's gate builds the
+# cut function its suite reads, the other gates return None
+_SUITES: dict[str, tuple[Callable[[Digraph, argparse.Namespace], Any],
+                         Callable[[Digraph, argparse.Namespace, Any], list[_Check]]]] = {
     "hopf-axioms": (_gate_hopf_axioms, _suite_hopf_axioms),
     "morphism": (_gate_morphism, _suite_morphism),
     "theorem1": (lambda g, args: check_agreement_work(g, args.samples), _suite_theorem1),
@@ -333,9 +334,8 @@ def _cmd_antipode(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     selected = list(_SUITES.values()) if args.suite == "all" else [_SUITES[args.suite]]
-    for gate, _ in selected:
-        gate(g, args)
-    checks = [check for _, run in selected for check in run(g, args)]
+    gated = [(run, gate(g, args)) for gate, run in selected]
+    checks = [check for run, prior in gated for check in run(g, args, prior)]
     failed = sum(1 for _, ok, _ in checks if not ok)
     if args.format == "json":
         payload = {

@@ -585,12 +585,20 @@ def check_cone_polytope_agreement(g: Digraph, *, samples: int = 200,
 
     Every sampled vector must land the same way under both tests, and
     every max-flow run must pass its audit.  Deterministic in the seed.
-    Gated by check_agreement_work.  The graph's index form and its
-    edges' residual arcs are built once, and each sample, which sums to
-    zero (_sample_coords), adds only its terminal arcs (_sample_flow).  A
-    vector is built as a dict only for the report.
+    Gated by check_agreement_work, whose cut function it then reads.
     """
-    plan = _base_plan(check_agreement_work(g, samples))
+    return _agreement(g, check_agreement_work(g, samples), samples, seed)
+
+
+def _agreement(g: Digraph, z: ExtBool, samples: int, seed: int) -> EquivalenceReport:
+    """check_cone_polytope_agreement on z, g's cut function from check_agreement_work.
+
+    The graph's index form and its edges' residual arcs are built once,
+    and each sample, which sums to zero (_sample_coords), adds only its
+    terminal arcs (_sample_flow).  A vector is built as a dict only for
+    the report.
+    """
+    plan = _base_plan(z)
     nv, tails, heads = g.edge_arrays()
     verts = g.vertices
     nodes = (*verts, SOURCE, SINK)

@@ -98,12 +98,9 @@ class Digraph:
     def edge_list(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.edges))
 
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
     def edge_arrays(self) -> tuple[int, list[int], list[int]]:
         """Kernel form: vertex count plus tail/head index arrays in edge_list order."""
-        idx = self.index()
+        idx = {v: i for i, v in enumerate(self.vertices)}
         tails = []
         heads = []
         for u, v in self.edge_list:

@@ -17,10 +17,15 @@ paper's theorem and its reciprocity use, BASIC (basic_char) and EDGE
 (edge_char), take one monomial fixed by the edge count on each block, so
 their polynomials only need how many edges each composition keeps: they
 are projections of the kernels' (k, kept) histogram through _project,
-the one route from a kernel histogram to a BinPoly, with the weights
-_strict_weight and _psi_weight.  The polynomial invariants of the
-invariants module project with the same two weights, so the strict
-invariant and the basic character polynomial are one code path.  The
+the one route from graphs to a BinPoly, with the weights _strict_weight
+and _psi_weight.  _project takes (graph, coefficient) pairs, one graph
+with coefficient 1 or a formal sum's terms, and adds their histograms
+weighted by the coefficients before it projects.  The polynomial
+invariants of the invariants module project with the same two weights,
+so the strict invariant and the basic character polynomial are one code
+path.  The empty graph needs no case of its own: every kernel gives it
+its one empty composition, so each of its polynomials is the constant
+1, while a formal sum with no terms projects to 0.  The
 fast path is chosen when the character is this module's BASIC or EDGE,
 looked up at call time, so a rebound BASIC or EDGE keeps it.  Any other
 callable is evaluated on the blocks themselves.  Both paths are exact.
@@ -29,10 +34,9 @@ Disjoint union is the monoid's product, and the antipode and the
 histogram of kept edges are multiplicative, so the kernels compute them
 per weakly connected component and combine the parts: a term of
 antipode(g) is a disjoint union of its blocks, so
-character_polynomial_of_sum folds each term block by block, adds the
-terms' histograms weighted by their coefficients and projects the total
-once.  Any other character's sum runs over the whole graph at once,
-since its values on the blocks need not multiply.
+character_polynomial_of_sum folds each term block by block and projects
+all the terms at once.  Any other character's sum runs over the whole
+graph at once, since its values on the blocks need not multiply.
 """
 
 from __future__ import annotations
@@ -129,8 +133,6 @@ def antipode_masks(g: Digraph, *, max_vertices: int | None = None
     nv = len(g.vertices)
     limits.check_size("composition enumeration", nv, max_vertices)
     edge_list = g.edge_list
-    if nv == 0:
-        return edge_list, [(0, 1)]
     _, tails, heads = g.edge_arrays()
     # the kernel returns distinct edge masks with coefficients +1 and -1
     terms = kernels.takeuchi_terms(nv, tails[::-1], heads[::-1])
@@ -154,22 +156,25 @@ def antipode(g: Digraph, *, max_vertices: int | None = None) -> FormalSum:
                              for mask, c in terms})
 
 
-def _project(nv: int, histogram: Mapping[tuple, int],
+def _project(nv: int, graphs: Iterable[tuple[Digraph, int]],
+             histogram: Callable[[int, list[int], list[int]], Mapping[tuple, int]],
              weight: Callable[[tuple], Expt | None]) -> BinPoly:
-    """The one route from a kernel histogram to a BinPoly.
+    """The one route from graphs on nv vertices to a BinPoly.
 
-    An entry with key (k, ...) and count c adds c at the exponent vector
-    weight(key) in the coefficient of C(n, k), or nothing where that
-    weight is None.  The counts may be signed, as when the histograms of
-    a formal sum's terms are added, so exponents whose counts cancel are
-    dropped.
+    graphs holds (g, c) pairs, a formal sum's terms or one graph with
+    c = 1.  An entry of histogram(*g.edge_arrays()) with key (k, ...) and
+    count cnt adds c * cnt at the exponent vector weight(key) in the
+    coefficient of C(n, k), or nothing where that weight is None.  The
+    coefficients may be signed, so exponents whose counts cancel are
+    dropped, and no pairs give 0.
     """
     sums: list[dict[Expt, int]] = [{} for _ in range(nv + 1)]
-    for key, cnt in histogram.items():
-        e = weight(key)
-        if e is not None:
-            terms = sums[key[0]]
-            terms[e] = terms.get(e, 0) + cnt
+    for g, c in graphs:
+        for key, cnt in histogram(*g.edge_arrays()).items():
+            e = weight(key)
+            if e is not None:
+                terms = sums[key[0]]
+                terms[e] = terms.get(e, 0) + c * cnt
     # non-zero int counts on exponent tuples, so the per-term checks of
     # Poly(...) are skipped
     return BinPoly(tuple(Poly._of(terms if all(terms.values()) else
@@ -186,13 +191,10 @@ def character_polynomial(g: Digraph, character: Callable[[Digraph], Any],
     """
     nv = len(g.vertices)
     limits.check_size("composition enumeration", nv, max_vertices)
-    if nv == 0:
-        return BinPoly((1,))
-
-    _, tails, heads = g.edge_arrays()
     weight = _fast_weight(character)
     if weight is not None:
-        return _project(nv, kernels.chain_stats(nv, tails, heads), weight)
+        return _project(nv, [(g, 1)], kernels.chain_stats, weight)
+    _, tails, heads = g.edge_arrays()
     verts = g.vertices
 
     def block_value(mask: int) -> Any:
@@ -209,25 +211,16 @@ def character_polynomial_of_sum(s: FormalSum, character: Callable[[Digraph], Any
     """Linear extension of character_polynomial to a formal sum.
 
     For BASIC and EDGE, the terms' chain_stats histograms are added,
-    weighted by their coefficients, and projected once (_sum_polynomial).
+    weighted by their coefficients, and projected once (_project).  A sum
+    with no terms gives 0.
     """
     weight = _fast_weight(character)
     if weight is not None:
-        return _sum_polynomial(s, weight, max_vertices)
+        nv = len(s.vertices)
+        limits.check_size("composition enumeration", nv, max_vertices)
+        return _project(nv, s.terms.items(), kernels.chain_stats, weight)
     total = BinPoly(())
     for g, c in s.terms.items():
         total = total + character_polynomial(g, character, max_vertices=max_vertices).scale(c)
     return total
 
-
-def _sum_polynomial(s: FormalSum, weight: Callable[[tuple[int, int]], Expt | None],
-                    max_vertices: int | None) -> BinPoly:
-    """The polynomial of s for a character whose (k, kept) entries weigh weight(key)."""
-    nv = len(s.vertices)
-    limits.check_size("composition enumeration", nv, max_vertices)
-    stats: dict[tuple[int, int], int] = {}
-    for g, c in s.terms.items():
-        _, tails, heads = g.edge_arrays()
-        for key, cnt in kernels.chain_stats(nv, tails, heads).items():
-            stats[key] = stats.get(key, 0) + c * cnt
-    return _project(nv, stats, weight)

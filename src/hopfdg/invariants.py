@@ -9,8 +9,8 @@ composition.  f is weakly increasing along every edge exactly when every
 prefix of that composition is a lower half, and the edges f leaves level
 are then the edges kept inside single blocks.  So strict, weak and psi
 are projections of kernels.chain_stats, the (k, kept) histogram over the
-lattice of lower halves, through hopf._project, the one route from a
-kernel histogram to a BinPoly.  An entry (k, kept) goes to
+lattice of lower halves, through hopf._project, the one route from
+graphs to a BinPoly.  An entry (k, kept) goes to
 
   strict_chromatic   1 when kept = 0 (f strictly increasing)
   weak_chromatic     1 (f weakly increasing)
@@ -23,7 +23,13 @@ the paper's theorem says, and edge_invariant the edge one.
 
 b_polynomial alone needs every map: it walks all surjections through
 kernels.surjection_stats, whose key (k, asc, desc) goes to y^asc * z^desc
-by the same projection.
+by the same projection.  The empty graph needs no case here: each
+histogram holds its one empty composition, the empty map onto {1..0},
+so each invariant of it is the constant 1.
+
+check_edge_reciprocity reads the antipode side through the public
+hopf.character_polynomial_of_sum with EDGE, which projects the antipode's
+terms with the same _psi_weight as edge_invariant.
 
 The routes the tests compare these against share no code with them:
 brute_strict and brute_weak count the maps directly, one vertex at a
@@ -39,7 +45,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import kernels, limits
 from .digraph import Digraph
-from .hopf import _project, _psi_weight, _strict_weight, _sum_polynomial, antipode
+from .hopf import (EDGE, _project, _psi_weight, _strict_weight, antipode,
+                   character_polynomial_of_sum)
 from .rings import BinPoly, Expt
 
 
@@ -54,10 +61,7 @@ def _invariant(g: Digraph, max_vertices: int | None,
                histogram: Callable[[int, list[int], list[int]], dict[tuple, int]],
                weight: Callable[[tuple], Expt | None]) -> BinPoly:
     _check_scan_size(g, max_vertices)
-    nv, tails, heads = g.edge_arrays()
-    if nv == 0:
-        return BinPoly((1,))
-    return _project(nv, histogram(nv, tails, heads), weight)
+    return _project(len(g.vertices), [(g, 1)], histogram, weight)
 
 
 def strict_chromatic(g: Digraph, *, max_vertices: int | None = None) -> BinPoly:
@@ -157,6 +161,6 @@ def check_edge_reciprocity(g: Digraph, ns: Iterable[int], *,
     polynomials in q, and each is built once.
     """
     psi = edge_invariant(g, max_vertices=max_vertices)
-    flipped = _sum_polynomial(antipode(g, max_vertices=max_vertices), _psi_weight,
-                              max_vertices)
+    flipped = character_polynomial_of_sum(antipode(g, max_vertices=max_vertices), EDGE,
+                                          max_vertices=max_vertices)
     return [ReciprocityCheck(True, n, psi.eval(-n), flipped.eval(n)) for n in ns]

@@ -5,7 +5,11 @@ heads[e] between vertex indices 0..nv-1, and subsets travel as bitmasks
 over those indices.  The composition sums come from the one dynamic
 program in _engine, and the lower halves from its walk over unions of
 down-sets; takeuchi_terms gives the antipode's terms cancellation-free,
-folding only along weakly connected blocks.
+folding only along weakly connected blocks.  Every sum gives the graph
+with no vertices its one empty composition, into no blocks: chain_stats
+{(0, 0): 1}, takeuchi_terms and character_sum {0: 1}, and
+surjection_stats {(0, 0, 0): 1}, the one empty map onto {1..0}.  So the
+callers read the empty graph like any other.
 
 count_monotone_maps is the one brute-force walk: it visits the vertices
 in index order, each taking every value in the interval its earlier

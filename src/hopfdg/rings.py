@@ -279,15 +279,15 @@ class BinPoly:
     def scale(self, factor: Any) -> "BinPoly":
         return BinPoly(tuple(factor * c for c in self.coeffs))
 
-    def binomial_str(self, var: str = "n") -> str:
-        return _join([_signed_body(_terms(c), f"C({var},{k})" if k else "")
+    def binomial_str(self) -> str:
+        return _join([_signed_body(_terms(c), f"C(n,{k})" if k else "")
                       for k, c in enumerate(self.coeffs) if c != 0])
 
-    def monomial_str(self, var: str = "n") -> str:
-        """Render in powers of the argument over one integer denominator.
+    def monomial_str(self) -> str:
+        """Render in powers of n over one integer denominator.
 
         Every coefficient, an int c read as {(0, 0, 0): c}, is summed into
-        one integer exponent dict per power of the argument.
+        one integer exponent dict per power of n.
         """
         d = self.degree()
         if d < 0:
@@ -308,7 +308,7 @@ class BinPoly:
             terms = {e: c // g for e, c in numer[j].items() if c}
             if terms:
                 pieces.append(_signed_body(terms, "" if j == 0 else
-                                           (var if j == 1 else f"{var}^{j}")))
+                                           ("n" if j == 1 else f"n^{j}")))
         body = _join(pieces)
         return f"({body})/{denom}" if denom > 1 else body
 

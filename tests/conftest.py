@@ -369,7 +369,7 @@ def oracle_surjection_walk(nv, tails, heads) -> dict[tuple[int, int, int], int]:
             back[t].append((h, False))
     stats: dict[tuple[int, int, int], int] = {}
     color = [0] * nv
-    for k in range(1, nv + 1):
+    for k in range(nv + 1):   # k = 0 adds the empty graph's one map alone
         hit = [False] * k
 
         def walk(i: int, used: int, asc: int, desc: int) -> None:
@@ -489,15 +489,15 @@ def _oracle_join(pieces) -> str:
     return out
 
 
-def oracle_binomial_str(p: BinPoly, var: str = "n") -> str:
+def oracle_binomial_str(p: BinPoly) -> str:
     if not p.coeffs:
         return "0"
-    return _oracle_join([_oracle_signed_body(c, f"C({var},{k})" if k else "")
+    return _oracle_join([_oracle_signed_body(c, f"C(n,{k})" if k else "")
                          for k, c in enumerate(p.coeffs) if c != 0])
 
 
-def oracle_monomial_str(p: BinPoly, var: str = "n") -> str:
-    """Powers of the argument over one denominator, by Poly arithmetic."""
+def oracle_monomial_str(p: BinPoly) -> str:
+    """Powers of n over one denominator, by Poly arithmetic."""
     import math
 
     from hopfdg.rings import Poly, falling_coeffs
@@ -522,7 +522,7 @@ def oracle_monomial_str(p: BinPoly, var: str = "n") -> str:
     pieces = []
     for j in range(d, -1, -1):
         if numer[j] != 0:
-            base = "" if j == 0 else (var if j == 1 else f"{var}^{j}")
+            base = "" if j == 0 else ("n" if j == 1 else f"n^{j}")
             pieces.append(_oracle_signed_body(numer[j], base))
     if not pieces:
         return "0"

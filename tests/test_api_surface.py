@@ -52,8 +52,9 @@ ALLOWED = {
     "cone_generators": "criterion 8: the generators its vectors are drawn from",
     "build_flow_network": "criterion 8: the membership network as a FlowNetwork",
     "audit_flow": "criterion 8: the audit of a FlowNetwork's flow",
-    "character_polynomial_of_sum": "criterion 4: the antipode side of the reciprocity, "
-                                   "for both characters",
+    "check_cone_polytope_agreement": "criterion 8: the gated agreement check; verify "
+                                     "theorem1 runs its core on the cut function its "
+                                     "own gate built",
     "cone_member": "the README's membership test; cone-member reads the same flow "
                    "through membership_flow, which also gives its value",
     "format_graph": "the inverse of parse_graph, for writing graph files",

@@ -182,6 +182,19 @@ def test_verify_all_passes(capsys, g3_file):
     assert "FAIL" not in out
 
 
+def test_verify_theorem1_walks_the_lower_halves_once(capsys, tmp_path, monkeypatch):
+    # the gate's cut function is the one the suite reads
+    from hopfdg import kernels
+    walks = []
+    real = kernels.lower_half_masks
+    monkeypatch.setattr(kernels, "lower_half_masks", lambda *a: walks.append(a) or real(*a))
+    path = tmp_path / "path3.txt"
+    path.write_text("vertices: a b c\na -> b\nb -> c\n")
+    code, out, err = run(capsys, "verify", "theorem1", str(path))
+    assert code == 0 and err == ""
+    assert walks == [(3, [0, 1], [1, 2])]
+
+
 def test_verify_json(capsys, g3_file):
     code, out, _ = run(capsys, "verify", "theorem1", g3_file,
                        "--samples", "30", "--format", "json")
@@ -211,18 +224,24 @@ def test_verify_all_output_is_frozen_on_every_small_digraph(capsys, tmp_path):
 
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+WORKLOADS = ("invariants", "antipode", "verify")
+# seed -> the digests of its jobs: the benchmark's own reference for its
+# default seed 0, and a second corpus, seed 1, recorded the same way
+DIGESTS = {0: os.path.join(BENCH, "reference_digests.json"),
+           1: os.path.join(os.path.dirname(__file__), "seed1_digests.json")}
 
 
-@pytest.mark.parametrize("workload", ("invariants", "antipode", "verify"))
-def test_benchmark_outputs_match_the_reference_digests(monkeypatch, tmp_path, workload):
-    """Every seed-0 job of the benchmark, run in-process through main, gives
-    the exit code, stdout and stderr bytes its reference digest records."""
+@pytest.mark.parametrize("seed, workload", [pytest.param(0, w, id=w) for w in WORKLOADS]
+                         + [pytest.param(1, w, id=f"{w}-seed1") for w in WORKLOADS])
+def test_benchmark_outputs_match_the_reference_digests(monkeypatch, tmp_path, seed, workload):
+    """Every job of the benchmark's corpus for seed, run in-process through
+    main, gives the exit code, stdout and stderr bytes its digest records."""
     monkeypatch.syspath_prepend(BENCH)
     monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
-    corpus, gate, harness = (__import__(name) for name in ("corpus", "gate", "harness"))
-    with open(os.path.join(BENCH, "reference_digests.json"), encoding="utf-8") as fh:
+    corpus, harness = (__import__(name) for name in ("corpus", "harness"))
+    with open(DIGESTS[seed], encoding="utf-8") as fh:
         reference = json.load(fh)[workload]
-    data = corpus.build(workload, gate.DEFAULT_SEED, str(tmp_path))
+    data = corpus.build(workload, seed, str(tmp_path))
     data.write(str(tmp_path))
     assert sorted(job.id for job in data.jobs) == sorted(reference)
     wrong = [job.id for job in data.jobs
@@ -465,12 +484,13 @@ def test_verify_reciprocity_builds_each_polynomial_once(capsys, g3_file, monkeyp
             return real(*args, **kwargs)
         monkeypatch.setattr(inv, name, wrapper)
 
-    for name in ("strict_chromatic", "edge_invariant", "antipode", "_sum_polynomial"):
+    for name in ("strict_chromatic", "edge_invariant", "antipode",
+                 "character_polynomial_of_sum"):
         counted(name)
     code, out, _ = run(capsys, "verify", "reciprocity", g3_file, "--format", "json")
     assert code == 0
     assert calls == dict.fromkeys(("strict_chromatic", "edge_invariant", "antipode",
-                                   "_sum_polynomial"), 1)
+                                   "character_polynomial_of_sum"), 1)
     checks = json.loads(out)["checks"]
     assert [c["name"] for c in checks] == (
         [f"strict/weak reciprocity at n={n}" for n in range(1, 6)]

@@ -91,6 +91,16 @@ def seeded_disjoint_unions() -> list[Digraph]:
     return graphs
 
 
+def test_every_sum_gives_the_empty_graph_its_one_empty_composition():
+    # the empty set's one composition, into no blocks: for surjection_stats
+    # the one empty map onto {1..0}, so no caller needs a case of its own
+    assert kernels.chain_stats(0, [], []) == {(0, 0): 1}
+    assert kernels.takeuchi_terms(0, [], []) == {0: 1}
+    assert kernels.character_sum(0, [], [], lambda mask: 7) == {0: 1}
+    assert kernels.surjection_stats(0, [], []) == {(0, 0, 0): 1}
+    assert _engine._components(0, set()) == [0]
+
+
 def test_factored_route_matches_oracles_on_disjoint_unions():
     for g in seeded_disjoint_unions():
         nv, tails, heads = g.edge_arrays()
@@ -116,7 +126,7 @@ def test_factored_route_matches_the_single_fold(monkeypatch):
     sums = (kernels.chain_stats, kernels.takeuchi_terms, kernels.surjection_stats)
     factored = [[fn(*g.edge_arrays()) for fn in sums] for g in graphs]
     # every graph as one component: the whole lattice in one fold
-    monkeypatch.setattr(_engine, "_components", lambda nv, downs: [(1 << nv) - 1] if nv else [])
+    monkeypatch.setattr(_engine, "_components", lambda nv, downs: [(1 << nv) - 1])
     assert [[fn(*g.edge_arrays()) for fn in sums] for g in graphs] == factored
     # the vertex set of a disconnected graph is then a block like any other,
     # searched and never pushed

@@ -302,6 +302,16 @@ def test_formal_sum_validates_and_merges(g3):
     assert merged.terms == {}
 
 
+def test_sums_project_to_zero_when_their_terms_cancel(g3):
+    # the empty graph is the constant 1 through the kernels, never through
+    # the projection, so a sum with no terms stays 0 on either path
+    cancelled = FormalSum.of(g3.vertices, [(g3, 1), (g3, -1)])
+    unit = FormalSum.of(EMPTY.vertices, [(EMPTY, 1)])
+    for char in (BASIC, EDGE, lambda g: 0 if g.edges else 1):
+        assert character_polynomial_of_sum(cancelled, char) == BinPoly(())
+        assert character_polynomial_of_sum(unit, char) == BinPoly((1,))
+
+
 def test_polynomial_endpoints_match_the_character():
     # eval at 0 kills every non-empty graph, eval at 1 returns the raw
     # character value, and the degree never exceeds the vertex count
