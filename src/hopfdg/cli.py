@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable, Sequence
 from . import limits
 from .cones import _agreement, check_agreement_work, membership_flow
 from .digraph import EMPTY, Digraph, disjoint_union, parse_graph
-from .errors import GraphParseError, ResourceLimitError
+from .errors import ResourceLimitError
 # antipode itself stays bound here: perfbench's tracer tests look it up on
 # this module among its binding sites
 from .hopf import _BIT_FLAGS, antipode, antipode_masks  # noqa: F401
@@ -44,7 +44,7 @@ def _load_graph(path: str) -> Digraph:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise GraphParseError(f"cannot read {path}: {exc.strerror}", 1) from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     return parse_graph(text)
 
 

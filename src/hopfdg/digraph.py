@@ -235,8 +235,10 @@ def parse_graph(text: str) -> Digraph:
 
     First significant line: ``vertices: a b c``.  Every following line is
     one edge, ``a -> b``.  Blank lines are skipped and ``#`` starts a
-    comment.  Raises GraphParseError with line/column on bad input.
+    comment.  One leading byte-order mark (U+FEFF), as some editors save,
+    is dropped.  Raises GraphParseError with line/column on bad input.
     """
+    text = text.removeprefix("\ufeff")
     vertices: set[str] | None = None
     edges: set[tuple[str, str]] = set()
 

@@ -9,6 +9,17 @@ C(-n, k) = (-1)^k C(n + k - 1, k), so no floating point ever appears.
 Poly(...), constant and variable check every term they are given.  A
 Poly computed from valid ones (a sum, negation, product or power) is
 built with Poly._of, unchecked, after its zero coefficients are dropped.
+
+Rendering lists a Poly's terms highest total degree first, then by the
+exponent vector, both descending.  Each exponent's sort key and text
+come from one memo (_term), so a sort compares tuples made once per
+exponent, not once per term per call; each term is then appended as a
+signed string and the list joined once.  The memos here are bounded
+LRU caches, so a long run over many graphs holds a fixed number of
+exponents and falling-factorial rows.  Each polynomial sorts its own
+terms: one global exponent order shared by every row would have to be
+rebuilt or searched as new exponents appear, and a prototype of it
+made the many-coefficient psi polynomials slower.
 """
 
 from __future__ import annotations
@@ -177,15 +188,27 @@ def falling_coeffs(k: int) -> list[int]:
     return coeffs
 
 
+@functools.lru_cache(maxsize=256)
+def _falling_terms(k: int) -> tuple[tuple[int, int], ...]:
+    """The (j, c) of falling_coeffs(k) with c != 0, shared read-only."""
+    return tuple((j, c) for j, c in enumerate(falling_coeffs(k)) if c)
+
+
 @functools.lru_cache(maxsize=4096)
-def _factors(e: Expt) -> str:
-    """The text of q^e[0] * y^e[1] * z^e[2]; "" for the constant monomial."""
-    return "*".join(name if x == 1 else f"{name}^{x}" for name, x in zip(VARS, e) if x)
+def _term(e: Expt) -> tuple[int, int, int, int, Expt, str]:
+    """Sort key and text of the monomial q^e[0] * y^e[1] * z^e[2].
+
+    (total degree, e[0], e[1], e[2], e, factors), factors "" for the
+    constant monomial.  The first four fields already tell exponents
+    apart, so a sort of these keys never compares the last two.
+    """
+    factors = "*".join(name if x == 1 else f"{name}^{x}" for name, x in zip(VARS, e) if x)
+    return (e[0] + e[1] + e[2], *e, e, factors)
 
 
 def _monomial(e: Expt, c: int) -> tuple[str, str]:
     """Sign and magnitude text of c * q^e[0] * y^e[1] * z^e[2]."""
-    factors = _factors(e)
+    factors = _term(e)[5]
     mag = abs(c)
     if not factors:
         body = str(mag)
@@ -212,10 +235,28 @@ def _join(pieces: list[tuple[str, str]]) -> str:
 
 
 def _poly_str(terms: Mapping[Expt, int]) -> str:
-    # highest total degree first, then exponent vectors descending,
-    # so q-heavy monomials precede y- and z-heavy ones of equal degree
-    order = sorted(terms, key=lambda e: (sum(e), e), reverse=True)
-    return _join([_monomial(e, terms[e]) for e in order])
+    """The terms summed, highest degree first: "-a + b - c"; "0" for none.
+
+    Each term is appended as " + body" or " - body"; the first one's
+    three leading characters then become "" or "-".
+    """
+    if not terms:
+        return "0"
+    out = []
+    append = out.append
+    for _, _, _, _, e, factors in sorted(map(_term, terms), reverse=True):
+        c = terms[e]
+        sign = " + "
+        if c < 0:
+            sign, c = " - ", -c
+        if not factors:
+            append(f"{sign}{c}")
+        elif c == 1:
+            append(sign + factors)
+        else:
+            append(f"{sign}{c}*{factors}")
+    text = "".join(out)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _signed_body(terms: Mapping[Expt, int], base: str) -> tuple[str, str]:
@@ -297,10 +338,12 @@ class BinPoly:
         for k, c in enumerate(self.coeffs):
             terms = _terms(c)
             scale = denom // math.factorial(k)
-            for j, fc in enumerate(falling_coeffs(k)):
+            for j, fc in _falling_terms(k):
+                factor = scale * fc
                 row = numer[j]
+                get = row.get
                 for e, cc in terms.items():
-                    row[e] = row.get(e, 0) + cc * scale * fc
+                    row[e] = get(e, 0) + cc * factor
         g = math.gcd(denom, *(c for row in numer for c in row.values()))
         denom //= g
         pieces = []

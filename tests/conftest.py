@@ -14,6 +14,7 @@ import json
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,20 @@ from hopfdg.digraph import canonical_labels
 from hopfdg.rings import VARS
 
 LABELS = "abcdefghij"
+
+
+_TESTS = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """Every warning a test under tests/ raises fails it.
+
+    perfbench/tests, collected in the same session, keeps the filters of
+    pyproject.toml alone: its corpus test still leaves file handles open.
+    """
+    for item in items:
+        if _TESTS in Path(item.fspath).resolve().parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 @pytest.fixture
@@ -428,7 +443,9 @@ def oracle_antipode_output(g: Digraph, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # Earlier ring assembly and rendering, kept as oracles for the single
 # histogram projection in hopfdg.invariants and the dict-based renderer in
-# hopfdg.rings.  Both work by validated Poly arithmetic, term by term.
+# hopfdg.rings.  Both work by validated Poly arithmetic, term by term; the
+# renderer's oracle orders and writes each monomial by its own code, and
+# takes the falling factorial's coefficients from a Stirling recurrence.
 
 @functools.cache
 def _oracle_monomial(q: int, y: int, z: int):
@@ -458,19 +475,43 @@ def oracle_invariants(g: Digraph) -> dict[str, BinPoly]:
             (("strict", strict), ("weak", weak), ("bpoly", bpoly), ("psi", psi))}
 
 
+def oracle_poly_str(terms) -> str:
+    """str(Poly._of(terms)), written without hopfdg.rings' text or order:
+    highest total degree first, then the exponents of q, y and z, each
+    larger first."""
+    def after(a, b):
+        # cmp of two exponent vectors in print order: negative if a prints first
+        for s, t in zip((sum(a),) + tuple(a), (sum(b),) + tuple(b)):
+            if s != t:
+                return t - s
+        return 0
+    out = ""
+    for e in sorted(terms, key=functools.cmp_to_key(after)):
+        c = terms[e]
+        powers = [v if x == 1 else v + "^" + str(x) for v, x in zip("qyz", e) if x > 0]
+        if not powers:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(powers)
+        else:
+            body = "*".join([str(abs(c))] + powers)
+        if not out:
+            out = "-" + body if c < 0 else body
+        else:
+            out += (" - " if c < 0 else " + ") + body
+    return out or "0"
+
+
 def _oracle_signed_body(c, base: str) -> tuple[str, str]:
     from hopfdg.rings import Poly
     if isinstance(c, Poly) and len(c.terms) == 1:
         ((e, cc),) = c.terms.items()
-        if cc < 0:
-            sign, mag = "-", str(Poly({e: -cc}))
-        else:
-            sign, mag = "+", str(c)
+        sign, mag = ("-" if cc < 0 else "+"), oracle_poly_str({e: abs(cc)})
         if mag == "1":
             return sign, base if base else "1"
         return sign, f"{mag}*{base}" if base else mag
     if isinstance(c, Poly):
-        text = f"({c})"
+        text = f"({oracle_poly_str(c.terms)})"
         return "+", f"{text}*{base}" if base else text
     sign = "-" if c < 0 else "+"
     mag = abs(c)
@@ -479,6 +520,16 @@ def _oracle_signed_body(c, base: str) -> tuple[str, str]:
     if mag == 1:
         return sign, base
     return sign, f"{mag}*{base}"
+
+
+@functools.cache
+def _oracle_stirling1(k: int, j: int) -> int:
+    """The coefficient of n^j in n(n-1)...(n-k+1): a signed Stirling number."""
+    if k == 0:
+        return 1 if j == 0 else 0
+    if j == 0:
+        return 0
+    return _oracle_stirling1(k - 1, j - 1) - (k - 1) * _oracle_stirling1(k - 1, j)
 
 
 def _oracle_join(pieces) -> str:
@@ -500,7 +551,7 @@ def oracle_monomial_str(p: BinPoly) -> str:
     """Powers of n over one denominator, by Poly arithmetic."""
     import math
 
-    from hopfdg.rings import Poly, falling_coeffs
+    from hopfdg.rings import Poly
     if not p.coeffs:
         return "0"
     d = p.degree()
@@ -510,7 +561,8 @@ def oracle_monomial_str(p: BinPoly) -> str:
         if c == 0:
             continue
         scale = denom // math.factorial(k)
-        for j, fc in enumerate(falling_coeffs(k)):
+        for j in range(k + 1):
+            fc = _oracle_stirling1(k, j)
             if fc:
                 numer[j] = numer[j] + c * (scale * fc)
     ints = [math.gcd(*c.terms.values()) if isinstance(c, Poly) else abs(c) for c in numer]

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -271,9 +272,26 @@ def test_parse_error_exit_code(capsys, tmp_path):
 
 
 def test_missing_file_exit_code(capsys, tmp_path):
-    code, _, err = run(capsys, "invariant", "strict", str(tmp_path / "nope.txt"))
-    assert code == 2
-    assert "input error" in err
+    # an unreadable file has no line or column to report
+    path = str(tmp_path / "nope.txt")
+    code, out, err = run(capsys, "invariant", "strict", path)
+    assert code == 2 and out == ""
+    assert err == f"input error: cannot read {path}: {os.strerror(errno.ENOENT)}\n"
+
+
+def test_directory_as_graph_file_exit_code(capsys, tmp_path):
+    code, out, err = run(capsys, "antipode", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"input error: cannot read {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+
+
+def test_byte_order_mark_reads_as_the_plain_file(capsys, tmp_path, g3_file):
+    marked = tmp_path / "g3-bom.txt"
+    marked.write_text(G3_TEXT, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want = run(capsys, "invariant", "bpoly", g3_file)
+    assert want[0] == 0
+    assert run(capsys, "invariant", "bpoly", str(marked)) == want
 
 
 def test_resource_limit_exit_code(capsys, tmp_path):
@@ -643,6 +661,16 @@ _DENSE10 = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (0, 8), (1, 3), (1, 4), (1, 
             (7, 9), (8, 1), (8, 3), (8, 4), (8, 5), (8, 6), (8, 7), (9, 5), (9, 8))
 
 
+# sha256 of stdout on _DENSE10, pinning long renders byte for byte; the
+# bpoly text's monomial line alone is 54 KB
+_DENSE10_DIGESTS = {
+    ("bpoly", "text"): "0943d3352e60bde13872498b1dbb1ac4de519df98b95622e9e82d309ba8e9070",
+    ("bpoly", "json"): "8584400d34274844ff52ef2d73050f7efd528ca7bcdf4edba0afe8d557f2e1d2",
+    ("psi", "text"): "5c9c613e18c161c2bcb5d0b7c0782082b08d57c37952acd30fc8c027c36c5e8e",
+    ("psi", "json"): "2f23e8d47fdfe98988bbe0e970a3e104e97e3ea4b329fef9a954b93d373044a8",
+}
+
+
 def test_ten_vertex_dense_cyclic_bpoly_answers_under_the_default_budget(
         capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("HOPFDG_MAX_WORK", raising=False)
@@ -650,6 +678,11 @@ def test_ten_vertex_dense_cyclic_bpoly_answers_under_the_default_budget(
     code, out, err = run(capsys, "invariant", "bpoly", path, "--max-vertices", "10")
     assert code == 0 and err == ""
     assert out.startswith("graph: 10 vertices, 45 edges\ninvariant: bpoly\nbinomial: C(n,1) + ")
+    for (which, fmt), digest in _DENSE10_DIGESTS.items():
+        code, out, err = run(capsys, "invariant", which, path, "--max-vertices", "10",
+                             "--format", fmt)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (which, fmt)
 
 
 @pytest.mark.parametrize("argv, want", (

@@ -129,6 +129,12 @@ def test_parse_graph_roundtrip(g3):
     assert format_graph(g) == "vertices: 0 1 2\n0 -> 1\n0 -> 2\n1 -> 2\n"
 
 
+def test_parse_graph_drops_one_byte_order_mark(g3):
+    assert parse_graph("\ufeff" + GOOD_TEXT) == parse_graph(GOOD_TEXT) == g3
+    with pytest.raises(GraphParseError, match="column 1: expected a 'vertices:' line"):
+        parse_graph("\ufeff\ufeff" + GOOD_TEXT)
+
+
 @pytest.mark.parametrize("text,line,fragment", [
     ("", 1, "vertices"),
     ("0 -> 1\n", 1, "vertices"),

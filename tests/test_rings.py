@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (all_digraphs, oracle_binomial_str, oracle_monomial_str,
-                      random_digraph)
+                      oracle_poly_str, random_digraph)
 
 from hopfdg import b_polynomial, edge_invariant, strict_chromatic, weak_chromatic
 from hopfdg.rings import BinPoly, Poly, Q, Y, Z, binomial, falling_coeffs
@@ -144,13 +144,28 @@ def test_renderers_match_old_poly_arithmetic():
     polys = [BinPoly(()), BinPoly((0, 6 * Y - 12 * Z, -6 * Q)), BinPoly((0, -Q, 0, -2 * Y))]
     polys += [BinPoly(tuple(_random_coefficient(rng) for _ in range(rng.randint(1, 6))))
               for _ in range(400)]
-    graphs = list(all_digraphs("abc"))
-    graphs += [random_digraph(rng, "abcde") for _ in range(10)]
-    for g in graphs:
-        polys += [b_polynomial(g), edge_invariant(g), strict_chromatic(g), weak_chromatic(g)]
+    coefficients = [c for p in polys for c in p.coeffs if isinstance(c, Poly)]
+    assert len(coefficients) > 400
+    for c in coefficients + [Poly(), -Q, Q - 1, 1 - Q ** 11 * Y ** 2]:
+        assert str(c) == oracle_poly_str(c.terms), c.terms
     for p in polys:
         assert p.binomial_str() == oracle_binomial_str(p), p
         assert p.monomial_str() == oracle_monomial_str(p), p
+
+
+def test_renderers_match_the_oracle_on_invariants():
+    # every digraph on at most 4 vertices, then seeded ones on 5 to 7
+    rng = random.Random(72)
+    graphs = [g for n in range(5) for g in all_digraphs("abcd"[:n])]
+    graphs += [random_digraph(rng, "abcdefg"[:n]) for n in (5, 5, 6, 6, 7, 7) for _ in range(2)]
+    for g in graphs:
+        for invariant in (b_polynomial, edge_invariant, strict_chromatic, weak_chromatic):
+            p = invariant(g)
+            assert p.binomial_str() == oracle_binomial_str(p), g
+            assert p.monomial_str() == oracle_monomial_str(p), g
+            for c in p.coeffs:
+                if isinstance(c, Poly):
+                    assert str(c) == oracle_poly_str(c.terms), g
 
 
 def test_binpoly_matches_eval_on_samples():
